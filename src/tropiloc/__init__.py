@@ -22,7 +22,6 @@ from .chebyshev import (
     solve_particular,
     solve_scaled,
 )
-from .chebyshev import check_feasibility as _check_chebyshev
 from .errors import (
     ContractViolationError,
     DimensionError,
@@ -44,7 +43,6 @@ from .rectilinear import (
     strip_to_chebyshev,
     tilted_to_scaled,
 )
-from .rectilinear import check_feasibility as _check_rectilinear
 from .solutions import (
     VerificationReport,
     constraint_violation,
@@ -53,33 +51,9 @@ from .solutions import (
     sample,
     verify,
 )
+from .variants import AnyInstance, check_feasibility, solve
 
 __version__ = "0.1.0"
-
-AnyInstance = ChebyshevInstance | StripInstance
-
-
-def solve(inst: AnyInstance) -> SolutionBox | Infeasible:
-    """Solve any instance type with the matching variant solver."""
-    if isinstance(inst, TiltedStripInstance):
-        return solve_tilted(inst)
-    if isinstance(inst, StripInstance):
-        return solve_strip(inst)
-    if isinstance(inst, ScaledChebyshevInstance):
-        return solve_scaled(inst)
-    if isinstance(inst, ChebyshevInstance):
-        return solve_particular(inst)
-    raise TypeError(f"not a location instance: {type(inst).__name__}")
-
-
-def check_feasibility(inst: AnyInstance) -> FeasibilityReport:
-    """Run the feasibility certificates for any instance type."""
-    if isinstance(inst, StripInstance):
-        return _check_rectilinear(inst)
-    if isinstance(inst, ChebyshevInstance):
-        return _check_chebyshev(inst)
-    raise TypeError(f"not a location instance: {type(inst).__name__}")
-
 
 __all__ = [
     "__version__",

@@ -3,13 +3,14 @@
 A solver returns the complete optimal set as ``x = T(generator (x) u)`` over
 a parameter box ``u_lo <= u <= u_hi``, where the tropical part lives in
 internal coordinates and ``T`` maps back to the problem's original
-coordinates.  Four transforms cover all variants:
-
-* identity        -- plain Chebyshev problems;
-* scale(c)        -- internal y_i = c_i * x_i (axis-scaled constraints);
-* rotate45        -- internal y = (x1 + x2, x2 - x1), which turns the
-                     rectilinear plane metric into the Chebyshev one;
-* rotate_scaled   -- rotate45 followed by scale((c1, c2)), for tilted strips.
+coordinates.  T is a pair (scale, rotate45): the internal coordinates are
+``y = c * R(x)``, where ``R`` is the 45-degree rotation
+``(x1, x2) -> (x1 + x2, x2 - x1)`` when rotate45 is set (it turns the
+rectilinear plane metric into the Chebyshev one) and the identity
+otherwise, and c is the scale vector (absent means c = 1).  The four
+combinations are the transforms of the four variants, named by ``kind``:
+identity (plain Chebyshev), scale (scaled Chebyshev), rotate45 (strips)
+and rotate_scaled (tilted strips).
 """
 
 from __future__ import annotations
@@ -21,70 +22,60 @@ import numpy as np
 from .errors import DimensionError
 from .semiring import mat_vec
 
-IDENTITY = "identity"
-SCALE = "scale"
-ROTATE45 = "rotate45"
-ROTATE_SCALED = "rotate_scaled"
+
+def rotate45(x: np.ndarray) -> np.ndarray:
+    """(x1, x2) -> (x1 + x2, x2 - x1), for one point of shape (2,) or rows of shape (N, 2)."""
+    x1, x2 = x.T
+    return np.array([x1 + x2, x2 - x1]).T
+
+
+def unrotate45(y: np.ndarray) -> np.ndarray:
+    """Inverse of rotate45, exact on the rational grid: (y1, y2) -> ((y1 - y2)/2, (y1 + y2)/2)."""
+    y1, y2 = y.T
+    return np.array([(y1 - y2) / 2.0, (y1 + y2) / 2.0]).T
 
 
 @dataclass(frozen=True, eq=False)
 class Transform:
-    kind: str
-    coeffs: tuple[float, ...] = ()
+    """Map between original coordinates x and internal ones y = c * R(x).
+
+    scale is the tuple c (None for c = 1); rotate45 selects R.
+    """
+
+    scale: tuple[float, ...] | None = None
+    rotate45: bool = False
+
+    @property
+    def kind(self) -> str:
+        if self.rotate45:
+            return "rotate45" if self.scale is None else "rotate_scaled"
+        return "identity" if self.scale is None else "scale"
+
+    @property
+    def coeffs(self) -> tuple[float, ...]:
+        return () if self.scale is None else self.scale
 
     def to_original(self, y) -> np.ndarray:
         """Map a point from internal solver coordinates back to the original."""
         y = np.asarray(y, dtype=np.float64)
-        if self.kind == IDENTITY:
-            return y
-        if self.kind == SCALE:
-            return y / np.asarray(self.coeffs)
-        if self.kind == ROTATE45:
+        if self.rotate45:
             self._expect_plane(y)
-            return np.array([(y[0] - y[1]) / 2.0, (y[0] + y[1]) / 2.0])
-        if self.kind == ROTATE_SCALED:
-            self._expect_plane(y)
-            c1, c2 = self.coeffs
-            u, v = y[0] / c1, y[1] / c2
-            return np.array([(u - v) / 2.0, (u + v) / 2.0])
-        raise ValueError(f"unknown transform kind {self.kind!r}")
+        if self.scale is not None:
+            y = y / np.asarray(self.scale)
+        return unrotate45(y) if self.rotate45 else y
 
     def to_internal(self, x) -> np.ndarray:
         """Map a point from original coordinates into solver coordinates."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == IDENTITY:
-            return x
-        if self.kind == SCALE:
-            return x * np.asarray(self.coeffs)
-        if self.kind == ROTATE45:
+        if self.rotate45:
             self._expect_plane(x)
-            return np.array([x[0] + x[1], x[1] - x[0]])
-        if self.kind == ROTATE_SCALED:
-            self._expect_plane(x)
-            c1, c2 = self.coeffs
-            return np.array([c1 * (x[0] + x[1]), c2 * (x[1] - x[0])])
-        raise ValueError(f"unknown transform kind {self.kind!r}")
+            x = rotate45(x)
+        return x if self.scale is None else x * np.asarray(self.scale)
 
     @staticmethod
     def _expect_plane(v) -> None:
         if v.shape != (2,):
             raise DimensionError(f"planar point expected, got shape {v.shape}")
-
-
-def identity_transform() -> Transform:
-    return Transform(IDENTITY)
-
-
-def scale_transform(c) -> Transform:
-    return Transform(SCALE, tuple(float(v) for v in np.asarray(c).ravel()))
-
-
-def rotate45_transform() -> Transform:
-    return Transform(ROTATE45)
-
-
-def rotate_scaled_transform(c1: float, c2: float) -> Transform:
-    return Transform(ROTATE_SCALED, (float(c1), float(c2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +106,4 @@ class SolutionBox:
         return self.member(self.u_hi)
 
 
-__all__ = [
-    "Transform",
-    "SolutionBox",
-    "identity_transform",
-    "scale_transform",
-    "rotate45_transform",
-    "rotate_scaled_transform",
-    "IDENTITY",
-    "SCALE",
-    "ROTATE45",
-    "ROTATE_SCALED",
-]
+__all__ = ["Transform", "SolutionBox", "rotate45", "unrotate45"]

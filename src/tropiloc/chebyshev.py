@@ -23,7 +23,9 @@ the envelopes induced by requiring the objective not to exceed theta.
 
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
 difference bounds while keeping the same objective; it is solved by the same
-machinery in scaled coordinates y_i = c_i * x_i and mapped back.
+machinery in scaled coordinates y_i = c_i * x_i and mapped back.  A plain
+instance is the scaled one with c = 1, so one core, ``solve_core``, solves
+both; ``solve_particular`` and ``solve_scaled`` are its typed entry points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import SolutionBox, identity_transform, scale_transform
+from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
 from .linear import Infeasible, parameter_upper_bound
 from .semiring import (
@@ -60,6 +62,59 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _validate_shared(inst) -> int:
+    """Check and freeze the fields every variant shares, points to box; returns n."""
+    points = _as_float_array(inst.points, "points")
+    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
+        raise InstanceError(f"points must be a nonempty 2-D array, got shape {points.shape}")
+    m, n = points.shape
+    bad = np.argwhere(~np.isfinite(points))
+    if bad.size:
+        j, i = bad[0]
+        raise InstanceError(f"points[{j}][{i}] must be finite")
+    weights = _as_float_array(inst.weights, "weights")
+    if weights.shape != (m,):
+        raise InstanceError(f"weights must have length {m}, got shape {weights.shape}")
+    bad = np.argwhere(~(np.isfinite(weights) & (weights > 0)))
+    if bad.size:
+        raise InstanceError(f"weights[{int(bad[0][0])}] must be a positive real")
+    addends = _as_float_array(inst.addends, "addends")
+    if addends.shape != (m,):
+        raise InstanceError(f"addends must have length {m}, got shape {addends.shape}")
+    bad = np.argwhere(~np.isfinite(addends))
+    if bad.size:
+        raise InstanceError(f"addends[{int(bad[0][0])}] must be finite")
+    caps = inst.caps
+    if caps is not None:
+        caps = _as_float_array(caps, "caps")
+        if caps.shape != (m,):
+            raise InstanceError(f"caps must have length {m}, got shape {caps.shape}")
+        bad = np.argwhere(np.isnan(caps) | (caps <= 0))
+        if bad.size:
+            raise InstanceError(f"caps[{int(bad[0][0])}] must be a positive real (or +inf)")
+    box_lo = _as_float_array(inst.box_lo, "lower")
+    box_hi = _as_float_array(inst.box_hi, "upper")
+    if box_lo.shape != (n,) or box_hi.shape != (n,):
+        raise InstanceError(f"lower/upper box bounds must have length {n}")
+    bad = np.argwhere(~np.isfinite(box_lo))
+    if bad.size:
+        raise InstanceError(f"lower[{int(bad[0][0])}] must be finite")
+    bad = np.argwhere(~np.isfinite(box_hi))
+    if bad.size:
+        raise InstanceError(f"upper[{int(bad[0][0])}] must be finite")
+    bad = np.argwhere(box_lo > box_hi)
+    if bad.size:
+        i = int(bad[0][0])
+        raise InstanceError(f"lower[{i}] exceeds upper[{i}]")
+    object.__setattr__(inst, "points", _freeze(points))
+    object.__setattr__(inst, "weights", _freeze(weights))
+    object.__setattr__(inst, "addends", _freeze(addends))
+    object.__setattr__(inst, "caps", None if caps is None else _freeze(caps))
+    object.__setattr__(inst, "box_lo", _freeze(box_lo))
+    object.__setattr__(inst, "box_hi", _freeze(box_hi))
+    return n
+
+
 @dataclass(frozen=True, eq=False, kw_only=True)
 class ChebyshevInstance:
     """One weighted minimax location problem under the Chebyshev metric.
@@ -84,48 +139,7 @@ class ChebyshevInstance:
     caps: np.ndarray | None = None
 
     def __post_init__(self):
-        points = _as_float_array(self.points, "points")
-        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-            raise InstanceError(f"points must be a nonempty 2-D array, got shape {points.shape}")
-        m, n = points.shape
-        bad = np.argwhere(~np.isfinite(points))
-        if bad.size:
-            j, i = bad[0]
-            raise InstanceError(f"points[{j}][{i}] must be finite")
-        weights = _as_float_array(self.weights, "weights")
-        if weights.shape != (m,):
-            raise InstanceError(f"weights must have length {m}, got shape {weights.shape}")
-        bad = np.argwhere(~(np.isfinite(weights) & (weights > 0)))
-        if bad.size:
-            raise InstanceError(f"weights[{int(bad[0][0])}] must be a positive real")
-        addends = _as_float_array(self.addends, "addends")
-        if addends.shape != (m,):
-            raise InstanceError(f"addends must have length {m}, got shape {addends.shape}")
-        bad = np.argwhere(~np.isfinite(addends))
-        if bad.size:
-            raise InstanceError(f"addends[{int(bad[0][0])}] must be finite")
-        caps = self.caps
-        if caps is not None:
-            caps = _as_float_array(caps, "caps")
-            if caps.shape != (m,):
-                raise InstanceError(f"caps must have length {m}, got shape {caps.shape}")
-            bad = np.argwhere(np.isnan(caps) | (caps <= 0))
-            if bad.size:
-                raise InstanceError(f"caps[{int(bad[0][0])}] must be a positive real (or +inf)")
-        box_lo = _as_float_array(self.box_lo, "lower")
-        box_hi = _as_float_array(self.box_hi, "upper")
-        if box_lo.shape != (n,) or box_hi.shape != (n,):
-            raise InstanceError(f"lower/upper box bounds must have length {n}")
-        bad = np.argwhere(~np.isfinite(box_lo))
-        if bad.size:
-            raise InstanceError(f"lower[{int(bad[0][0])}] must be finite")
-        bad = np.argwhere(~np.isfinite(box_hi))
-        if bad.size:
-            raise InstanceError(f"upper[{int(bad[0][0])}] must be finite")
-        bad = np.argwhere(box_lo > box_hi)
-        if bad.size:
-            i = int(bad[0][0])
-            raise InstanceError(f"lower[{i}] exceeds upper[{i}]")
+        n = _validate_shared(self)
         diff = _as_float_array(self.diff_bounds, "B")
         if diff.shape != (n, n):
             raise InstanceError(f"B must be {n}x{n}, got shape {diff.shape}")
@@ -133,12 +147,6 @@ class ChebyshevInstance:
         if bad.size:
             i, k = bad[0]
             raise InstanceError(f"B[{i}][{k}] must be real or absent")
-        object.__setattr__(self, "points", _freeze(points))
-        object.__setattr__(self, "weights", _freeze(weights))
-        object.__setattr__(self, "addends", _freeze(addends))
-        object.__setattr__(self, "caps", None if caps is None else _freeze(caps))
-        object.__setattr__(self, "box_lo", _freeze(box_lo))
-        object.__setattr__(self, "box_hi", _freeze(box_hi))
         object.__setattr__(self, "diff_bounds", _freeze(diff))
 
     @property
@@ -222,55 +230,44 @@ def _require_scaled(inst) -> None:
         raise TypeError("a ScaledChebyshevInstance is required here")
 
 
+def _scale_of(inst: ChebyshevInstance) -> np.ndarray:
+    """The scale vector c; a plain instance is the scaled one with c = 1."""
+    return inst.scale if isinstance(inst, ScaledChebyshevInstance) else np.ones(inst.dim)
+
+
 def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> BoundVectors:
     """Coordinatewise envelopes of the constraint set (and objective level).
 
-    For a plain instance:
-        fixed_lo_i = max( max_j (p_ji - d_j), f_i )
-        fixed_hi_i = min( min_j (p_ji + d_j), g_i )
-        level_lo_i = max_j ( (h_j - theta) / w_j + p_ji )
-        level_hi_i = min_j ( (theta - h_j) / w_j + p_ji )
-    For a scaled instance the same envelopes in scaled coordinates, with
-    |c_i| weighting the radii and min/max over {c_i f_i, c_i g_i} handling
-    axis flips.
+    In scaled coordinates y_i = c_i * x_i (c = 1 for a plain instance):
+        fixed_lo_i = max( max_j (c_i p_ji - |c_i| d_j), min(c_i f_i, c_i g_i) )
+        fixed_hi_i = min( min_j (c_i p_ji + |c_i| d_j), max(c_i f_i, c_i g_i) )
+        level_lo_i = max_j ( |c_i| (h_j - theta) / w_j + c_i p_ji )
+        level_hi_i = min_j ( |c_i| (theta - h_j) / w_j + c_i p_ji )
+    The min/max over {c_i f_i, c_i g_i} handles axis flips.
     """
-    pts = inst.points
     w = inst.weights
     h = inst.addends
-    if isinstance(inst, ScaledChebyshevInstance):
-        c = inst.scale
-        absc = np.abs(c)
-        cp = c[None, :] * pts
-        lo_box = np.minimum(c * inst.box_lo, c * inst.box_hi)
-        hi_box = np.maximum(c * inst.box_lo, c * inst.box_hi)
-        if inst.caps is None:
-            fixed_lo = lo_box.copy()
-            fixed_hi = hi_box.copy()
-        else:
-            radii = inst.caps[:, None] * absc[None, :]
-            fixed_lo = np.maximum(np.max(cp - radii, axis=0), lo_box)
-            fixed_hi = np.minimum(np.min(cp + radii, axis=0), hi_box)
-        if theta is None:
-            level_lo = np.full(inst.dim, BOTTOM)
-            level_hi = np.full(inst.dim, np.inf)
-        else:
-            off = (h - theta) / w
-            level_lo = np.max(off[:, None] * absc[None, :] + cp, axis=0)
-            level_hi = np.min((-off)[:, None] * absc[None, :] + cp, axis=0)
-        return BoundVectors(level_lo, level_hi, fixed_lo, fixed_hi)
-    if inst.caps is None:
-        fixed_lo = inst.box_lo.copy()
-        fixed_hi = inst.box_hi.copy()
-    else:
-        fixed_lo = np.maximum(np.max(pts - inst.caps[:, None], axis=0), inst.box_lo)
-        fixed_hi = np.minimum(np.min(pts + inst.caps[:, None], axis=0), inst.box_hi)
+    c = _scale_of(inst)
+    absc = np.abs(c)
+    cp = c[None, :] * inst.points
+    # A negative c_i swaps the ends of the box.  Selecting by sign rather than
+    # by min/max keeps a signed zero where the two ends tie.
+    flip = c < 0
+    cf = c * inst.box_lo
+    cg = c * inst.box_hi
+    fixed_lo = np.where(flip, cg, cf)
+    fixed_hi = np.where(flip, cf, cg)
+    if inst.caps is not None:
+        radii = inst.caps[:, None] * absc[None, :]
+        fixed_lo = np.maximum((cp - radii).max(axis=0), fixed_lo)
+        fixed_hi = np.minimum((cp + radii).min(axis=0), fixed_hi)
     if theta is None:
         level_lo = np.full(inst.dim, BOTTOM)
         level_hi = np.full(inst.dim, np.inf)
     else:
-        off = (h - theta) / w
-        level_lo = np.max(off[:, None] + pts, axis=0)
-        level_hi = np.min((-off)[:, None] + pts, axis=0)
+        rad = ((h - theta) / w)[:, None] * absc[None, :]
+        level_lo = (rad + cp).max(axis=0)
+        level_hi = (cp - rad).min(axis=0)
     return BoundVectors(level_lo, level_hi, fixed_lo, fixed_hi)
 
 
@@ -327,23 +324,35 @@ def _theta_scaled(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
     return best
 
 
+def _theta(inst: ChebyshevInstance, star, bounds: BoundVectors) -> float:
+    # With every |c_i| = 1 the scaled loop reduces to the plain closed form
+    # on the points c * p, bit for bit; the dense kernel evaluates it faster.
+    c = _scale_of(inst)
+    cp = c[None, :] * inst.points
+    absc = np.abs(c)
+    args = (inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    if (absc == 1.0).all():
+        return _theta_particular(cp, *args)
+    return _theta_scaled(cp, absc, *args)
+
+
+def _feasible_theta(inst: ChebyshevInstance, op: str) -> float:
+    report, star, bounds = _certificates(inst)
+    if not report.feasible:
+        raise ContractViolationError(f"{op} requires a feasible instance; run check_feasibility first")
+    return _theta(inst, star, bounds)
+
+
 def compute_theta(inst: ChebyshevInstance) -> float:
     """Optimal objective value of a feasible plain instance, in closed form."""
     _require_plain(inst, "compute_theta")
-    report, star, bounds = _certificates(inst)
-    if not report.feasible:
-        raise ContractViolationError("compute_theta requires a feasible instance; run check_feasibility first")
-    return _theta_particular(inst.points, inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    return _feasible_theta(inst, "compute_theta")
 
 
 def compute_theta_scaled(inst: ScaledChebyshevInstance) -> float:
     """Optimal objective value of a feasible scaled instance."""
     _require_scaled(inst)
-    report, star, bounds = _certificates(inst)
-    if not report.feasible:
-        raise ContractViolationError("compute_theta_scaled requires a feasible instance; run check_feasibility first")
-    cp = inst.scale[None, :] * inst.points
-    return _theta_scaled(cp, np.abs(inst.scale), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    return _feasible_theta(inst, "compute_theta_scaled")
 
 
 def _parameter_box(star, level: BoundVectors) -> tuple[np.ndarray, np.ndarray]:
@@ -358,46 +367,43 @@ def _infeasible_result(report: FeasibilityReport) -> Infeasible:
     return Infeasible("bounds", float(report.bounds_gap))
 
 
-def solve_particular(inst: ChebyshevInstance) -> SolutionBox | Infeasible:
-    """Optimal value and the complete optimal set of a plain instance.
+def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox | Infeasible:
+    """Optimal value and the complete optimal set of a plain or scaled instance.
 
     Returns a SolutionBox whose members all attain theta, or a typed
     Infeasible result naming the failed certificate.  Once the certificates
     pass, the box is nonempty by construction; it is never re-checked, so
     last-ulp rounding cannot flip a feasible instance into a spurious empty
-    verdict.
+    verdict.  The box lives in scaled coordinates and its transform divides
+    members by c; an all-ones scale gets no scale in the transform.
+    rotate45 marks an instance that is the rotated image of a plane one, so
+    the transform also rotates members back.
     """
-    _require_plain(inst, "solve_particular")
     report, star, bounds = _certificates(inst)
     if not report.feasible:
         return _infeasible_result(report)
-    theta = _theta_particular(inst.points, inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    theta = _theta(inst, star, bounds)
     leveled = assemble_bounds(inst, theta)
     u_lo, u_hi = _parameter_box(star, leveled)
-    return SolutionBox(theta, star, u_lo, u_hi, identity_transform())
+    c = _scale_of(inst)
+    scale = None if (c == 1.0).all() else tuple(float(v) for v in c)
+    return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
+
+
+def solve_particular(inst: ChebyshevInstance) -> SolutionBox | Infeasible:
+    """Optimal value and the complete optimal set of a plain instance."""
+    _require_plain(inst, "solve_particular")
+    return solve_core(inst)
 
 
 def solve_scaled(inst: ScaledChebyshevInstance) -> SolutionBox | Infeasible:
     """Optimal value and complete optimal set of a scaled instance.
 
-    The box lives in scaled coordinates; its transform divides members by c.
-    An all-ones scale is normalized to the identity transform, making the
-    result indistinguishable from solve_particular on the embedded plain
-    instance.
+    An all-ones scale yields the identity transform, making the result
+    indistinguishable from solve_particular on the embedded plain instance.
     """
     _require_scaled(inst)
-    report, star, bounds = _certificates(inst)
-    if not report.feasible:
-        return _infeasible_result(report)
-    cp = inst.scale[None, :] * inst.points
-    theta = _theta_scaled(cp, np.abs(inst.scale), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-    leveled = assemble_bounds(inst, theta)
-    u_lo, u_hi = _parameter_box(star, leveled)
-    if np.all(inst.scale == 1.0):
-        transform = identity_transform()
-    else:
-        transform = scale_transform(inst.scale)
-    return SolutionBox(theta, star, u_lo, u_hi, transform)
+    return solve_core(inst)
 
 
 __all__ = [
@@ -409,6 +415,7 @@ __all__ = [
     "check_feasibility",
     "compute_theta",
     "compute_theta_scaled",
+    "solve_core",
     "solve_particular",
     "solve_scaled",
 ]

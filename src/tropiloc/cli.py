@@ -13,9 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .chebyshev import ScaledChebyshevInstance
-from .chebyshev import check_feasibility as _check_cheb
-from .chebyshev import solve_particular, solve_scaled
+# solve and check_feasibility are looked up on the package at call time, so
+# wrappers installed there (the spans of benchmarks/spans.py) see CLI calls too.
+import tropiloc
+
+from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .errors import (
     ContractViolationError,
     DimensionError,
@@ -28,9 +30,7 @@ from .generate import VARIANTS, random_instance
 from .io import emit_instance, emit_solution, parse_instance
 from .linear import Infeasible
 from .oracle import grid_minimize
-from .rectilinear import StripInstance, TiltedStripInstance
-from .rectilinear import check_feasibility as _check_rect
-from .rectilinear import solve_strip, solve_tilted
+from .rectilinear import solve_strip, solve_tilted  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .solutions import verify as verify_box
 
 
@@ -43,22 +43,6 @@ class _Parser(argparse.ArgumentParser):
     # for infeasible instances; route usage errors to exit code 1 instead.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _solve_any(inst):
-    if isinstance(inst, TiltedStripInstance):
-        return solve_tilted(inst)
-    if isinstance(inst, StripInstance):
-        return solve_strip(inst)
-    if isinstance(inst, ScaledChebyshevInstance):
-        return solve_scaled(inst)
-    return solve_particular(inst)
-
-
-def _check_any(inst):
-    if isinstance(inst, StripInstance):
-        return _check_rect(inst)
-    return _check_cheb(inst)
 
 
 def _load(path: str):
@@ -78,20 +62,25 @@ def _report_infeasible(result: Infeasible) -> None:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.file)
-    result = _solve_any(inst)
+    result = tropiloc.solve(inst)
     if isinstance(result, Infeasible):
         _report_infeasible(result)
         return 2
     payload = emit_solution(result, inst, args.out, samples=args.samples, seed=args.seed)
-    sys.stdout.buffer.write(payload)
     if args.svg is not None:
-        Path(args.svg).write_bytes(emit_solution(result, inst, "svg", samples=args.samples, seed=args.seed))
+        # Build and write the sketch first: a failure must leave stdout empty.
+        sketch = emit_solution(result, inst, "svg", samples=args.samples, seed=args.seed)
+        try:
+            Path(args.svg).write_bytes(sketch)
+        except OSError as exc:
+            raise ResourceError(f"cannot write {args.svg}: {exc}") from None
+    sys.stdout.buffer.write(payload)
     return 0
 
 
 def _cmd_check(args) -> int:
     inst = _load(args.file)
-    report = _check_any(inst)
+    report = tropiloc.check_feasibility(inst)
     gauge = f"{report.cycle_gauge:g}"
     print(f"spectral certificate: {'ok' if report.spectral_ok else 'FAILED'} (cycle gauge {gauge})")
     if report.bounds_gap is None:
@@ -117,7 +106,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load(args.file)
-    result = _solve_any(inst)
+    result = tropiloc.solve(inst)
     if isinstance(result, Infeasible):
         _report_infeasible(result)
         return 2

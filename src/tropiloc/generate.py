@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, check_feasibility
+from .boxes import rotate45
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance
 from .rectilinear import StripInstance, TiltedStripInstance
-from .rectilinear import check_feasibility as check_rect
 from .semiring import BOTTOM
+from .variants import TABLE, check_feasibility
 
-VARIANTS = ("chebyshev", "chebyshev_scaled", "rectilinear_strip", "rectilinear_tilted")
+VARIANTS = tuple(v.name for v in TABLE)
 
 _SCHEMES = ("ones", "equal", "mixed")
 
@@ -151,7 +152,7 @@ def _random_strip(rng, m, grid, extent, *, tilted: bool):
     pts_u = rng.integers(-extent + 2, extent - 1, (m, 2)).astype(np.float64)
     h_u = rng.integers(-4, 5, m).astype(np.float64)
     caps_u = _cap_units(rng, pts_u, "d1")
-    rot_u = np.stack([pts_u[:, 0] + pts_u[:, 1], pts_u[:, 1] - pts_u[:, 0]], axis=1)
+    rot_u = rotate45(pts_u)
     lo_u = rot_u.min(axis=0) - rng.integers(2, 8, 2)
     hi_u = rot_u.max(axis=0) + rng.integers(2, 8, 2)
     if tilted:
@@ -181,7 +182,7 @@ def _random_strip(rng, m, grid, extent, *, tilted: bool):
             inst = TiltedStripInstance(**kwargs, slope=slope)
         else:
             inst = StripInstance(**kwargs)
-        if check_rect(inst).feasible:
+        if check_feasibility(inst).feasible:
             return inst
         caps_u, lo_u, hi_u = _widen(caps_u, lo_u, hi_u, 4)
         if not tilted and a_u != b_u:

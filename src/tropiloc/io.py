@@ -26,11 +26,12 @@ import json
 import numpy as np
 
 from .boxes import SolutionBox
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _scale_of
 from .errors import InstanceError, UnsupportedFormatError
 from .rectilinear import StripInstance, TiltedStripInstance
 from .semiring import BOTTOM
 from .solutions import objective_batch, sample
+from .variants import lookup
 
 _COMMON = {"variant", "n", "m", "points", "weights", "addends", "caps", "lower", "upper"}
 _VARIANT_KEYS = {
@@ -172,15 +173,7 @@ def parse_instance(text) -> ChebyshevInstance | StripInstance:
 
 def variant_of(inst) -> str:
     """The schema tag for an instance object (most specific type wins)."""
-    if isinstance(inst, TiltedStripInstance):
-        return "rectilinear_tilted"
-    if isinstance(inst, StripInstance):
-        return "rectilinear_strip"
-    if isinstance(inst, ScaledChebyshevInstance):
-        return "chebyshev_scaled"
-    if isinstance(inst, ChebyshevInstance):
-        return "chebyshev"
-    raise TypeError(f"not a location instance: {type(inst).__name__}")
+    return lookup(inst).name
 
 
 def _bounds_to_rows(bounds: np.ndarray) -> list:
@@ -248,8 +241,8 @@ def emit_solution(box: SolutionBox, inst, fmt: str = "json", *, samples: int = 5
 def _half_planes(inst) -> list[tuple[float, float, float]]:
     """Constraint region as half-planes a*x1 + b*x2 <= g (plane instances)."""
     planes = []
-    if isinstance(inst, StripInstance):
-        f, g = inst.box_lo, inst.box_hi
+    f, g = inst.box_lo, inst.box_hi
+    if lookup(inst).rotate45:
         planes += [(1.0, 1.0, g[0]), (-1.0, -1.0, -f[0]), (-1.0, 1.0, g[1]), (1.0, -1.0, -f[1])]
         if isinstance(inst, TiltedStripInstance):
             c = inst.slope
@@ -264,8 +257,7 @@ def _half_planes(inst) -> list[tuple[float, float, float]]:
                     for s2 in (1.0, -1.0):
                         planes.append((s1, s2, d + s1 * p[0] + s2 * p[1]))
         return planes
-    scale = inst.scale if isinstance(inst, ScaledChebyshevInstance) else np.ones(2)
-    f, g = inst.box_lo, inst.box_hi
+    scale = _scale_of(inst)
     planes += [(1.0, 0.0, g[0]), (-1.0, 0.0, -f[0]), (0.0, 1.0, g[1]), (0.0, -1.0, -f[1])]
     for i in range(2):
         for k in range(2):

@@ -20,22 +20,31 @@ members come back in original plane coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import SolutionBox, rotate45_transform, rotate_scaled_transform
+from .boxes import SolutionBox, rotate45, unrotate45
 from .chebyshev import (
     ChebyshevInstance,
-    FeasibilityReport,
     ScaledChebyshevInstance,
     _as_float_array,
+    _validate_shared,
+    solve_core,
 )
-from .chebyshev import check_feasibility as _check_chebyshev
-from .chebyshev import solve_particular, solve_scaled
+from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .errors import DimensionError, InstanceError
 from .linear import Infeasible
 from .semiring import BOTTOM
+
+
+def _finite_real(value, name: str) -> float:
+    # Python and numpy reals pass; bool (an int subclass) and None do not.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise InstanceError(f"{name} must be a finite real")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -63,32 +72,13 @@ class StripInstance:
         points = _as_float_array(self.points, "points")
         if points.ndim != 2 or points.shape[1] != 2:
             raise InstanceError(f"points must be an (m, 2) array, got shape {points.shape}")
-        # Delegate the shared field validation to the Chebyshev constructor.
-        probe = ChebyshevInstance(
-            points=points,
-            weights=self.weights,
-            addends=self.addends,
-            caps=self.caps,
-            box_lo=self.box_lo,
-            box_hi=self.box_hi,
-            diff_bounds=np.full((2, 2), BOTTOM),
-        )
-        object.__setattr__(self, "points", probe.points)
-        object.__setattr__(self, "weights", probe.weights)
-        object.__setattr__(self, "addends", probe.addends)
-        object.__setattr__(self, "caps", probe.caps)
-        object.__setattr__(self, "box_lo", probe.box_lo)
-        object.__setattr__(self, "box_hi", probe.box_hi)
-        lo = self.strip_lo
-        hi = self.strip_hi
-        if not (isinstance(lo, (int, float)) and np.isfinite(lo)):
-            raise InstanceError("a must be a finite real")
-        if not (isinstance(hi, (int, float)) and np.isfinite(hi)):
-            raise InstanceError("b must be a finite real")
+        _validate_shared(self)
+        lo = _finite_real(self.strip_lo, "a")
+        hi = _finite_real(self.strip_hi, "b")
         if lo > hi:
             raise InstanceError("a exceeds b")
-        object.__setattr__(self, "strip_lo", float(lo))
-        object.__setattr__(self, "strip_hi", float(hi))
+        object.__setattr__(self, "strip_lo", lo)
+        object.__setattr__(self, "strip_hi", hi)
 
     @property
     def m(self) -> int:
@@ -111,12 +101,10 @@ class TiltedStripInstance(StripInstance):
 
     def __post_init__(self):
         super().__post_init__()
-        c = self.slope
-        if c is None or not (isinstance(c, (int, float)) and np.isfinite(c)):
-            raise InstanceError("c must be a finite real")
+        c = _finite_real(self.slope, "c")
         if c == 1 or c == -1:
             raise InstanceError("c must differ from 1 and -1")
-        object.__setattr__(self, "slope", float(c))
+        object.__setattr__(self, "slope", c)
 
 
 def rotate(point, direction: str = "forward") -> np.ndarray:
@@ -129,14 +117,10 @@ def rotate(point, direction: str = "forward") -> np.ndarray:
     if p.shape != (2,):
         raise DimensionError(f"plane point expected, got shape {p.shape}")
     if direction == "forward":
-        return np.array([p[0] + p[1], p[1] - p[0]])
+        return rotate45(p)
     if direction == "inverse":
-        return np.array([(p[0] - p[1]) / 2.0, (p[0] + p[1]) / 2.0])
+        return unrotate45(p)
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def _rotated_points(points: np.ndarray) -> np.ndarray:
-    return np.stack([points[:, 0] + points[:, 1], points[:, 1] - points[:, 0]], axis=1)
 
 
 def _strip_diff_bounds(a: float, b: float) -> np.ndarray:
@@ -149,7 +133,7 @@ def _strip_diff_bounds(a: float, b: float) -> np.ndarray:
 def strip_to_chebyshev(inst: StripInstance) -> ChebyshevInstance:
     """The rotated-coordinate Chebyshev instance equivalent to a strip."""
     return ChebyshevInstance(
-        points=_rotated_points(inst.points),
+        points=rotate45(inst.points),
         weights=inst.weights,
         addends=inst.addends,
         caps=inst.caps,
@@ -162,7 +146,7 @@ def strip_to_chebyshev(inst: StripInstance) -> ChebyshevInstance:
 def tilted_to_scaled(inst: TiltedStripInstance) -> ScaledChebyshevInstance:
     """The rotated, scaled Chebyshev instance equivalent to a tilted strip."""
     return ScaledChebyshevInstance(
-        points=_rotated_points(inst.points),
+        points=rotate45(inst.points),
         weights=inst.weights,
         addends=inst.addends,
         caps=inst.caps,
@@ -173,31 +157,18 @@ def tilted_to_scaled(inst: TiltedStripInstance) -> ScaledChebyshevInstance:
     )
 
 
-def check_feasibility(inst: StripInstance) -> FeasibilityReport:
-    """Feasibility certificates of a strip or tilted-strip instance."""
-    if isinstance(inst, TiltedStripInstance):
-        return _check_chebyshev(tilted_to_scaled(inst))
-    return _check_chebyshev(strip_to_chebyshev(inst))
-
-
 def solve_strip(inst: StripInstance) -> SolutionBox | Infeasible:
     """Optimal value and complete optimal set of a strip instance."""
     if isinstance(inst, TiltedStripInstance):
         raise TypeError("solve_strip expects a plain StripInstance; use solve_tilted")
-    result = solve_particular(strip_to_chebyshev(inst))
-    if isinstance(result, Infeasible):
-        return result
-    return replace(result, transform=rotate45_transform())
+    return solve_core(strip_to_chebyshev(inst), rotate45=True)
 
 
 def solve_tilted(inst: TiltedStripInstance) -> SolutionBox | Infeasible:
     """Optimal value and complete optimal set of a tilted-strip instance."""
     if not isinstance(inst, TiltedStripInstance):
         raise TypeError("solve_tilted expects a TiltedStripInstance; use solve_strip")
-    result = solve_scaled(tilted_to_scaled(inst))
-    if isinstance(result, Infeasible):
-        return result
-    return replace(result, transform=rotate_scaled_transform(inst.slope - 1.0, inst.slope + 1.0))
+    return solve_core(tilted_to_scaled(inst), rotate45=True)
 
 
 __all__ = [
@@ -206,7 +177,6 @@ __all__ = [
     "rotate",
     "strip_to_chebyshev",
     "tilted_to_scaled",
-    "check_feasibility",
     "solve_strip",
     "solve_tilted",
 ]

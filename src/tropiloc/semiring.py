@@ -77,11 +77,6 @@ def as_matrix(data) -> np.ndarray:
     return _validated(data, 2, "matrix")
 
 
-def bottoms(shape) -> np.ndarray:
-    """Array of the given shape filled with bottom (the zero matrix/vector)."""
-    return np.full(shape, BOTTOM)
-
-
 def identity(n: int) -> np.ndarray:
     """Tropical identity: 0.0 on the diagonal, bottom elsewhere."""
     e = np.full((n, n), BOTTOM)
@@ -238,7 +233,6 @@ __all__ = [
     "scalar_pow",
     "as_vector",
     "as_matrix",
-    "bottoms",
     "identity",
     "is_regular",
     "mat_add",

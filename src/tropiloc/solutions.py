@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import SolutionBox
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance
+from .boxes import SolutionBox, rotate45
+from .chebyshev import _scale_of
 from .errors import DimensionError, DomainError
 from .linear import parameter_upper_bound
-from .rectilinear import StripInstance, TiltedStripInstance
+from .rectilinear import TiltedStripInstance
 from .semiring import BOTTOM, mat_vec
+from .variants import lookup
 
 OBJECTIVE_TOL = 1e-9
 CONSTRAINT_SLACK = 1e-12
@@ -37,15 +38,16 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     raise DimensionError(f"points of dimension {dim} expected, got shape {arr.shape}")
 
 
+def _distances(inst, xs: np.ndarray) -> np.ndarray:
+    """(N, m) distances from each row of xs to each point, in the variant's metric."""
+    diff = np.abs(xs[:, None, :] - inst.points[None, :, :])
+    norm = np.sum if lookup(inst).metric == "d1" else np.max
+    return norm(diff, axis=2)
+
+
 def objective_batch(inst, xs: np.ndarray) -> np.ndarray:
     """Objective at each row of xs (shape (N, dim)) without validation."""
-    pts = inst.points
-    diff = np.abs(xs[:, None, :] - pts[None, :, :])
-    if isinstance(inst, (StripInstance, TiltedStripInstance)):
-        dist = np.sum(diff, axis=2)
-    else:
-        dist = np.max(diff, axis=2)
-    return np.max(inst.weights[None, :] * dist + inst.addends[None, :], axis=1)
+    return np.max(inst.weights[None, :] * _distances(inst, xs) + inst.addends[None, :], axis=1)
 
 
 def objective_value(inst, x) -> float:
@@ -58,17 +60,10 @@ def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
     """Largest constraint violation at each row of xs; <= 0 means feasible."""
     n_pts = xs.shape[0]
     worst = np.full(n_pts, -np.inf)
-    pts = inst.points
     if inst.caps is not None:
-        diff = np.abs(xs[:, None, :] - pts[None, :, :])
-        if isinstance(inst, (StripInstance, TiltedStripInstance)):
-            dist = np.sum(diff, axis=2)
-        else:
-            dist = np.max(diff, axis=2)
-        worst = np.maximum(worst, np.max(dist - inst.caps[None, :], axis=1))
-    if isinstance(inst, (StripInstance, TiltedStripInstance)):
-        y1 = xs[:, 0] + xs[:, 1]
-        y2 = xs[:, 1] - xs[:, 0]
+        worst = np.maximum(worst, np.max(_distances(inst, xs) - inst.caps[None, :], axis=1))
+    if lookup(inst).rotate45:
+        y1, y2 = rotate45(xs).T
         worst = np.maximum(worst, inst.box_lo[0] - y1)
         worst = np.maximum(worst, y1 - inst.box_hi[0])
         worst = np.maximum(worst, inst.box_lo[1] - y2)
@@ -83,10 +78,7 @@ def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
         return worst
     worst = np.maximum(worst, np.max(inst.box_lo[None, :] - xs, axis=1))
     worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
-    if isinstance(inst, ScaledChebyshevInstance):
-        coords = xs * inst.scale[None, :]
-    else:
-        coords = xs
+    coords = xs * _scale_of(inst)[None, :]
     bounds = inst.diff_bounds
     for i, k in np.argwhere(bounds > BOTTOM):
         worst = np.maximum(worst, bounds[i, k] + coords[:, k] - coords[:, i])

@@ -8,6 +8,7 @@ import pytest
 from support import (
     B2,
     clipped_variant_instance,
+    nonpos_cycle_matrix,
     tight_caps_instance,
     two_point_instance,
 )
@@ -23,6 +24,7 @@ from tropiloc import (
     solve_scaled,
     verify,
 )
+from tropiloc import chebyshev
 from tropiloc.errors import ContractViolationError, InstanceError
 from tropiloc.linear import Infeasible
 from tropiloc.semiring import BOTTOM
@@ -100,6 +102,10 @@ def test_assemble_bounds_example():
     assert np.array_equal(b.fixed_hi, np.array([10.0, 10.0]))
     assert np.all(b.level_lo == BOTTOM)
     assert np.all(b.level_hi == np.inf)
+    # a degenerate axis with bounds -0.0 and 0.0 keeps each end's sign
+    pinned = dataclasses.replace(two_point_instance(), caps=None, box_lo=[-10.0, -0.0], box_hi=[10.0, 0.0])
+    b = assemble_bounds(pinned)
+    assert np.signbit(b.fixed_lo[1]) and not np.signbit(b.fixed_hi[1])
 
 
 def test_assemble_bounds_with_level():
@@ -289,6 +295,43 @@ def test_all_ones_scale_reduces_to_particular():
         assert np.array_equal(a.u_hi, b.u_hi)
         assert np.array_equal(a.generator, b.generator)
         assert b.transform.kind == "identity"
+
+
+@pytest.mark.parametrize("dyadic_data", [True, False], ids=["dyadic", "non-dyadic"])
+def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
+    # With every |c_i| = 1 the solver evaluates theta with the dense plain
+    # kernel on c * p; it must equal the per-entry scaled loop bit for bit.
+    rng = np.random.default_rng(5 if dyadic_data else 6)
+
+    def data(shape, lo, hi):
+        x = rng.uniform(lo, hi, shape)
+        return np.round(x * 8.0) / 8.0 if dyadic_data else x
+
+    checked = 0
+    for _ in range(80):
+        m, n = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+        pts = data((m, n), -10.0, 10.0)
+        inst = ScaledChebyshevInstance(
+            points=pts,
+            weights=rng.choice([0.5, 1.0, 2.0, 4.0], m) if dyadic_data else rng.uniform(0.3, 3.0, m),
+            addends=data(m, -3.0, 3.0),
+            caps=None if rng.random() < 0.3 else data(m, 15.0, 40.0),
+            box_lo=pts.min(axis=0) - data(n, 1.0, 5.0),
+            box_hi=pts.max(axis=0) + data(n, 1.0, 5.0),
+            diff_bounds=nonpos_cycle_matrix(rng, n) * (1.0 if dyadic_data else 1.1),
+            scale=rng.choice([-1.0, 1.0], n),
+        )
+        report, star, bounds = chebyshev._certificates(inst)
+        if not report.feasible:
+            continue
+        loop = chebyshev._theta_scaled(
+            inst.scale * inst.points, np.abs(inst.scale), inst.weights, inst.addends,
+            star, bounds.fixed_lo, bounds.fixed_hi,
+        )
+        assert compute_theta_scaled(inst) == loop
+        assert solve_scaled(inst).theta == loop
+        checked += 1
+    assert checked >= 50
 
 
 def test_instances_are_frozen():

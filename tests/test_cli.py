@@ -146,7 +146,18 @@ def test_svg_for_high_dimension_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "cube.json"
     path.write_text(emit_instance(random_instance("chebyshev", 3, 2, 0)))
     assert cli.main(["solve", str(path), "--svg", str(tmp_path / "no.svg")]) == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "no.svg").exists()
+
+
+def test_svg_to_unwritable_path_fails_cleanly(two_point_file, tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "sketch.svg"
+    assert cli.main(["solve", two_point_file, "--svg", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert captured.out == ""
 
 
 def test_usage_errors_exit_one(capsys):

@@ -229,6 +229,27 @@ def test_solution_json_payload():
     assert payload["u_hi"] == [2.0, 2.0]
 
 
+def test_solution_json_transform_payloads():
+    plain = two_point_instance()
+    scaled = ScaledChebyshevInstance(
+        points=plain.points,
+        weights=plain.weights,
+        addends=plain.addends,
+        caps=plain.caps,
+        box_lo=plain.box_lo,
+        box_hi=plain.box_hi,
+        diff_bounds=plain.diff_bounds,
+        scale=[2.0, -0.5],
+    )
+    cases = [
+        (scaled, {"kind": "scale", "coeffs": [2.0, -0.5]}),
+        (tilted_line_instance(), {"kind": "rotate_scaled", "coeffs": [1.0, 3.0]}),
+    ]
+    for inst, transform in cases:
+        payload = json.loads(emit_solution(solve(inst), inst, "json"))
+        assert payload["transform"] == transform
+
+
 def test_solution_csv_payload():
     inst = two_point_instance()
     box = solve(inst)

@@ -79,6 +79,14 @@ def test_strip_validation():
         StripInstance(**base, strip_lo=0.0, strip_hi=np.inf)
     with pytest.raises(InstanceError, match=r"points must be an \(m, 2\) array"):
         StripInstance(**{**base, "points": [[0.0, 0.0, 0.0]]}, strip_lo=0.0, strip_hi=1.0)
+    for flag in (False, True, np.bool_(False)):
+        with pytest.raises(InstanceError, match="a must be a finite real"):
+            StripInstance(**base, strip_lo=flag, strip_hi=1.0)
+        with pytest.raises(InstanceError, match="b must be a finite real"):
+            StripInstance(**base, strip_lo=0.0, strip_hi=flag)
+    inst = StripInstance(**base, strip_lo=np.int64(0), strip_hi=np.float32(0.5))
+    assert (inst.strip_lo, inst.strip_hi) == (0.0, 0.5)
+    assert type(inst.strip_lo) is float and type(inst.strip_hi) is float
 
 
 def test_tilted_rejects_unit_slopes():
@@ -98,6 +106,11 @@ def test_tilted_rejects_unit_slopes():
         TiltedStripInstance(**base, slope=np.inf)
     with pytest.raises(InstanceError, match="c must be a finite real"):
         TiltedStripInstance(**base)
+    for flag in (False, True, np.bool_(False)):
+        with pytest.raises(InstanceError, match="c must be a finite real"):
+            TiltedStripInstance(**base, slope=flag)
+    assert TiltedStripInstance(**base, slope=np.int64(0)).slope == 0.0
+    assert TiltedStripInstance(**base, slope=np.float32(0.5)).slope == 0.5
 
 
 def test_degenerate_strip_pinned_solution():
