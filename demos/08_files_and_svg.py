@@ -45,9 +45,10 @@ print(csv_text)
 
 # the SVG shows the clipped feasible region, the client points, and the
 # optimal segment; only plane instances can be drawn
-out = Path(tempfile.mkdtemp()) / "solution.svg"
-out.write_bytes(emit_solution(box, two_point, "svg", samples=5, seed=0))
-print("wrote", out, f"({out.stat().st_size} bytes)")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "solution.svg"
+    out.write_bytes(emit_solution(box, two_point, "svg", samples=5, seed=0))
+    print("wrote", out, f"({out.stat().st_size} bytes)")
 
 # equivalent command line session:
 #   tropiloc gen --variant chebyshev --seed 7 > inst.json

@@ -164,8 +164,8 @@ class ScaledChebyshevInstance(ChebyshevInstance):
 
     scale is an (n,) vector of nonzero reals c; caps, box and difference
     bounds all constrain y_i = c_i * x_i while the objective still measures
-    plain Chebyshev distance to the points in x.  Negative entries flip the
-    corresponding axis, which the bound assembly handles via min/max swaps.
+    plain Chebyshev distance to the points in x.  A negative entry flips its
+    axis, so the bound assembly takes that axis's box ends in swapped order.
     """
 
     scale: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -239,11 +239,12 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     """Coordinatewise envelopes of the constraint set (and objective level).
 
     In scaled coordinates y_i = c_i * x_i (c = 1 for a plain instance):
-        fixed_lo_i = max( max_j (c_i p_ji - |c_i| d_j), min(c_i f_i, c_i g_i) )
-        fixed_hi_i = min( min_j (c_i p_ji + |c_i| d_j), max(c_i f_i, c_i g_i) )
+        fixed_lo_i = max( max_j (c_i p_ji - |c_i| d_j), c_i f_i )
+        fixed_hi_i = min( min_j (c_i p_ji + |c_i| d_j), c_i g_i )
         level_lo_i = max_j ( |c_i| (h_j - theta) / w_j + c_i p_ji )
         level_hi_i = min_j ( |c_i| (theta - h_j) / w_j + c_i p_ji )
-    The min/max over {c_i f_i, c_i g_i} handles axis flips.
+    where c_i < 0 flips the axis and swaps the box ends: c_i g_i is then the
+    lower end and c_i f_i the upper one.
     """
     w = inst.weights
     h = inst.addends
@@ -286,54 +287,49 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     return report
 
 
-def _theta_particular(pts, w, h, star, fixed_lo, fixed_hi) -> float:
-    # pair[j, l]: optimum induced by points j and l coupled through the
-    # closure; row/col envelopes handle the caps/box sides.
-    reach = mat_mul(-pts, star)                # (m, n): row j = p_j~ (x) B*
-    coupling = mat_mul(reach, pts.T)           # (m, m): p_j~ (x) B* (x) p_l
-    wj = w[:, None]
-    wl = w[None, :]
-    pair = (wl * h[:, None] + wj * h[None, :] + (wj * wl) * coupling) / (wj + wl)
-    lo_side = h + w * mat_vec(reach, fixed_lo)
-    hi_row = vec_mat(conjugate_transpose(fixed_hi), star)
-    hi_side = h + w * mat_vec(pts, hi_row)
-    return float(max(pair.max(), lo_side.max(), hi_side.max()))
-
-
-def _theta_scaled(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
-    m, n = cp.shape
-    best = BOTTOM
+def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
+    # theta is the max, over points j, l and closure entries b = B*[i, k], of
+    #   (|c_i| w_l h_j + |c_k| w_j h_l + w_j w_l (b - cp_ji + cp_lk)) / (|c_i| w_l + |c_k| w_j)
+    # and of the cap/box side terms.  Axes of equal |c| share the denominator
+    # and each term is monotone in b - cp_ji + cp_lk, so for each pair of
+    # magnitude groups the max over (i, k) is two max-plus products.
     hj = h[:, None]
     hl = h[None, :]
     wj = w[:, None]
     wl = w[None, :]
-    for i in range(n):
-        col_i = cp[:, i]
-        for k in range(n):
-            b = star[i, k]
-            if b == BOTTOM:
-                continue
-            base = (b - col_i)[:, None] + cp[:, k][None, :]
-            num = absc[i] * wl * hj + absc[k] * wj * hl + (wj * wl) * base
-            den = absc[i] * wl + absc[k] * wj
-            best = max(best, float(np.max(num / den)))
-            lo_side = h + (w / absc[i]) * ((b - col_i) + fixed_lo[k])
-            best = max(best, float(np.max(lo_side)))
-            hi_side = h + (w / absc[k]) * ((b - fixed_hi[i]) + cp[:, k])
-            best = max(best, float(np.max(hi_side)))
-    return best
+    hi_row = vec_mat(conjugate_transpose(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
+    groups = []
+    for a in set(absc.tolist()):
+        axes = np.flatnonzero(absc == a)
+        # cp[:, axes] is F-ordered, so its transpose is a C-ordered operand,
+        # on which mat_mul runs several times faster.
+        groups.append((a, axes, cp[:, axes]))
+    step = max(1, (1 << 20) // len(w) ** 2)
+    best = BOTTOM
+    for alpha, ia, cpa in groups:
+        reach = mat_mul(-cpa, star[ia])                     # (m, n): max_{i in ia} b_ik - cp_ji
+        sides = np.maximum(mat_vec(reach, fixed_lo), mat_vec(cpa, hi_row[ia]))
+        best = max(best, (h + (w / alpha) * sides).max())
+        awl = alpha * wl
+        for beta, ib, cpb in groups:
+            block = reach[:, ib]
+            if block.max() == BOTTOM:
+                continue                                    # no closure entry couples the two groups
+            # coupling = block (x) cpb^T, (m, m), taken over slices of ib so
+            # that mat_mul's (m, slice, m) temporary stays near 2^20 entries:
+            # one slice when m is small, one k at a time when m is large.
+            coupling = mat_mul(block[:, :step], cpb[:, :step].T)
+            for s in range(step, len(ib), step):
+                np.maximum(coupling, mat_mul(block[:, s:s + step], cpb[:, s:s + step].T), out=coupling)
+            bwj = beta * wj
+            best = max(best, ((awl * hj + bwj * hl + (wj * wl) * coupling) / (awl + bwj)).max())
+    return float(best)
 
 
 def _theta(inst: ChebyshevInstance, star, bounds: BoundVectors) -> float:
-    # With every |c_i| = 1 the scaled loop reduces to the plain closed form
-    # on the points c * p, bit for bit; the dense kernel evaluates it faster.
     c = _scale_of(inst)
-    cp = c[None, :] * inst.points
-    absc = np.abs(c)
     args = (inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-    if (absc == 1.0).all():
-        return _theta_particular(cp, *args)
-    return _theta_scaled(cp, absc, *args)
+    return _theta_kernel(c[None, :] * inst.points, np.abs(c), *args)
 
 
 def _feasible_theta(inst: ChebyshevInstance, op: str) -> float:

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .generate import VARIANTS, random_instance
-from .io import emit_instance, emit_solution, parse_instance
+from .io import _emit_with_svg, emit_instance, emit_solution, parse_instance
 from .linear import Infeasible
 from .oracle import grid_minimize
 from .rectilinear import solve_strip, solve_tilted  # noqa: F401  (bound here only for benchmarks/spans.py)
@@ -66,10 +66,12 @@ def _cmd_solve(args) -> int:
     if isinstance(result, Infeasible):
         _report_infeasible(result)
         return 2
-    payload = emit_solution(result, inst, args.out, samples=args.samples, seed=args.seed)
-    if args.svg is not None:
-        # Build and write the sketch first: a failure must leave stdout empty.
-        sketch = emit_solution(result, inst, "svg", samples=args.samples, seed=args.seed)
+    if args.svg is None:
+        payload = emit_solution(result, inst, args.out, samples=args.samples, seed=args.seed)
+    else:
+        # One sample of members feeds stdout and the sketch.  Write the sketch
+        # first: a failure must leave stdout empty.
+        payload, sketch = _emit_with_svg(result, inst, args.out, samples=args.samples, seed=args.seed)
         try:
             Path(args.svg).write_bytes(sketch)
         except OSError as exc:

@@ -214,7 +214,18 @@ def emit_solution(box: SolutionBox, inst, fmt: str = "json", *, samples: int = 5
     only available for plane instances and shows the given points, the
     outline of the constraint region, and the sampled solution segment.
     """
+    return _render(box, inst, fmt, sample(box, samples, seed))
+
+
+def _emit_with_svg(box: SolutionBox, inst, fmt: str, *, samples: int, seed: int) -> tuple[bytes, bytes]:
+    """emit_solution's output in fmt and the SVG sketch, both from one sample of members."""
     members = sample(box, samples, seed)
+    return _render(box, inst, fmt, members), _render(box, inst, "svg", members)
+
+
+def _render(box: SolutionBox, inst, fmt: str, members: np.ndarray) -> bytes:
+    if fmt == "svg":
+        return _svg_document(box, inst, members).encode("utf-8")
     objectives = objective_batch(inst, members)
     if fmt == "json":
         doc = {
@@ -233,8 +244,6 @@ def emit_solution(box: SolutionBox, inst, fmt: str = "json", *, samples: int = 5
         for row, val in zip(members, objectives):
             lines.append(",".join(repr(float(v)) for v in row) + f",{repr(float(val))}")
         return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "svg":
-        return _svg_document(box, inst, members).encode("utf-8")
     raise UnsupportedFormatError(f"unknown solution format {fmt!r}; use json, csv, or svg")
 
 

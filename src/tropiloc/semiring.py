@@ -8,8 +8,10 @@ exactly, with no epsilon anywhere.  +inf and NaN are not semiring elements
 and array constructors reject them.
 
 The closure A* = I max A max ... max A^(n-1) is computed by Floyd-Warshall
-style all-pairs relaxation in O(n^3); the O(n^4) power-sum forms are kept as
-independent cross-check oracles.
+style all-pairs relaxation in O(n^3).  The O(n^4) power-sum forms are the
+definitions: power_trace gives the reported cycle weight whenever
+trace_and_closure finds a positive cycle, and power_closure is a cross-check
+oracle for the relaxation.
 """
 
 from __future__ import annotations

@@ -39,6 +39,35 @@ def nonpos_cycle_matrix(rng, n, density=0.5, limit=64):
     return a
 
 
+def theta_reference(cp, absc, w, h, star, fixed_lo, fixed_hi):
+    """Closed-form theta as the literal loop over closure entries (i, k).
+
+    cp are the scaled points c * p, absc = |c|; fixed_lo/fixed_hi are the
+    cap/box envelopes in scaled coordinates.  Each finite b = B*[i, k] couples
+    every point pair (j, l) and bounds each point against the box sides.
+    """
+    best = BOTTOM
+    hj = h[:, None]
+    hl = h[None, :]
+    wj = w[:, None]
+    wl = w[None, :]
+    for i in range(cp.shape[1]):
+        col_i = cp[:, i]
+        for k in range(cp.shape[1]):
+            b = star[i, k]
+            if b == BOTTOM:
+                continue
+            base = (b - col_i)[:, None] + cp[:, k][None, :]
+            num = absc[i] * wl * hj + absc[k] * wj * hl + (wj * wl) * base
+            den = absc[i] * wl + absc[k] * wj
+            best = max(best, float(np.max(num / den)))
+            lo_side = h + (w / absc[i]) * ((b - col_i) + fixed_lo[k])
+            best = max(best, float(np.max(lo_side)))
+            hi_side = h + (w / absc[k]) * ((b - fixed_hi[i]) + cp[:, k])
+            best = max(best, float(np.max(hi_side)))
+    return best
+
+
 B2 = np.full((2, 2), BOTTOM)
 B1 = np.full((1, 1), BOTTOM)
 

@@ -36,7 +36,7 @@ from tropiloc import (
     solve_tilted,
     verify,
 )
-from tropiloc.chebyshev import _theta_particular
+from tropiloc.chebyshev import _theta_kernel
 from tropiloc.linear import solve_upper
 from tropiloc.semiring import (
     BOTTOM,
@@ -328,7 +328,8 @@ def _time_theta_parts(n: int, seed: int) -> float:
     assert star is not None
     lo = pts.min(axis=0) - 50.0
     hi = pts.max(axis=0) + 50.0
-    return _best_of(lambda: _theta_particular(pts, w, h, star, lo, hi))
+    unit = np.ones(n)
+    return _best_of(lambda: _theta_kernel(pts, unit, w, h, star, lo, hi))
 
 
 def test_c9_theta_scaling():

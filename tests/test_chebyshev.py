@@ -9,6 +9,7 @@ from support import (
     B2,
     clipped_variant_instance,
     nonpos_cycle_matrix,
+    theta_reference,
     tight_caps_instance,
     two_point_instance,
 )
@@ -299,39 +300,73 @@ def test_all_ones_scale_reduces_to_particular():
 
 @pytest.mark.parametrize("dyadic_data", [True, False], ids=["dyadic", "non-dyadic"])
 def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
-    # With every |c_i| = 1 the solver evaluates theta with the dense plain
-    # kernel on c * p; it must equal the per-entry scaled loop bit for bit.
+    # The theta kernel groups axes by |c_i|; it must equal the literal loop
+    # over closure entries bit for bit: on plain instances (one group), on
+    # c in {-1, 1}^n (one group of flipped axes) and on general scales with
+    # repeated non-unit magnitudes (several groups, some of them shared).
     rng = np.random.default_rng(5 if dyadic_data else 6)
 
     def data(shape, lo, hi):
         x = rng.uniform(lo, hi, shape)
         return np.round(x * 8.0) / 8.0 if dyadic_data else x
 
-    checked = 0
-    for _ in range(80):
-        m, n = int(rng.integers(1, 25)), int(rng.integers(1, 5))
-        pts = data((m, n), -10.0, 10.0)
-        inst = ScaledChebyshevInstance(
-            points=pts,
-            weights=rng.choice([0.5, 1.0, 2.0, 4.0], m) if dyadic_data else rng.uniform(0.3, 3.0, m),
-            addends=data(m, -3.0, 3.0),
-            caps=None if rng.random() < 0.3 else data(m, 15.0, 40.0),
-            box_lo=pts.min(axis=0) - data(n, 1.0, 5.0),
-            box_hi=pts.max(axis=0) + data(n, 1.0, 5.0),
-            diff_bounds=nonpos_cycle_matrix(rng, n) * (1.0 if dyadic_data else 1.1),
-            scale=rng.choice([-1.0, 1.0], n),
-        )
+    def matches_loop(fields, scale) -> bool:
+        # scale None builds a plain instance, which the kernel treats as c = 1
+        if scale is None:
+            inst, theta_of, solve_of = ChebyshevInstance(**fields), compute_theta, solve_particular
+            scale = np.ones(inst.dim)
+        else:
+            inst, theta_of, solve_of = ScaledChebyshevInstance(**fields, scale=scale), compute_theta_scaled, solve_scaled
         report, star, bounds = chebyshev._certificates(inst)
         if not report.feasible:
-            continue
-        loop = chebyshev._theta_scaled(
-            inst.scale * inst.points, np.abs(inst.scale), inst.weights, inst.addends,
+            return False
+        loop = theta_reference(
+            scale * inst.points, np.abs(scale), inst.weights, inst.addends,
             star, bounds.fixed_lo, bounds.fixed_hi,
         )
-        assert compute_theta_scaled(inst) == loop
-        assert solve_scaled(inst).theta == loop
-        checked += 1
-    assert checked >= 50
+        assert theta_of(inst) == loop
+        assert solve_of(inst).theta == loop
+        return True
+
+    magnitudes = [2.0, -2.0, 0.5, -0.25, 3.0] if dyadic_data else [2.0, -2.0, 0.5, 0.3, -7.1]
+    scales = {
+        "plain": lambda n: None,
+        "unit": lambda n: rng.choice([-1.0, 1.0], n),
+        "general": lambda n: rng.choice(magnitudes, n),
+    }
+    for kind, scale_of in scales.items():
+        checked = 0
+        for _ in range(80):
+            m, n = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+            pts = data((m, n), -10.0, 10.0)
+            fields = dict(
+                points=pts,
+                weights=rng.choice([0.5, 1.0, 2.0, 4.0], m) if dyadic_data else rng.uniform(0.3, 3.0, m),
+                addends=data(m, -3.0, 3.0),
+                caps=None if rng.random() < 0.3 else data(m, 15.0, 40.0),
+                box_lo=pts.min(axis=0) - data(n, 1.0, 5.0),
+                box_hi=pts.max(axis=0) + data(n, 1.0, 5.0),
+                diff_bounds=nonpos_cycle_matrix(rng, n) * (1.0 if dyadic_data else 1.1),
+            )
+            checked += matches_loop(fields, scale_of(n))
+        assert checked >= 50, kind
+    # Large m makes the kernel take the coupling product over several slices
+    # of a group: a plain instance (one group of 4 axes) and c = (2, -2, 0.5),
+    # a repeated non-unit magnitude.  The points spread most along one axis,
+    # so theta binds through the first or the last slice of its group.
+    for m, scale, wide in ((800, None, 0), (800, None, 3), (1100, [2.0, -2.0, 0.5], 1)):
+        n = 4 if scale is None else 3
+        pts = data((m, n), -10.0, 10.0)
+        pts[:, wide] *= 8.0
+        fields = dict(
+            points=pts,
+            weights=data(m, 0.5, 4.0),
+            addends=data(m, -3.0, 3.0),
+            box_lo=np.full(n, -100.0),
+            box_hi=np.full(n, 100.0),
+            diff_bounds=nonpos_cycle_matrix(rng, n, density=1.0),
+        )
+        assert matches_loop(fields, scale)
 
 
 def test_instances_are_frozen():

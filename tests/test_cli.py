@@ -37,11 +37,33 @@ def test_solve_csv(two_point_file, capsysbinary):
     assert len(lines) == 4
 
 
-def test_solve_writes_svg(two_point_file, tmp_path, capsysbinary):
-    svg_path = tmp_path / "sketch.svg"
-    assert cli.main(["solve", two_point_file, "--svg", str(svg_path)]) == 0
-    capsysbinary.readouterr()
-    assert svg_path.read_text().startswith("<svg")
+def test_solve_writes_svg(two_point_file, tmp_path, capsysbinary, monkeypatch):
+    from tropiloc import emit_solution, solve
+    from tropiloc import io as tio
+
+    calls = []
+    real_sample = tio.sample
+
+    def counting_sample(*args, **kwargs):
+        calls.append(args)
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(tio, "sample", counting_sample)
+    for out in ("json", "csv"):
+        calls.clear()
+        assert cli.main(["solve", two_point_file, "--out", out, "--samples", "4"]) == 0
+        assert len(calls) == 1
+        plain = capsysbinary.readouterr().out
+        calls.clear()
+        svg_path = tmp_path / f"sketch-{out}.svg"
+        assert cli.main(["solve", two_point_file, "--out", out, "--samples", "4", "--svg", str(svg_path)]) == 0
+        assert len(calls) == 1  # one sample feeds stdout and the sketch
+        # stdout and the sketch are the bytes each format gives on its own
+        assert capsysbinary.readouterr().out == plain
+        inst = two_point_instance()
+        sketch = svg_path.read_bytes()
+        assert sketch.startswith(b"<svg")
+        assert sketch == emit_solution(solve(inst), inst, "svg", samples=4, seed=0)
 
 
 def test_solve_infeasible_exits_two(infeasible_file, capsys):
