@@ -24,7 +24,7 @@ print("solver vs oracle on ten random plane instances:")
 for seed in range(10):
     inst = random_instance("chebyshev", 2, 3, seed, extent=8)
     box = solve(inst)
-    res = grid_minimize(inst, inst.box_lo, inst.box_hi, 0.05, collect_points=False)
+    res = grid_minimize(inst, inst.box_lo, inst.box_hi, 0.05)
     gap = abs(box.theta - res.best_value)
     print(f"  seed {seed}: theta {box.theta:9.4f}   oracle {res.best_value:9.4f}   gap {gap:.1e}")
 

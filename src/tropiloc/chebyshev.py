@@ -304,7 +304,6 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
         # cp[:, axes] is F-ordered, so its transpose is a C-ordered operand,
         # on which mat_mul runs several times faster.
         groups.append((a, axes, cp[:, axes]))
-    step = max(1, (1 << 20) // len(w) ** 2)
     best = BOTTOM
     for alpha, ia, cpa in groups:
         reach = mat_mul(-cpa, star[ia])                     # (m, n): max_{i in ia} b_ik - cp_ji
@@ -315,12 +314,7 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
             block = reach[:, ib]
             if block.max() == BOTTOM:
                 continue                                    # no closure entry couples the two groups
-            # coupling = block (x) cpb^T, (m, m), taken over slices of ib so
-            # that mat_mul's (m, slice, m) temporary stays near 2^20 entries:
-            # one slice when m is small, one k at a time when m is large.
-            coupling = mat_mul(block[:, :step], cpb[:, :step].T)
-            for s in range(step, len(ib), step):
-                np.maximum(coupling, mat_mul(block[:, s:s + step], cpb[:, s:s + step].T), out=coupling)
+            coupling = mat_mul(block, cpb.T)                # (m, m): max_{k in ib} reach_jk + cp_lk
             bwj = beta * wj
             best = max(best, ((awl * hj + bwj * hl + (wj * wl) * coupling) / (awl + bwj)).max())
     return float(best)

@@ -14,19 +14,26 @@ One JSON schema covers all four variants:
 coordinates (x1+x2, x2-x1).  "rectilinear_tilted" adds a scalar "c"
 (the band slope, never 1 or -1).
 
-null is the only encoding of an absent bound; non-finite JSON tokens are
-rejected.  Emission writes floats with repr, so parse(emit(parse(doc)))
-reproduces every numeric field bit for bit.
+null is the only encoding of an absent bound; every number must be a finite
+real, so non-finite JSON tokens and numbers beyond the float range (1e400,
+10**400) are rejected.  Emission writes floats with repr, so
+parse(emit(parse(doc))) reproduces every numeric field bit for bit.
+
+The SVG sketch of a plane instance draws its constraint region as the core
+instance sees it: the reduction of the variant table gives the box and cap
+envelopes and the difference bounds in internal coordinates, and the
+solution transform maps each of them back to a half-plane.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .boxes import SolutionBox
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _scale_of
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, assemble_bounds
 from .errors import InstanceError, UnsupportedFormatError
 from .rectilinear import StripInstance, TiltedStripInstance
 from .semiring import BOTTOM
@@ -49,7 +56,13 @@ def _reject_constant(token: str):
 def _real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{where} must be a real number")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):  # the JSON parser reads 1e400 as inf
+        raise InstanceError(f"{where} must be a finite real number")
+    return out
 
 
 def _size(doc: dict, key: str) -> int:
@@ -78,18 +91,12 @@ def _matrix(doc: dict, key: str, rows: int, cols: int, row_name: str, col_name: 
     value = doc[key]
     if not isinstance(value, list) or len(value) != rows:
         raise InstanceError(f"'{key}' must be a list of {rows} rows ({row_name} = {rows})")
-    out = np.empty((rows, cols), dtype=np.float64)
+    out = []
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise InstanceError(f"{key}[{i}] must be a list of {cols} numbers ({col_name} = {cols})")
-        for j, v in enumerate(row):
-            if v is None:
-                if not allow_null:
-                    raise InstanceError(f"{key}[{i}][{j}] must be a real number")
-                out[i, j] = BOTTOM
-            else:
-                out[i, j] = _real(v, f"{key}[{i}][{j}]")
-    return out
+        out.append([BOTTOM if v is None and allow_null else _real(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)])
+    return np.array(out, dtype=np.float64)
 
 
 def _caps(doc: dict, m: int) -> np.ndarray | None:
@@ -247,41 +254,22 @@ def _render(box: SolutionBox, inst, fmt: str, members: np.ndarray) -> bytes:
     raise UnsupportedFormatError(f"unknown solution format {fmt!r}; use json, csv, or svg")
 
 
-def _half_planes(inst) -> list[tuple[float, float, float]]:
-    """Constraint region as half-planes a*x1 + b*x2 <= g (plane instances)."""
+def _half_planes(box: SolutionBox, inst) -> list[tuple[float, float, float]]:
+    """Constraint region as half-planes a*x1 + b*x2 <= g (plane instances).
+
+    Read off the core instance: its fixed envelopes (box and caps) and its
+    finite difference bounds constrain y = T x, where the rows of T are those
+    of the solution transform y = c * R(x).
+    """
+    core = lookup(inst).reduce(inst)
+    env = assemble_bounds(core)
+    rows = np.array([box.transform.to_internal(e) for e in np.eye(2)]).T
     planes = []
-    f, g = inst.box_lo, inst.box_hi
-    if lookup(inst).rotate45:
-        planes += [(1.0, 1.0, g[0]), (-1.0, -1.0, -f[0]), (-1.0, 1.0, g[1]), (1.0, -1.0, -f[1])]
-        if isinstance(inst, TiltedStripInstance):
-            c = inst.slope
-            planes += [(-c, 1.0, -inst.strip_lo), (c, -1.0, inst.strip_hi)]
-        else:
-            planes += [(1.0, 0.0, inst.strip_hi), (-1.0, 0.0, -inst.strip_lo)]
-        if inst.caps is not None:
-            for p, d in zip(inst.points, inst.caps):
-                if np.isinf(d):
-                    continue
-                for s1 in (1.0, -1.0):
-                    for s2 in (1.0, -1.0):
-                        planes.append((s1, s2, d + s1 * p[0] + s2 * p[1]))
-        return planes
-    scale = _scale_of(inst)
-    planes += [(1.0, 0.0, g[0]), (-1.0, 0.0, -f[0]), (0.0, 1.0, g[1]), (0.0, -1.0, -f[1])]
-    for i in range(2):
-        for k in range(2):
-            b = inst.diff_bounds[i, k]
-            if b == BOTTOM:
-                continue
-            coeff = [0.0, 0.0]
-            coeff[k] += scale[k]
-            coeff[i] -= scale[i]
-            planes.append((coeff[0], coeff[1], -b))
-    if inst.caps is not None:
-        for p, d in zip(inst.points, inst.caps):
-            if np.isinf(d):
-                continue
-            planes += [(1.0, 0.0, p[0] + d), (-1.0, 0.0, d - p[0]), (0.0, 1.0, p[1] + d), (0.0, -1.0, d - p[1])]
+    for r, lo, hi in zip(rows, env.fixed_lo, env.fixed_hi):
+        planes += [(r[0], r[1], hi), (-r[0], -r[1], -lo)]
+    for i, k in np.argwhere(core.diff_bounds > BOTTOM):
+        a, b = rows[k] - rows[i]
+        planes.append((a, b, -core.diff_bounds[i, k]))
     return planes
 
 
@@ -315,7 +303,7 @@ def _svg_document(box: SolutionBox, inst, members: np.ndarray) -> str:
     lo = lo - pad
     hi = hi + pad
     region = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
-    for a, b, g in _half_planes(inst):
+    for a, b, g in _half_planes(box, inst):
         region = _clip(region, a, b, g)
         if not region:
             break

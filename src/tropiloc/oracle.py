@@ -5,10 +5,15 @@ constraint directly against the instance data (with a tiny slack for float
 lattice arithmetic) and minimizes the objective over the feasible lattice
 points.  Deliberately naive: its only job is to cross-check the closed-form
 machinery, so it shares no code path with it beyond the constraint replay.
+
+The lattice size is checked against the cap from the per-axis counts before
+anything is allocated, and the lattice is swept once, in chunks whose
+(chunk, m, n) distance arrays stay near 2^18 entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +24,7 @@ from .solutions import objective_batch, violation_batch
 BOUNDARY_SLACK = 1e-12
 ATTAIN_TOL = 1e-9
 MAX_LATTICE_POINTS = 30_000_000
-_CHUNK = 262_144
+_CHUNK = 262_144  # entries of one chunk's (points, m, n) distance array
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +46,8 @@ class OracleResult:
         return self.best_value is not None
 
 
-def _lattice_axes(lo, hi, step: float) -> list[np.ndarray]:
+def _lattice_axes(lo, hi, step: float) -> tuple[np.ndarray, list]:
+    """The start of each lattice axis and its point count (inf when it overflows)."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if lo.ndim != 1 or lo.shape != hi.shape:
@@ -52,71 +58,54 @@ def _lattice_axes(lo, hi, step: float) -> list[np.ndarray]:
         raise DomainError("window bounds must be finite with lo <= hi")
     if not (isinstance(step, (int, float)) and np.isfinite(step) and step > 0):
         raise DomainError("step must be a positive real")
-    axes = []
-    for a, b in zip(lo, hi):
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
-        axes.append(a + step * np.arange(count))
-    return axes
+    spans = [(b - a) / step for a, b in zip(lo.tolist(), hi.tolist())]
+    return lo, [math.floor(s + 1e-9) + 1 if s < math.inf else math.inf for s in spans]
 
 
-def _lattice_chunks(axes: list[np.ndarray], max_points: int):
-    dims = [ax.shape[0] for ax in axes]
-    total = 1
-    for d in dims:
-        total *= d
+def _lattice_chunks(inst, lo, hi, step: float, max_points: int):
+    lo, counts = _lattice_axes(lo, hi, step)
+    if len(counts) != inst.dim:
+        raise DomainError(f"window dimension {len(counts)} does not match instance dimension {inst.dim}")
+    total = math.prod(counts)
     if total > max_points:
         raise ResourceError(f"lattice of {total} points exceeds the cap of {max_points}")
-    # Row-major (last axis fastest) enumeration, materializing one chunk at
-    # a time so the cap bounds work, not memory.
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.empty((idx.shape[0], len(axes)))
-        rem = idx
-        for d in range(len(axes) - 1, -1, -1):
-            rem, pos = np.divmod(rem, dims[d])
-            coords[:, d] = axes[d][pos]
+    # Row-major (last axis fastest) enumeration, materializing one chunk at a
+    # time so the cap bounds work, not memory.  The distances build a
+    # (chunk, m, n) array, so a chunk holds _CHUNK / (m n) points.
+    chunk = max(1, _CHUNK // (inst.m * inst.dim))
+    for start in range(0, total, chunk):
+        rem = np.arange(start, min(start + chunk, total))
+        coords = np.empty((rem.shape[0], len(counts)))
+        for d in range(len(counts) - 1, -1, -1):
+            rem, pos = np.divmod(rem, counts[d])
+            coords[:, d] = lo[d] + step * pos
         yield coords
 
 
-def grid_minimize(
-    inst, lo, hi, step: float, *, max_points: int = MAX_LATTICE_POINTS, collect_points: bool = True
-) -> OracleResult:
+def grid_minimize(inst, lo, hi, step: float, *, max_points: int = MAX_LATTICE_POINTS) -> OracleResult:
     """Minimize the instance objective over feasible lattice points.
 
-    The window [lo, hi] is scanned at the given step; constraints are
-    replayed with BOUNDARY_SLACK to absorb lattice float rounding.  With
-    collect_points=False the second sweep that gathers the attaining points
-    is skipped and best_points comes back empty (half the work when only
-    the value matters).
+    The window [lo, hi] is scanned at the given step in one sweep;
+    constraints are replayed with BOUNDARY_SLACK to absorb lattice float
+    rounding.  Each chunk keeps its points within ATTAIN_TOL of the running
+    best, and those are filtered against the final best at the end.
     """
-    axes = _lattice_axes(lo, hi, step)
-    if len(axes) != inst.dim:
-        raise DomainError(f"window dimension {len(axes)} does not match instance dimension {inst.dim}")
     best = np.inf
     evaluated = 0
-    for chunk in _lattice_chunks(axes, max_points):
+    kept = []
+    for chunk in _lattice_chunks(inst, lo, hi, step, max_points):
         evaluated += chunk.shape[0]
-        feas = violation_batch(inst, chunk) <= BOUNDARY_SLACK
-        if feas.any():
-            vals = objective_batch(inst, chunk[feas])
-            cmin = float(vals.min())
-            if cmin < best:
-                best = cmin
-    if not np.isfinite(best):
-        return OracleResult(None, np.empty((0, inst.dim)), float(step), evaluated)
-    if not collect_points:
-        return OracleResult(best, np.empty((0, inst.dim)), float(step), evaluated)
-    winners = []
-    for chunk in _lattice_chunks(axes, max_points):
         feas = violation_batch(inst, chunk) <= BOUNDARY_SLACK
         if feas.any():
             pts = chunk[feas]
             vals = objective_batch(inst, pts)
+            best = min(best, float(vals.min()))
             hit = vals <= best + ATTAIN_TOL
-            if hit.any():
-                winners.append(pts[hit])
-    points = np.concatenate(winners, axis=0)
+            kept.append((pts[hit], vals[hit]))
+    if not np.isfinite(best):
+        return OracleResult(None, np.empty((0, inst.dim)), float(step), evaluated)
     # row-major enumeration already yields lexicographic order
+    points = np.concatenate([pts[vals <= best + ATTAIN_TOL] for pts, vals in kept], axis=0)
     return OracleResult(best, points, float(step), evaluated)
 
 
@@ -125,10 +114,7 @@ def grid_feasible(inst, lo, hi, step: float, *, max_points: int = MAX_LATTICE_PO
 
     Stops at the first feasible point.
     """
-    axes = _lattice_axes(lo, hi, step)
-    if len(axes) != inst.dim:
-        raise DomainError(f"window dimension {len(axes)} does not match instance dimension {inst.dim}")
-    for chunk in _lattice_chunks(axes, max_points):
+    for chunk in _lattice_chunks(inst, lo, hi, step, max_points):
         if np.any(violation_batch(inst, chunk) <= BOUNDARY_SLACK):
             return True
     return False

@@ -165,7 +165,7 @@ def test_c4_solver_vs_grid_oracle(solved_corpus):
     worst_gap = 0.0
     within = 0
     for inst, box in solved_corpus:
-        res = grid_minimize(inst, inst.box_lo, inst.box_hi, 0.05, collect_points=False)
+        res = grid_minimize(inst, inst.box_lo, inst.box_hi, 0.05)
         assert res.feasible, "oracle found no feasible lattice point on a feasible instance"
         gap = abs(box.theta - res.best_value)
         tol = float(np.max(inst.weights)) * 0.05 * inst.dim
@@ -202,12 +202,12 @@ def test_c6_pinned_worked_examples():
     checks = []
 
     inst = two_point_instance()
-    oracle = grid_minimize(inst, [-10.0, -10.0], [10.0, 10.0], 0.05, collect_points=False)
+    oracle = grid_minimize(inst, [-10.0, -10.0], [10.0, 10.0], 0.05)
     checks.append(oracle.best_value == 2.0)
     checks.append(compute_theta(inst) == 2.0)
 
     inst = clipped_variant_instance()
-    oracle = grid_minimize(inst, [-10.0, -10.0], [1.0, 10.0], 0.05, collect_points=False)
+    oracle = grid_minimize(inst, [-10.0, -10.0], [1.0, 10.0], 0.05)
     checks.append(oracle.best_value == 3.0)
     checks.append(compute_theta(inst) == 3.0)
 

@@ -1,6 +1,7 @@
 """End-to-end command line flows, driven in process through cli.main."""
 
 import json
+import re
 
 import pytest
 
@@ -160,6 +161,36 @@ def test_malformed_file(tmp_path, capsys):
     path.write_text("{this is not json")
     assert cli.main(["solve", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _with_number(doc_text: str, where: list, token: str) -> str:
+    doc = json.loads(doc_text)
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = "@NUMBER@"
+    return json.dumps(doc).replace('"@NUMBER@"', token)
+
+
+@pytest.mark.parametrize(
+    "where, token, message",
+    [
+        (["caps"], "[1e400, null]", r"caps\[0\] must be a finite real number"),
+        (["points", 0, 0], str(10**400), r"points\[0\]\[0\] must be a finite real number"),
+        (["n"], str(10**30), r"points\[0\] must be a list of 10+ numbers"),
+    ],
+    ids=["float_overflow", "int_overflow", "huge_n"],
+)
+def test_numbers_beyond_float_range_exit_one(tmp_path, capsys, where, token, message):
+    # 1e400 parses as inf, which must not pass as an absent cap; 10**400
+    # overflows float(); n = 10**30 must not reach an allocation
+    path = tmp_path / "wide.json"
+    path.write_text(_with_number(emit_instance(two_point_instance()), where, token))
+    assert cli.main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert re.search(message, captured.err)
 
 
 def test_svg_for_high_dimension_fails_cleanly(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """JSON instance documents and JSON/CSV/SVG solution serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tropiloc.errors import InstanceError, UnsupportedFormatError
 from tropiloc.generate import VARIANTS
 from tropiloc.io import instance_from_document, variant_of
 from tropiloc.semiring import BOTTOM
+from tropiloc.solutions import sample, violation_batch
 
 
 def _minimal_doc():
@@ -276,6 +278,64 @@ def test_solution_svg_tilted():
     box = solve(inst)
     svg = emit_solution(box, inst, "svg", samples=3, seed=0).decode()
     assert svg.count('class="pt"') == inst.m
+
+
+def _sketch_region(svg: str, inst, members: np.ndarray):
+    """The region polygon of an SVG sketch in plane coordinates, and the sketch window.
+
+    The window is the rectangle the region is clipped to: the points and
+    members padded by half their spread plus one.  Its longer side spans the
+    480-pixel square of the drawing.
+    """
+    anchors = np.vstack([inst.points, members])
+    lo, hi = anchors.min(axis=0), anchors.max(axis=0)
+    pad = max(float(np.max(hi - lo)), 1.0) * 0.5 + 1.0
+    lo, hi = lo - pad, hi + pad
+    span = float(np.max(hi - lo))
+    found = re.search(r'<polygon class="region" points="([^"]*)"', svg)
+    assert found, "a solved plane instance has a nonempty region"
+    pixels = np.array([[float(v) for v in pair.split(",")] for pair in found.group(1).split()])
+    return lo + np.column_stack([pixels[:, 0], 480.0 - pixels[:, 1]]) / 480.0 * span, lo, hi
+
+
+def _inside_and_distance(poly: np.ndarray, xs: np.ndarray):
+    """Even-odd membership of each row of xs in the polygon, and its distance to the outline."""
+    inside = np.zeros(xs.shape[0], dtype=bool)
+    dist = np.full(xs.shape[0], np.inf)
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        edge = b - a
+        t = np.clip((xs - a) @ edge / max(float(edge @ edge), 1e-300), 0.0, 1.0)
+        dist = np.minimum(dist, np.hypot(*(xs - a - t[:, None] * edge).T))
+        crosses = (a[1] > xs[:, 1]) != (b[1] > xs[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at = a[0] + (xs[:, 1] - a[1]) * edge[0] / edge[1]
+        inside ^= crosses & (xs[:, 0] < at)
+    return inside, dist
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_svg_region_is_the_feasible_region(variant):
+    # Random points in the sketch window lie in the drawn region exactly when
+    # they meet every constraint, outside a band of 1e-3 of the window around
+    # its outline (the SVG keeps two decimals of 480 pixels); every sampled
+    # member lies in it, up to the band.
+    rng = np.random.default_rng(5)
+    compared = 0
+    for seed in range(12):
+        inst = random_instance(variant, 2, 2 + seed % 5, seed)
+        box = solve(inst)
+        members = sample(box, 6, seed)
+        svg = emit_solution(box, inst, "svg", samples=6, seed=seed).decode()
+        poly, lo, hi = _sketch_region(svg, inst, members)
+        band = 1e-3 * float(np.max(hi - lo))
+        xs = lo + rng.random((4000, 2)) * (hi - lo)
+        inside, dist = _inside_and_distance(poly, xs)
+        clear = dist > band
+        assert np.array_equal(inside[clear], violation_batch(inst, xs[clear]) <= 0)
+        inside, dist = _inside_and_distance(poly, members)
+        assert np.all(inside | (dist <= band))
+        compared += int(clear.sum())
+    assert compared > 12 * 3900
 
 
 def test_svg_needs_two_dimensions():
