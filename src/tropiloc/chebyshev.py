@@ -56,78 +56,34 @@ def _as_float_array(value, shape_hint: str) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _store(inst, name: str, arr: np.ndarray, sized: bool, shape_error: str, bad: np.ndarray, label: str, must: str):
+    """Check an array field's shape, then its entries, then store it frozen.
+
+    sized says whether arr has the right shape; bad marks its faulty entries,
+    and the first of them is reported as "label[i]... must be <must>".
+    """
+    if not sized:
+        raise InstanceError(shape_error)
+    where = np.argwhere(bad)
+    if where.size:
+        index = "".join(f"[{k}]" for k in where[0])
+        raise InstanceError(f"{label}{index} must be {must}")
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
-    return out
-
-
-def _validate_shared(inst) -> int:
-    """Check and freeze the fields every variant shares, points to box; returns n."""
-    points = _as_float_array(inst.points, "points")
-    if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 1:
-        raise InstanceError(f"points must be a nonempty 2-D array, got shape {points.shape}")
-    m, n = points.shape
-    bad = np.argwhere(~np.isfinite(points))
-    if bad.size:
-        j, i = bad[0]
-        raise InstanceError(f"points[{j}][{i}] must be finite")
-    weights = _as_float_array(inst.weights, "weights")
-    if weights.shape != (m,):
-        raise InstanceError(f"weights must have length {m}, got shape {weights.shape}")
-    bad = np.argwhere(~(np.isfinite(weights) & (weights > 0)))
-    if bad.size:
-        raise InstanceError(f"weights[{int(bad[0][0])}] must be a positive real")
-    addends = _as_float_array(inst.addends, "addends")
-    if addends.shape != (m,):
-        raise InstanceError(f"addends must have length {m}, got shape {addends.shape}")
-    bad = np.argwhere(~np.isfinite(addends))
-    if bad.size:
-        raise InstanceError(f"addends[{int(bad[0][0])}] must be finite")
-    caps = inst.caps
-    if caps is not None:
-        caps = _as_float_array(caps, "caps")
-        if caps.shape != (m,):
-            raise InstanceError(f"caps must have length {m}, got shape {caps.shape}")
-        bad = np.argwhere(np.isnan(caps) | (caps <= 0))
-        if bad.size:
-            raise InstanceError(f"caps[{int(bad[0][0])}] must be a positive real (or +inf)")
-    box_lo = _as_float_array(inst.box_lo, "lower")
-    box_hi = _as_float_array(inst.box_hi, "upper")
-    if box_lo.shape != (n,) or box_hi.shape != (n,):
-        raise InstanceError(f"lower/upper box bounds must have length {n}")
-    bad = np.argwhere(~np.isfinite(box_lo))
-    if bad.size:
-        raise InstanceError(f"lower[{int(bad[0][0])}] must be finite")
-    bad = np.argwhere(~np.isfinite(box_hi))
-    if bad.size:
-        raise InstanceError(f"upper[{int(bad[0][0])}] must be finite")
-    bad = np.argwhere(box_lo > box_hi)
-    if bad.size:
-        i = int(bad[0][0])
-        raise InstanceError(f"lower[{i}] exceeds upper[{i}]")
-    object.__setattr__(inst, "points", _freeze(points))
-    object.__setattr__(inst, "weights", _freeze(weights))
-    object.__setattr__(inst, "addends", _freeze(addends))
-    object.__setattr__(inst, "caps", None if caps is None else _freeze(caps))
-    object.__setattr__(inst, "box_lo", _freeze(box_lo))
-    object.__setattr__(inst, "box_hi", _freeze(box_hi))
-    return n
+    object.__setattr__(inst, name, out)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
-class ChebyshevInstance:
-    """One weighted minimax location problem under the Chebyshev metric.
+class _Instance:
+    """The data every variant shares: one facility among m weighted points.
 
     points      (m, n) array, one point per row, all finite.
     weights     (m,) positive finite.
     addends     (m,) finite.
-    caps        (m,) reach caps, entries > 0; +inf drops a single cap and
-                None drops them all.
     box_lo/box_hi  (n,) finite coordinate box, box_lo <= box_hi (equality
                 allowed: degenerate boxes are legal).
-    diff_bounds (n, n) max-plus matrix of lower bounds on x_i - x_k; bottom
-                means unconstrained.
+    caps        (m,) reach caps, entries > 0; +inf drops a single cap and
+                None drops them all.
     """
 
     points: np.ndarray
@@ -135,19 +91,36 @@ class ChebyshevInstance:
     addends: np.ndarray
     box_lo: np.ndarray
     box_hi: np.ndarray
-    diff_bounds: np.ndarray
     caps: np.ndarray | None = None
 
     def __post_init__(self):
-        n = _validate_shared(self)
-        diff = _as_float_array(self.diff_bounds, "B")
-        if diff.shape != (n, n):
-            raise InstanceError(f"B must be {n}x{n}, got shape {diff.shape}")
-        bad = np.argwhere(np.isnan(diff) | np.isposinf(diff))
+        pts = _as_float_array(self.points, "points")
+        sized = pts.ndim == 2 and pts.shape[0] >= 1 and pts.shape[1] >= 1
+        error = f"points must be a nonempty 2-D array, got shape {pts.shape}"
+        _store(self, "points", pts, sized, error, ~np.isfinite(pts), "points", "finite")
+        m, n = pts.shape
+        w = _as_float_array(self.weights, "weights")
+        error = f"weights must have length {m}, got shape {w.shape}"
+        _store(self, "weights", w, w.shape == (m,), error, ~(np.isfinite(w) & (w > 0)), "weights", "a positive real")
+        h = _as_float_array(self.addends, "addends")
+        error = f"addends must have length {m}, got shape {h.shape}"
+        _store(self, "addends", h, h.shape == (m,), error, ~np.isfinite(h), "addends", "finite")
+        if self.caps is not None:
+            d = _as_float_array(self.caps, "caps")
+            error = f"caps must have length {m}, got shape {d.shape}"
+            _store(self, "caps", d, d.shape == (m,), error, np.isnan(d) | (d <= 0), "caps", "a positive real (or +inf)")
+        # Both ends are converted, and their lengths checked together, before
+        # any entry: a wrong length is reported ahead of a bad entry in either.
+        lo = _as_float_array(self.box_lo, "lower")
+        hi = _as_float_array(self.box_hi, "upper")
+        sized = lo.shape == (n,) and hi.shape == (n,)
+        error = f"lower/upper box bounds must have length {n}"
+        _store(self, "box_lo", lo, sized, error, ~np.isfinite(lo), "lower", "finite")
+        _store(self, "box_hi", hi, sized, error, ~np.isfinite(hi), "upper", "finite")
+        bad = np.argwhere(lo > hi)
         if bad.size:
-            i, k = bad[0]
-            raise InstanceError(f"B[{i}][{k}] must be real or absent")
-        object.__setattr__(self, "diff_bounds", _freeze(diff))
+            i = int(bad[0][0])
+            raise InstanceError(f"lower[{i}] exceeds upper[{i}]")
 
     @property
     def m(self) -> int:
@@ -156,6 +129,24 @@ class ChebyshevInstance:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ChebyshevInstance(_Instance):
+    """One weighted minimax location problem under the Chebyshev metric.
+
+    diff_bounds (n, n) max-plus matrix of lower bounds on x_i - x_k; bottom
+                means unconstrained.
+    """
+
+    diff_bounds: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = self.dim
+        b = _as_float_array(self.diff_bounds, "B")
+        error = f"B must be {n}x{n}, got shape {b.shape}"
+        _store(self, "diff_bounds", b, b.shape == (n, n), error, np.isnan(b) | np.isposinf(b), "B", "real or absent")
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -174,13 +165,10 @@ class ScaledChebyshevInstance(ChebyshevInstance):
         super().__post_init__()
         if self.scale is None:
             raise InstanceError("c is required for the scaled variant")
-        scale = _as_float_array(self.scale, "c")
-        if scale.shape != (self.dim,):
-            raise InstanceError(f"c must have length {self.dim}, got shape {scale.shape}")
-        bad = np.argwhere(~np.isfinite(scale) | (scale == 0))
-        if bad.size:
-            raise InstanceError(f"c[{int(bad[0][0])}] must be a finite nonzero real")
-        object.__setattr__(self, "scale", _freeze(scale))
+        n = self.dim
+        c = _as_float_array(self.scale, "c")
+        error = f"c must have length {n}, got shape {c.shape}"
+        _store(self, "scale", c, c.shape == (n,), error, ~np.isfinite(c) | (c == 0), "c", "a finite nonzero real")
 
 
 @dataclass(frozen=True, eq=False)

@@ -87,7 +87,7 @@ def _widen(caps, box_lo_u, box_hi_u, amount: int):
     return caps, box_lo_u - amount, box_hi_u + amount
 
 
-def random_instance(variant: str, n: int, m: int, seed: int, *, grid: float | None = None, extent: int = 12):
+def random_instance(variant: str, n: int, m: int, seed: int, *, extent: int = 12):
     """A random feasible instance of the given variant.
 
     n is the dimension (must be 2 for the rectilinear variants), m the
@@ -101,18 +101,16 @@ def random_instance(variant: str, n: int, m: int, seed: int, *, grid: float | No
         raise ValueError(f"{variant} instances live in the plane (n = 2), got n = {n}")
     rng = np.random.default_rng(seed)
     if variant == "chebyshev":
-        return _random_chebyshev(rng, n, m, grid, extent)
+        return _random_chebyshev(rng, n, m, extent)
     if variant == "chebyshev_scaled":
-        return _random_scaled(rng, n, m, grid, extent)
+        return _random_scaled(rng, n, m, extent)
     if variant == "rectilinear_strip":
-        return _random_strip(rng, m, grid, extent, tilted=False)
-    return _random_strip(rng, m, grid, extent, tilted=True)
+        return _random_strip(rng, m, extent, tilted=False)
+    return _random_strip(rng, m, extent, tilted=True)
 
 
-def _random_chebyshev(rng, n, m, grid, extent, scale=None):
+def _random_chebyshev(rng, n, m, extent, scale=None):
     weights, gamma = _pick_scheme(rng, m)
-    if grid is not None:
-        gamma = grid
     pts_u = rng.integers(-extent + 2, extent - 1, (m, n)).astype(np.float64)
     h_u = rng.integers(-4, 5, m).astype(np.float64)
     bounds_u = _potential_bounds(rng, n, density=0.45)
@@ -139,16 +137,14 @@ def _random_chebyshev(rng, n, m, grid, extent, scale=None):
     raise RuntimeError("instance generation failed to reach feasibility")
 
 
-def _random_scaled(rng, n, m, grid, extent):
+def _random_scaled(rng, n, m, extent):
     scale = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=n)
-    return _random_chebyshev(rng, n, m, grid, extent, scale=scale)
+    return _random_chebyshev(rng, n, m, extent, scale=scale)
 
 
-def _random_strip(rng, m, grid, extent, *, tilted: bool):
+def _random_strip(rng, m, extent, *, tilted: bool):
     weights, gamma = _pick_scheme(rng, m)
     gamma *= 2.0
-    if grid is not None:
-        gamma = grid
     pts_u = rng.integers(-extent + 2, extent - 1, (m, 2)).astype(np.float64)
     h_u = rng.integers(-4, 5, m).astype(np.float64)
     caps_u = _cap_units(rng, pts_u, "d1")

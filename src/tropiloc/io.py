@@ -302,13 +302,16 @@ def _svg_document(box: SolutionBox, inst, members: np.ndarray) -> str:
     pad = max(float(np.max(hi - lo)), 1.0) * 0.5 + 1.0
     lo = lo - pad
     hi = hi + pad
-    region = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+    span = max(hi[0] - lo[0], hi[1] - lo[1])
+    # The drawing is the square [lo, lo + span]: clip to all of it, so that
+    # the region ends only at its constraints or at the edge of the picture.
+    top = lo + span
+    region = [(lo[0], lo[1]), (top[0], lo[1]), (top[0], top[1]), (lo[0], top[1])]
     for a, b, g in _half_planes(box, inst):
         region = _clip(region, a, b, g)
         if not region:
             break
     size = 480.0
-    span = max(hi[0] - lo[0], hi[1] - lo[1])
 
     def sx(x: float) -> float:
         return (x - lo[0]) / span * size

@@ -80,7 +80,7 @@ def solve_upper(a, d) -> np.ndarray:
         raise DomainError(f"column {int(np.argmax(dead))} of A has no finite entry")
     if not is_regular(d):
         raise DomainError("right-hand side d must be regular (no bottom entries)")
-    return conjugate_transpose(vec_mat(conjugate_transpose(d), a))
+    return parameter_upper_bound(a, d)
 
 
 def solve_fixed_point(a, b) -> ParametricFamily | Infeasible:
@@ -102,6 +102,7 @@ def parameter_upper_bound(star, q) -> np.ndarray:
     """Largest u with ``star (x) u <= q``, i.e. ``(q~ star)~``.
 
     q must be regular; star has a zero diagonal so the bound is finite.
+    This is the arithmetic of solve_upper, without its checks.
     """
     return conjugate_transpose(vec_mat(conjugate_transpose(np.asarray(q, dtype=np.float64)), star))
 

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import SolutionBox, rotate45, unrotate45
-from .chebyshev import (
-    ChebyshevInstance,
-    ScaledChebyshevInstance,
-    _as_float_array,
-    _validate_shared,
-    solve_core,
-)
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _as_float_array, _Instance, solve_core
 from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .errors import DimensionError, InstanceError
 from .linear import Infeasible
@@ -48,45 +42,29 @@ def _finite_real(value, name: str) -> float:
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
-class StripInstance:
+class StripInstance(_Instance):
     """Minimax rectilinear location restricted to a vertical strip.
 
-    points      (m, 2), one plane point per row.
-    weights     (m,) positive; addends (m,) real; caps as in the Chebyshev
-                variant (caps bound d1 distance here).
-    box_lo/box_hi  length-2 bounds (f1, f2) <= (x1+x2, x2-x1) <= (g1, g2),
-                a rectangle tilted 45 degrees.
+    The shared fields are plane data: points is (m, 2), caps bound d1
+    distance, and the length-2 box bounds (f1, f2) <= (x1+x2, x2-x1) <=
+    (g1, g2), a rectangle tilted 45 degrees.
     strip_lo/strip_hi  the strip a <= x1 <= b, a <= b.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
-    addends: np.ndarray
-    box_lo: np.ndarray
-    box_hi: np.ndarray
     strip_lo: float
     strip_hi: float
-    caps: np.ndarray | None = None
 
     def __post_init__(self):
         points = _as_float_array(self.points, "points")
         if points.ndim != 2 or points.shape[1] != 2:
             raise InstanceError(f"points must be an (m, 2) array, got shape {points.shape}")
-        _validate_shared(self)
+        super().__post_init__()
         lo = _finite_real(self.strip_lo, "a")
         hi = _finite_real(self.strip_hi, "b")
         if lo > hi:
             raise InstanceError("a exceeds b")
         object.__setattr__(self, "strip_lo", lo)
         object.__setattr__(self, "strip_hi", hi)
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 2
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -123,38 +101,30 @@ def rotate(point, direction: str = "forward") -> np.ndarray:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def _strip_diff_bounds(a: float, b: float) -> np.ndarray:
+def _rotated(inst: StripInstance, core: type, **scale) -> ChebyshevInstance:
     bounds = np.full((2, 2), BOTTOM)
-    bounds[0, 1] = 2.0 * a
-    bounds[1, 0] = -2.0 * b
-    return bounds
+    bounds[0, 1] = 2.0 * inst.strip_lo
+    bounds[1, 0] = -2.0 * inst.strip_hi
+    return core(
+        points=rotate45(inst.points),
+        weights=inst.weights,
+        addends=inst.addends,
+        caps=inst.caps,
+        box_lo=inst.box_lo,
+        box_hi=inst.box_hi,
+        diff_bounds=bounds,
+        **scale,
+    )
 
 
 def strip_to_chebyshev(inst: StripInstance) -> ChebyshevInstance:
     """The rotated-coordinate Chebyshev instance equivalent to a strip."""
-    return ChebyshevInstance(
-        points=rotate45(inst.points),
-        weights=inst.weights,
-        addends=inst.addends,
-        caps=inst.caps,
-        box_lo=inst.box_lo,
-        box_hi=inst.box_hi,
-        diff_bounds=_strip_diff_bounds(inst.strip_lo, inst.strip_hi),
-    )
+    return _rotated(inst, ChebyshevInstance)
 
 
 def tilted_to_scaled(inst: TiltedStripInstance) -> ScaledChebyshevInstance:
     """The rotated, scaled Chebyshev instance equivalent to a tilted strip."""
-    return ScaledChebyshevInstance(
-        points=rotate45(inst.points),
-        weights=inst.weights,
-        addends=inst.addends,
-        caps=inst.caps,
-        box_lo=inst.box_lo,
-        box_hi=inst.box_hi,
-        diff_bounds=_strip_diff_bounds(inst.strip_lo, inst.strip_hi),
-        scale=np.array([inst.slope - 1.0, inst.slope + 1.0]),
-    )
+    return _rotated(inst, ScaledChebyshevInstance, scale=np.array([inst.slope - 1.0, inst.slope + 1.0]))
 
 
 def solve_strip(inst: StripInstance) -> SolutionBox | Infeasible:

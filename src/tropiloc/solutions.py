@@ -91,7 +91,7 @@ def constraint_violation(inst, x) -> float:
     return float(violation_batch(inst, xs)[0])
 
 
-def is_member(box: SolutionBox, inst, x, atol: float = MEMBERSHIP_ATOL) -> bool:
+def is_member(box: SolutionBox, inst, x) -> bool:
     """Whether x belongs to the solved optimal set.
 
     x is mapped to internal coordinates y; membership holds iff the largest
@@ -103,10 +103,10 @@ def is_member(box: SolutionBox, inst, x, atol: float = MEMBERSHIP_ATOL) -> bool:
     y = box.transform.to_internal(xs[0])
     u_cap = parameter_upper_bound(box.generator, y)
     u_hat = np.minimum(u_cap, box.u_hi)
-    if np.any(u_hat < box.u_lo - atol):
+    if np.any(u_hat < box.u_lo - MEMBERSHIP_ATOL):
         return False
     replayed = mat_vec(box.generator, u_hat)
-    return bool(np.max(np.abs(replayed - y)) <= atol)
+    return bool(np.max(np.abs(replayed - y)) <= MEMBERSHIP_ATOL)
 
 
 def sample(box: SolutionBox, k: int, seed: int = 0) -> np.ndarray:

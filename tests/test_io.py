@@ -281,11 +281,11 @@ def test_solution_svg_tilted():
 
 
 def _sketch_region(svg: str, inst, members: np.ndarray):
-    """The region polygon of an SVG sketch in plane coordinates, and the sketch window.
+    """The region polygon of an SVG sketch in plane coordinates, and the drawn square.
 
-    The window is the rectangle the region is clipped to: the points and
-    members padded by half their spread plus one.  Its longer side spans the
-    480-pixel square of the drawing.
+    The points and members padded by half their spread plus one make a
+    rectangle; the square on its lower corner with the rectangle's longer
+    side spans the 480 pixels of the drawing.
     """
     anchors = np.vstack([inst.points, members])
     lo, hi = anchors.min(axis=0), anchors.max(axis=0)
@@ -295,7 +295,7 @@ def _sketch_region(svg: str, inst, members: np.ndarray):
     found = re.search(r'<polygon class="region" points="([^"]*)"', svg)
     assert found, "a solved plane instance has a nonempty region"
     pixels = np.array([[float(v) for v in pair.split(",")] for pair in found.group(1).split()])
-    return lo + np.column_stack([pixels[:, 0], 480.0 - pixels[:, 1]]) / 480.0 * span, lo, hi
+    return lo + np.column_stack([pixels[:, 0], 480.0 - pixels[:, 1]]) / 480.0 * span, lo, lo + span
 
 
 def _inside_and_distance(poly: np.ndarray, xs: np.ndarray):
@@ -315,8 +315,8 @@ def _inside_and_distance(poly: np.ndarray, xs: np.ndarray):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_svg_region_is_the_feasible_region(variant):
-    # Random points in the sketch window lie in the drawn region exactly when
-    # they meet every constraint, outside a band of 1e-3 of the window around
+    # Random points in the drawn square lie in the drawn region exactly when
+    # they meet every constraint, outside a band of 1e-3 of the square around
     # its outline (the SVG keeps two decimals of 480 pixels); every sampled
     # member lies in it, up to the band.
     rng = np.random.default_rng(5)

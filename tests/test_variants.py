@@ -18,7 +18,9 @@ from tropiloc import (
     variant_of,
 )
 from tropiloc import check_feasibility as check_any
+from tropiloc.errors import InstanceError
 from tropiloc.linear import Infeasible
+from tropiloc.semiring import BOTTOM
 from tropiloc.variants import TABLE, lookup
 
 TYPED = {
@@ -77,3 +79,53 @@ def test_variant_roundtrip_solve_and_check(variant, tmp_path, capsys):
         assert check_any(inst).feasible == (not isinstance(result, Infeasible))
     assert infeasible > 0
 
+
+# The fields each class adds to the shared ones, valid for m = 2 plane points.
+OWN_FIELDS = {
+    "chebyshev": dict(diff_bounds=np.full((2, 2), BOTTOM)),
+    "chebyshev_scaled": dict(diff_bounds=np.full((2, 2), BOTTOM), scale=[1.0, -2.0]),
+    "rectilinear_strip": dict(strip_lo=0.0, strip_hi=1.0),
+    "rectilinear_tilted": dict(strip_lo=0.0, strip_hi=1.0, slope=2.0),
+}
+
+# (faults in the shared fields, the message every class reports).  Rows with
+# two faults pin which one is reported first.
+SHARED_FAULTS = [
+    (dict(points="abc"), "points must be numeric: .*"),
+    (dict(points=np.zeros((0, 2))), r"points must be a nonempty 2-D array, got shape \(0, 2\)"),
+    (dict(points=[[0.0, 0.0], [np.inf, 0.0]]), r"points\[1\]\[0\] must be finite"),
+    (dict(points=[[np.nan, 0.0], [4.0, 0.0]], weights=[1.0]), r"points\[0\]\[0\] must be finite"),
+    (dict(weights=[1.0]), r"weights must have length 2, got shape \(1,\)"),
+    (dict(weights=[1.0, 0.0]), r"weights\[1\] must be a positive real"),
+    (dict(weights=[np.nan, 1.0], addends=[0.0]), r"weights\[0\] must be a positive real"),
+    (dict(addends=[[0.0, 0.0]]), r"addends must have length 2, got shape \(1, 2\)"),
+    (dict(addends=[0.0, np.inf]), r"addends\[1\] must be finite"),
+    (dict(caps=[1.0, 2.0, 3.0]), r"caps must have length 2, got shape \(3,\)"),
+    (dict(caps=[1.0, -2.0]), r"caps\[1\] must be a positive real \(or \+inf\)"),
+    (dict(caps=[np.nan, 1.0], box_lo=[0.0]), r"caps\[0\] must be a positive real \(or \+inf\)"),
+    (dict(box_lo=[0.0]), "lower/upper box bounds must have length 2"),
+    (dict(box_hi=[1.0, 1.0, 1.0]), "lower/upper box bounds must have length 2"),
+    (dict(box_lo=[np.nan, 0.0], box_hi=[1.0]), "lower/upper box bounds must have length 2"),
+    (dict(box_lo=[0.0], box_hi="x"), "upper must be numeric: .*"),
+    (dict(box_lo=[0.0, -np.inf]), r"lower\[1\] must be finite"),
+    (dict(box_hi=[np.inf, 1.0]), r"upper\[0\] must be finite"),
+    (dict(box_lo=[np.nan, 0.0], box_hi=[np.nan, 1.0]), r"lower\[0\] must be finite"),
+    (dict(box_lo=[2.0, -1.0]), r"lower\[0\] exceeds upper\[0\]"),
+]
+
+
+@pytest.mark.parametrize("variant", TABLE, ids=lambda v: v.name)
+def test_shared_field_validation(variant):
+    base = dict(
+        points=[[0.0, 0.0], [4.0, 0.0]],
+        weights=[1.0, 1.0],
+        addends=[0.0, 0.0],
+        box_lo=[-1.0, -1.0],
+        box_hi=[1.0, 1.0],
+        **OWN_FIELDS[variant.name],
+    )
+    inst = variant.instance(**base)
+    assert (inst.m, inst.dim) == (2, 2)
+    for faults, message in SHARED_FAULTS:
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            variant.instance(**{**base, **faults})
