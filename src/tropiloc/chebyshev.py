@@ -21,6 +21,15 @@ pairs and closure entries) and the full optimal set is the box
 ``x = B* (x) u`` for ``q max s <= u <= ((r~ max t~) B*)~``, where q and r are
 the envelopes induced by requiring the objective not to exceed theta.
 
+theta is also the least level at which the parametrized inequalities have a
+solution: the root of Phi(theta) = max_{i,k} F_i(theta) + B*[i, k] + G_k(theta),
+where F_i(theta) = max_j (|c_i| (h_j - theta) / w_j - c_i p_ji) and
+G_k(theta) = max_l (|c_k| (h_l - theta) / w_l + c_k p_lk).  Phi is convex,
+decreasing and piecewise linear, so Newton's method finds the root in a few
+O(m n) steps after one O(m n^2) max-plus product per distinct |c_i|; the
+closed form's terms within rounding of the root are then evaluated, so
+theta is the float max of the closed form bit for bit.  Memory is O(m n).
+
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
 difference bounds while keeping the same objective; it is solved by the same
 machinery in scaled coordinates y_i = c_i * x_i and mapped back.  A plain
@@ -275,36 +284,94 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     return report
 
 
+def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
+    # The pair term at reach_jk + cp_lk = x, in one fixed float evaluation order.
+    awl = alpha * wl
+    bwj = beta * wj
+    return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
+
+
+def _pair_max(alpha, absc, reach, cp, w, h, t):
+    """max(t, the largest pair term through the axes i with |c_i| = alpha).
+
+    reach[j, k] = max over those i of b_ik - cp_ji.  With beta = |c_k|, the
+    term of (j, l, k) exceeds t exactly when a_jk + c_lk > 0, where
+        a = alpha (h - t) / w + reach   and   c = beta (h - t) / w + cp,
+    so the largest term is the root of Phi(t) = max_k (max_j a_jk + max_l c_lk):
+    the condition for the parametrized inequalities to have a solution.  Phi
+    is convex, decreasing and piecewise linear, so Newton's method on it
+    (Dinkelbach's method) climbs to the root from below in a few steps, each
+    O(m n): t becomes the term of the (j, l, k) that attains Phi(t).
+    """
+    ra = (alpha / w)[:, None]
+    rb = absc[None, :] / w[:, None]
+    p = ra * h[:, None] + reach
+    q = rb * h[:, None] + cp
+    while True:
+        a = p - t * ra
+        c = q - t * rb
+        s = a.max(axis=0) + c.max(axis=0)
+        k = int(np.argmax(s))
+        if not s[k] > 0.0:
+            break
+        j = int(np.argmax(a[:, k]))
+        l = int(np.argmax(c[:, k]))
+        step = _pair_terms(alpha, absc[k], w[j], w[l], h[j], h[l], reach[j, k] + cp[l, k])
+        if not step > t:
+            break
+        t = step
+    # Newton's t is the root up to rounding, and the float max of the terms
+    # may sit on another (j, l, k) within rounding of it, so every (j, l, k)
+    # whose term could reach t in floats is evaluated again.  With u the unit
+    # roundoff and S = (alpha / w_j)(|h_j| + |t|) + |reach_jk|
+    # + (beta / w_l)(|h_l| + |t|) + |cp_lk|, such a (j, l, k) has
+    # a_jk + c_lk >= -13 u S in floats, counting roundings:
+    #   7  the term: two per product, the two sums of the numerator, the
+    #      denominator's sum and the division;
+    #   1  reach_jk + cp_lk, the x the term is given;
+    #   4  a_jk or c_lk: alpha / w, its product with h, the sum, the product
+    #      with t and the difference;
+    #   1  adding each side's share below (the sign of the final sum is exact).
+    # 16 u covers 13 u and the second-order terms of those bounds.  Each side
+    # gets its share of 16 u S added, so (j, l, k) is a candidate when its a
+    # plus share, plus the largest c plus share in column k, is >= 0, and
+    # likewise for l.  The term is monotone in x under rounding, so the max
+    # over the candidates is the max over every (j, l, k).
+    tol = 16 * (np.finfo(np.float64).eps / 2)
+    ha = np.abs(h)[:, None] + abs(t)
+    a += tol * (ra * ha + np.abs(np.where(reach == BOTTOM, 0.0, reach)))
+    c += tol * (rb * ha + np.abs(cp))
+    amax = a.max(axis=0)
+    cmax = c.max(axis=0)
+    for k in np.flatnonzero(amax + cmax >= 0.0):
+        js = np.flatnonzero(a[:, k] + cmax[k] >= 0.0)
+        ls = np.flatnonzero(c[:, k] + amax[k] >= 0.0)
+        wl, hl, cpl = w[ls], h[ls], cp[ls, k]
+        # Many near-tied points are rare; chunk them to bound the memory.
+        rows = max(1, (1 << 20) // ls.size)
+        for r in range(0, js.size, rows):
+            jc = js[r:r + rows, None]
+            t = max(t, _pair_terms(alpha, absc[k], w[jc], wl, h[jc], hl, reach[jc, k] + cpl).max())
+    return t
+
+
 def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
     # theta is the max, over points j, l and closure entries b = B*[i, k], of
     #   (|c_i| w_l h_j + |c_k| w_j h_l + w_j w_l (b - cp_ji + cp_lk)) / (|c_i| w_l + |c_k| w_j)
-    # and of the cap/box side terms.  Axes of equal |c| share the denominator
-    # and each term is monotone in b - cp_ji + cp_lk, so for each pair of
-    # magnitude groups the max over (i, k) is two max-plus products.
-    hj = h[:, None]
-    hl = h[None, :]
-    wj = w[:, None]
-    wl = w[None, :]
+    # and of the cap/box side terms.  Axes of equal |c_i| share the
+    # denominator and each term is monotone in b - cp_ji, so per magnitude
+    # alpha only reach_jk = max_{|c_i| = alpha} b_ik - cp_ji counts, and
+    # _pair_max finds the largest term from it.  Time is O(m n^2) for the
+    # products plus O(m n) per Newton step; memory is O(m n).
     hi_row = vec_mat(conjugate_transpose(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
-    groups = []
-    for a in set(absc.tolist()):
-        axes = np.flatnonzero(absc == a)
-        # cp[:, axes] is F-ordered, so its transpose is a C-ordered operand,
-        # on which mat_mul runs several times faster.
-        groups.append((a, axes, cp[:, axes]))
     best = BOTTOM
-    for alpha, ia, cpa in groups:
+    for alpha in set(absc.tolist()):
+        ia = np.flatnonzero(absc == alpha)
+        cpa = cp[:, ia]
         reach = mat_mul(-cpa, star[ia])                     # (m, n): max_{i in ia} b_ik - cp_ji
         sides = np.maximum(mat_vec(reach, fixed_lo), mat_vec(cpa, hi_row[ia]))
         best = max(best, (h + (w / alpha) * sides).max())
-        awl = alpha * wl
-        for beta, ib, cpb in groups:
-            block = reach[:, ib]
-            if block.max() == BOTTOM:
-                continue                                    # no closure entry couples the two groups
-            coupling = mat_mul(block, cpb.T)                # (m, m): max_{k in ib} reach_jk + cp_lk
-            bwj = beta * wj
-            best = max(best, ((awl * hj + bwj * hl + (wj * wl) * coupling) / (awl + bwj)).max())
+        best = _pair_max(alpha, absc, reach, cp, w, h, best)
     return float(best)
 
 

@@ -9,6 +9,7 @@ contract violation or failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -129,7 +130,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parsing leaves the parser as it was and gives
+    # each call a fresh Namespace, so calls in sequence share nothing.
     parser = _Parser(prog="tropiloc", description="Exact minimax location solving over the max-plus semifield.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

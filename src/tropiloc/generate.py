@@ -66,14 +66,22 @@ def _potential_bounds(rng, n: int, density: float) -> np.ndarray:
     return units
 
 
+def _diameter(pts_units: np.ndarray, metric: str) -> int:
+    """Largest distance between two points, in O(m n) time and memory.
+
+    Chebyshev: the largest per-axis range.  Rectilinear, in the plane: the
+    larger range of x1 + x2 and x1 - x2, since |a| + |b| = max(|a + b|, |a - b|).
+    """
+    if metric == "dinf":
+        return int(np.ptp(pts_units, axis=0).max())
+    x1, x2 = pts_units.T
+    return int(max(np.ptp(x1 + x2), np.ptp(x1 - x2)))
+
+
 def _cap_units(rng, pts_units: np.ndarray, metric: str) -> np.ndarray | None:
     if rng.random() < 0.3:
         return None
-    diffs = np.abs(pts_units[:, None, :] - pts_units[None, :, :])
-    if metric == "dinf":
-        diam = int(np.max(diffs.max(axis=2)))
-    else:
-        diam = int(np.max(diffs.sum(axis=2)))
+    diam = _diameter(pts_units, metric)
     lo = diam // 2 + 1
     caps = rng.integers(lo + 1, lo + diam + 8, pts_units.shape[0]).astype(np.float64)
     if rng.random() < 0.25:

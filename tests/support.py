@@ -9,7 +9,7 @@ grid oracle before their values were pinned in the tests.
 import numpy as np
 
 from tropiloc import ChebyshevInstance, StripInstance, TiltedStripInstance
-from tropiloc.semiring import BOTTOM
+from tropiloc.semiring import BOTTOM, conjugate_transpose, mat_mul, mat_vec, vec_mat
 
 DY_LIMIT = 2**20
 
@@ -65,6 +65,37 @@ def theta_reference(cp, absc, w, h, star, fixed_lo, fixed_hi):
             best = max(best, float(np.max(lo_side)))
             hi_side = h + (w / absc[k]) * ((b - fixed_hi[i]) + cp[:, k])
             best = max(best, float(np.max(hi_side)))
+    return best
+
+
+def theta_grid(cp, absc, w, h, star, fixed_lo, fixed_hi):
+    """Closed-form theta as the full (j, l) grid of pair terms per |c| group pair.
+
+    Same arguments as theta_reference.  Axes of equal |c| share the
+    denominator and each pair term is monotone in b - cp_ji + cp_lk, so for a
+    group pair the max over closure entries (i, k) is two max-plus products:
+    O(m^2) time and memory per group pair.
+    """
+    hj = h[:, None]
+    hl = h[None, :]
+    wj = w[:, None]
+    wl = w[None, :]
+    hi_row = vec_mat(conjugate_transpose(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
+    groups = [(a, np.flatnonzero(absc == a)) for a in set(absc.tolist())]
+    best = BOTTOM
+    for alpha, ia in groups:
+        cpa = cp[:, ia]
+        reach = mat_mul(-cpa, star[ia])                     # (m, n): max_{i in ia} b_ik - cp_ji
+        sides = np.maximum(mat_vec(reach, fixed_lo), mat_vec(cpa, hi_row[ia]))
+        best = max(best, float((h + (w / alpha) * sides).max()))
+        awl = alpha * wl
+        for beta, ib in groups:
+            block = reach[:, ib]
+            if block.max() == BOTTOM:
+                continue                                    # no closure entry couples the two groups
+            coupling = mat_mul(block, cp[:, ib].T)          # (m, m): max_{k in ib} reach_jk + cp_lk
+            bwj = beta * wj
+            best = max(best, float(((awl * hj + bwj * hl + (wj * wl) * coupling) / (awl + bwj)).max()))
     return best
 
 

@@ -1,6 +1,7 @@
 """Chebyshev location solver: bounds, certificates, theta, solution boxes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from support import (
     B2,
     clipped_variant_instance,
     nonpos_cycle_matrix,
+    theta_grid,
     theta_reference,
     tight_caps_instance,
     two_point_instance,
@@ -21,6 +23,7 @@ from tropiloc import (
     compute_theta,
     compute_theta_scaled,
     is_member,
+    objective_value,
     solve_particular,
     solve_scaled,
     verify,
@@ -301,9 +304,10 @@ def test_all_ones_scale_reduces_to_particular():
 @pytest.mark.parametrize("dyadic_data", [True, False], ids=["dyadic", "non-dyadic"])
 def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
     # The theta kernel groups axes by |c_i|; it must equal the literal loop
-    # over closure entries bit for bit: on plain instances (one group), on
-    # c in {-1, 1}^n (one group of flipped axes) and on general scales with
-    # repeated non-unit magnitudes (several groups, some of them shared).
+    # over closure entries and the pair grid bit for bit: on plain instances
+    # (one group), on c in {-1, 1}^n (one group of flipped axes) and on
+    # general scales with repeated non-unit magnitudes (several groups, some
+    # of them shared).
     rng = np.random.default_rng(5 if dyadic_data else 6)
 
     def data(shape, lo, hi):
@@ -320,10 +324,9 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
         report, star, bounds = chebyshev._certificates(inst)
         if not report.feasible:
             return False
-        loop = theta_reference(
-            scale * inst.points, np.abs(scale), inst.weights, inst.addends,
-            star, bounds.fixed_lo, bounds.fixed_hi,
-        )
+        args = (scale * inst.points, np.abs(scale), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+        loop = theta_reference(*args)
+        assert theta_grid(*args) == loop
         assert theta_of(inst) == loop
         assert solve_of(inst).theta == loop
         return True
@@ -350,10 +353,11 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
             )
             checked += matches_loop(fields, scale_of(n))
         assert checked >= 50, kind
-    # Large m makes the kernel take the coupling product over several slices
-    # of a group: a plain instance (one group of 4 axes) and c = (2, -2, 0.5),
-    # a repeated non-unit magnitude.  The points spread most along one axis,
-    # so theta binds through the first or the last slice of its group.
+    # Large m gives Newton many lines and makes the pair grid take its
+    # coupling product over several slices of a group: a plain instance (one
+    # group of 4 axes) and c = (2, -2, 0.5), a repeated non-unit magnitude.
+    # The points spread most along one axis, so theta binds through the first
+    # or the last slice of its group.
     for m, scale, wide in ((800, None, 0), (800, None, 3), (1100, [2.0, -2.0, 0.5], 1)):
         n = 4 if scale is None else 3
         pts = data((m, n), -10.0, 10.0)
@@ -367,6 +371,120 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
             diff_bounds=nonpos_cycle_matrix(rng, n, density=1.0),
         )
         assert matches_loop(fields, scale)
+
+
+def test_theta_kernel_matches_both_oracles_on_near_ties():
+    # Newton's method on the existence condition lands within rounding of
+    # theta; the float max must then come out bit for bit as the literal loop
+    # and the pair grid give it.  Non-dyadic data rounds, so these shapes put
+    # many terms within a few ulps of each other: equal weights and repeated
+    # points, a coarse non-dyadic lattice, m = 1, B* with no finite
+    # off-diagonal entry, a box side far from every point, repeated and
+    # per-axis |c|, all rescaled from 1e-2 to 1e9.
+    # Two points on a line: Newton stops at 0.001, the term of j = l = 0, and
+    # the float max is the (0, 1) term one ulp above it, which the float test
+    # at t = 0.001 puts just below zero; only the margin keeps it.
+    pair = ScaledChebyshevInstance(
+        points=[[0.0], [0.1]],
+        weights=[0.1, 0.1],
+        addends=[0.001, -0.009000000000000001],
+        box_lo=[-1.0],
+        box_hi=[1.0],
+        diff_bounds=[[BOTTOM]],
+        scale=[0.3],
+    )
+    report, star, bounds = chebyshev._certificates(pair)
+    args = (0.3 * pair.points, np.array([0.3]), pair.weights, pair.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    assert theta_reference(*args) == theta_grid(*args) == 0.0010000000000000005
+    assert chebyshev._theta_kernel(*args) == solve_scaled(pair).theta == 0.0010000000000000005
+    rng = np.random.default_rng(11)
+    shapes = ("repeated", "lattice", "single", "diagonal", "side")
+    scales = ("plain", "unit", "repeated", "per-axis")
+    side_binds = 0
+    checked = {shape: 0 for shape in shapes}
+    for trial in range(1500):
+        shape = shapes[trial % len(shapes)]
+        m = 1 if shape == "single" else int(rng.integers(2, 25))
+        n = int(rng.integers(1, 5))
+        if shape == "repeated":
+            pts = rng.uniform(-1.0, 1.0, (3, n))[rng.integers(0, 3, m)]
+            w = np.full(m, 0.3)
+            h = rng.choice([0.1, 0.7, -0.3], m)
+        else:
+            pts = rng.integers(-5, 6, (m, n)) * 0.1
+            w = rng.choice([0.1, 0.3, 0.7], m)
+            h = rng.integers(-3, 4, m) * 0.1
+        lo = pts.min(axis=0) - rng.integers(1, 6, n) * 0.1
+        hi = pts.max(axis=0) + rng.integers(1, 6, n) * 0.1
+        if shape == "side":
+            axis = int(rng.integers(0, n))
+            lo[axis] = hi[axis] = pts[:, axis].max() + 0.7
+        if shape == "diagonal" or n == 1:
+            b = np.full((n, n), BOTTOM)
+        else:
+            b = nonpos_cycle_matrix(rng, n) * 1.1
+        f = float(rng.choice([1e-2, 1.0, 1.37, 1e6 + 0.3, 1e9 + 0.3]))
+        fields = dict(
+            points=pts * f,
+            weights=w,
+            addends=h * f,
+            caps=None if rng.random() < 0.5 else rng.integers(15, 40, m) * 0.1 * f,
+            box_lo=lo * f,
+            box_hi=hi * f,
+            diff_bounds=b * f,
+        )
+        kind = scales[int(rng.integers(0, len(scales)))]
+        if kind == "plain":
+            inst, c = ChebyshevInstance(**fields), np.ones(n)
+        else:
+            if kind == "unit":
+                c = rng.choice([-1.0, 1.0], n)
+            elif kind == "repeated":
+                c = rng.choice([0.3, -0.3, 7.1, -2.0], n)
+            else:
+                c = rng.permutation([0.3, -7.1, 2.0, -0.7])[:n]
+            inst = ScaledChebyshevInstance(**fields, scale=c)
+        report, star, bounds = chebyshev._certificates(inst)
+        if not report.feasible:
+            continue
+        cp = c * inst.points
+        args = (cp, np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+        theta = chebyshev._theta_kernel(*args)
+        assert theta == theta_reference(*args), (trial, shape, kind)
+        assert theta == theta_grid(*args), (trial, shape, kind)
+        checked[shape] += 1
+        if shape == "side":
+            own = inst.addends[:, None] + (inst.weights[:, None] / np.abs(c)) * (bounds.fixed_lo - cp)
+            side_binds += theta == own.max()
+    assert min(checked.values()) >= 120, checked
+    assert side_binds >= 60, side_binds
+
+
+def test_large_m_solves_in_linear_memory():
+    # theta costs O(m n) memory: the pair-term grid of m = 100 000 points
+    # alone would need about 240 GB.  The optimum's member must attain theta.
+    rng = np.random.default_rng(3)
+    m = 100_000
+    pts = rng.uniform(-100.0, 100.0, (m, 2))
+    inst = ChebyshevInstance(
+        points=pts,
+        weights=rng.uniform(0.5, 2.0, m),
+        addends=rng.uniform(-5.0, 5.0, m),
+        caps=np.full(m, 400.0),
+        box_lo=[-200.0, -200.0],
+        box_hi=[200.0, 200.0],
+        diff_bounds=[[BOTTOM, 3.0], [-250.0, BOTTOM]],
+    )
+    tracemalloc.start()
+    try:
+        box = solve_particular(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
+    x = box.vertex_lo
+    assert x[0] - x[1] >= 3.0
+    assert objective_value(inst, x) == pytest.approx(box.theta, rel=1e-12)
 
 
 def test_instances_are_frozen():

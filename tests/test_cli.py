@@ -2,10 +2,14 @@
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from support import tight_caps_instance, two_point_instance, wide_strip_instance
+import tropiloc
 from tropiloc import cli, emit_instance
 from tropiloc.solutions import VerificationReport
 
@@ -229,3 +233,27 @@ def test_strip_solve_svg_members_on_band(tmp_path, capsysbinary):
     payload = json.loads(capsysbinary.readouterr().out)
     assert payload["theta"] == 2.0
     assert payload["transform"]["kind"] == "rotate45"
+
+
+def test_calls_in_sequence_match_fresh_processes(two_point_file, tmp_path, capsysbinary):
+    # main reuses one parser; a usage error, then --svg, then a plain solve
+    # must each give the exit code and bytes of a call in a fresh process.
+    sketch = tmp_path / "sketch.svg"
+    calls = [
+        ["solve", two_point_file, "--out", "xml"],
+        ["solve", two_point_file, "--svg", str(sketch)],
+        ["solve", two_point_file],
+    ]
+    code = "import sys; from tropiloc.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {"PYTHONPATH": str(Path(tropiloc.__file__).parents[1])}
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=60)
+        fresh.append((done.returncode, done.stdout, done.stderr, sketch.read_bytes() if sketch.exists() else None))
+        sketch.unlink(missing_ok=True)
+    assert [run[0] for run in fresh] == [1, 0, 0]
+    for argv, expected in zip(calls, fresh):
+        status = cli.main(argv)
+        out = capsysbinary.readouterr()
+        assert (status, out.out, out.err, sketch.read_bytes() if sketch.exists() else None) == expected, argv
+        sketch.unlink(missing_ok=True)

@@ -14,7 +14,7 @@ from tropiloc import (
     solve,
     verify,
 )
-from tropiloc.generate import VARIANTS
+from tropiloc.generate import VARIANTS, _diameter
 
 
 def test_same_seed_same_instance():
@@ -118,3 +118,24 @@ def test_infeasible_cycle_needs_two_dims():
     # silently falls back to the caps construction in one dimension
     rep = check_feasibility(inst)
     assert not rep.feasible and rep.spectral_ok
+
+
+def test_diameter_matches_pairwise_formula():
+    # _diameter reads the point-set diameter off O(m n) ranges; it must equal
+    # the max over all pairs that the generator used to compute.
+    rng = np.random.default_rng(2)
+    for _ in range(2000):
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        pts = rng.integers(-10, 11, (m, n)).astype(np.float64)
+        diffs = np.abs(pts[:, None, :] - pts[None, :, :])
+        assert _diameter(pts, "dinf") == int(np.max(diffs.max(axis=2)))
+        plane = pts[:, :2] if n >= 2 else np.hstack([pts, pts])
+        diffs = np.abs(plane[:, None, :] - plane[None, :, :])
+        assert _diameter(plane, "d1") == int(np.max(diffs.sum(axis=2)))
+
+
+def test_large_m_generation():
+    # the diameter no longer builds an (m, m, n) array: m = 100 000 would need 149 GiB
+    for variant in ("chebyshev", "rectilinear_strip"):
+        inst = random_instance(variant, 2, 100_000, 4)
+        assert inst.m == 100_000 and inst.caps is not None
