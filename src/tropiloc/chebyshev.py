@@ -202,7 +202,9 @@ class FeasibilityReport:
     """Outcome of the two feasibility certificates.
 
     cycle_gauge is the maximal cycle weight Tr of the difference-bound
-    matrix (spectral certificate: must be <= 0).  bounds_gap is the value
+    matrix when the spectral certificate passes (Tr <= 0).  When it fails,
+    cycle_gauge is the weight of a positive closed walk that the closure's
+    relaxation found, which can be less than Tr.  bounds_gap is the value
     t~ (x) B* (x) s (bounds certificate: must be <= 0); it is None when the
     spectral certificate already failed, because the closure then diverges.
     """

@@ -225,12 +225,10 @@ def random_infeasible(n: int, m: int, seed: int, mode: str | None = None) -> Che
         )
     if mode == "caps":
         pts_u = rng.integers(-8, 9, (m, n)).astype(np.float64)
-        # force a widest pair with separation 16 units on coordinate 0
+        # force a widest pair: 16 units apart on coordinate 0, the most in [-8, 8]
         pts_u[0, 0] = -8.0
         pts_u[1, 0] = 8.0
-        diffs = np.abs(pts_u[:, None, :] - pts_u[None, :, :]).max(axis=2)
-        j, l = np.unravel_index(np.argmax(diffs), diffs.shape)
-        sep = diffs[j, l]
+        j, l, sep = 0, 1, 16.0
         caps_u = np.full(m, sep * 2.0)
         caps_u[j] = np.floor(sep / 2) - 1.0
         caps_u[l] = np.floor(sep / 2) - 1.0

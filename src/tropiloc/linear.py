@@ -56,9 +56,10 @@ class ParametricFamily:
 class Infeasible:
     """Typed infeasibility verdict.
 
-    cause is "spectral" (a positive cycle: Tr > 0, witness = Tr value) or
-    "bounds" (lower and upper requirements conflict, witness = the largest
-    positive gap).
+    cause is "spectral" (a positive cycle: Tr > 0, witness = the weight of
+    a positive closed walk found by the closure's relaxation, which can be
+    less than Tr) or "bounds" (lower and upper requirements conflict,
+    witness = the largest positive gap).
     """
 
     cause: str
@@ -90,11 +91,11 @@ def solve_fixed_point(a, b) -> ParametricFamily | Infeasible:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != a.shape[:1]:
+        raise DomainError(f"incompatible shapes {a.shape} and {b.shape}")
     gauge, star = trace_and_closure(a)
     if star is None:
         return Infeasible("spectral", gauge)
-    if b.shape != (a.shape[0],):
-        raise DomainError(f"incompatible shapes {a.shape} and {b.shape}")
     return ParametricFamily(star, u_lo=b, u_hi=None)
 
 

@@ -8,10 +8,9 @@ exactly, with no epsilon anywhere.  +inf and NaN are not semiring elements
 and array constructors reject them.
 
 The closure A* = I max A max ... max A^(n-1) is computed by Floyd-Warshall
-style all-pairs relaxation in O(n^3).  The O(n^4) power-sum forms are the
-definitions: power_trace gives the reported cycle weight whenever
-trace_and_closure finds a positive cycle, and power_closure is a cross-check
-oracle for the relaxation.
+style all-pairs relaxation in O(n^3), which also decides the spectral
+certificate.  The O(n^4) power-sum forms power_trace and power_closure are
+the definitions, kept as cross-check oracles for the relaxation.
 """
 
 from __future__ import annotations
@@ -172,34 +171,31 @@ def trace(a) -> float:
 
 
 def trace_and_closure(a) -> tuple[float, np.ndarray | None]:
-    """Cycle gauge Tr(A) = max_{k<=n} trace(A^k) and the closure A*.
+    """The spectral certificate of A and, when it passes, the closure A*.
 
-    Returns (Tr, A*) when Tr <= 0, else (Tr, None): the closure diverges as
-    soon as some cycle has positive weight.  The all-pairs relaxation both
-    detects the sign of Tr and, in the nonpositive case, yields Tr itself:
-    with no positive cycle, every closed walk decomposes into simple cycles
-    of nonpositive weight, so the relaxed diagonal equals the best simple
-    cycle, which is where the power-sum maximum is attained.  When a positive
-    cycle exists the relaxed diagonal may overshoot walks of length > n, so
-    the literal power sum is computed for the reported value.
+    Returns (Tr, A*) when Tr(A) = max_{k<=n} trace(A^k) <= 0, else
+    (witness, None).  One all-pairs relaxation gives both; its diagonal is
+    checked before the first pivot and after each.  A positive diagonal entry
+    never decreases under later pivots, so the relaxation stops at the first
+    one.  The witness is that stage's largest diagonal entry: the weight of a
+    positive closed walk, which can be less than Tr.  With no positive cycle,
+    every closed walk splits into nonpositive simple cycles, so the final
+    diagonal maximum is Tr.  NaN input gives (nan, None).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix expected, got shape {a.shape}")
     n = a.shape[0]
     d = a.copy()
-    for k in range(n):
-        np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
-    gauge = float(np.max(np.diagonal(d)))
-    if gauge <= ONE:
-        star = d
-        diag = np.diagonal(star).copy()
-        np.fill_diagonal(star, np.maximum(diag, ONE))
-        return gauge, star
-    exact = power_trace(a)
-    # Pathological rounding could make the power sum disagree in sign with
-    # the relaxation; keep the positive witness so the pair stays coherent.
-    return (exact if exact > ONE else gauge), None
+    diag = np.diagonal(d)
+    for k in range(n + 1):
+        gauge = float(diag.max())
+        if not gauge <= ONE:
+            return gauge, None
+        if k < n:
+            np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
+    np.fill_diagonal(d, np.maximum(diag, ONE))
+    return gauge, d
 
 
 def power_trace(a) -> float:

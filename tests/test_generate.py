@@ -1,5 +1,7 @@
 """Random instance generators: determinism, feasibility, engineered failure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,29 @@ def test_infeasible_caps_mode():
             assert not rep.feasible
             assert rep.spectral_ok and not rep.bounds_ok
             assert not grid_feasible(inst, inst.box_lo, inst.box_hi, 0.05)
+
+
+def test_infeasible_caps_pair_is_the_widest():
+    # the capped pair (0, 1) is the one the pairwise argmax picks, 16 units apart
+    for seed in range(300):
+        m, n = 2 + seed % 9, 1 + seed % 4
+        inst = random_infeasible(n, m, seed, mode="caps")
+        pts_u = np.round(inst.points / 0.1)
+        diffs = np.abs(pts_u[:, None, :] - pts_u[None, :, :]).max(axis=2)
+        j, l = np.unravel_index(np.argmax(diffs), diffs.shape)
+        assert (j, l) == (0, 1) and diffs[j, l] == 16.0
+        assert np.array_equal(inst.caps, np.where(np.arange(m) < 2, 7.0, 32.0) * 0.1)
+
+
+def test_infeasible_caps_mode_in_linear_memory():
+    tracemalloc.start()
+    try:
+        inst = random_infeasible(2, 100_000, 1, "caps")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
+    assert inst.m == 100_000
 
 
 def test_infeasible_cycle_mode():

@@ -100,6 +100,14 @@ def test_fixed_point_spectral_failure():
     assert bad.witness == 1.0
 
 
+def test_fixed_point_checks_shape_before_closure():
+    # a positive cycle must not hide a mismatched b
+    with pytest.raises(DomainError):
+        solve_fixed_point(np.array([[1.0]]), np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        solve_fixed_point(1.0, np.array([0.0]))
+
+
 def test_double_example():
     a = np.array([[B, 2.0], [-2.0, B]])
     fam = solve_double(a, np.zeros(2), np.full(2, 5.0))

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import dyadic_with_bottom, nonpos_cycle_matrix
+import tropiloc
+from tropiloc import ChebyshevInstance, cli, emit_instance, semiring
 from tropiloc.errors import DimensionError, DomainError
+from tropiloc.linear import Infeasible, solve_double, solve_fixed_point
 from tropiloc.semiring import (
     BOTTOM,
     ONE,
@@ -146,11 +149,84 @@ def test_trace_and_closure_2x2_example():
 
 def test_positive_cycle_has_no_closure():
     gauge, star = trace_and_closure(np.array([[1.0]]))
-    # the relaxation overshoots to 2 here; the reported value is the power sum
+    # the diagonal is checked before the first pivot, so the entry itself is reported
     assert gauge == 1.0
     assert star is None
     g2, s2 = trace_and_closure(np.array([[BOTTOM, 3.0], [-1.0, BOTTOM]]))
     assert g2 == 2.0 and s2 is None
+
+
+def test_spectral_verdict_matches_power_sum():
+    # The relaxation's verdict agrees in sign with Tr, and on a positive cycle
+    # the witness is a finite positive closed-walk weight.  Non-dyadic entries
+    # come from a normal draw, so no cycle weight sits within rounding of 0.
+    rng = np.random.default_rng(7)
+    seen = {True: 0, False: 0}
+    for trial in range(800):
+        n = int(rng.integers(1, 9))
+        if trial % 4 == 0:
+            a = nonpos_cycle_matrix(rng, n)
+        elif trial % 4 == 1:
+            a = dyadic_with_bottom(rng, (n, n), p_bottom=0.5, limit=64) - 4.0
+        else:
+            a = rng.normal(-1.5 if trial % 4 == 2 else -4.0, 2.0, (n, n))
+            a[rng.random((n, n)) < 0.5] = BOTTOM
+        gauge, star = trace_and_closure(a)
+        positive = power_trace(a) > 0.0
+        assert (star is None) == positive
+        if positive:
+            assert np.isfinite(gauge) and gauge > 0.0
+        seen[positive] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_nan_entries_get_no_closure():
+    nan = float("nan")
+    for a in ([[nan]], [[-1.0, nan], [-1.0, -1.0]]):
+        gauge, star = trace_and_closure(np.array(a))
+        assert np.isnan(gauge) and star is None
+
+
+def test_witness_is_a_closed_walk_not_the_power_sum():
+    # a 2-cycle of weight 3 - 1 = 2; Tr = 4 counts it walked twice
+    a = np.full((4, 4), BOTTOM)
+    a[0, 1] = 3.0
+    a[1, 0] = -1.0
+    gauge, star = trace_and_closure(a)
+    assert gauge == 2.0 and star is None
+    assert power_trace(a) == 4.0
+
+
+def test_spectral_verdicts_never_call_the_power_sum(monkeypatch, tmp_path, capsys):
+    def refuse(a):
+        raise AssertionError("power_trace called on a solve path")
+
+    monkeypatch.setattr(semiring, "power_trace", refuse)
+    n = 400
+    bounds = np.full((n, n), BOTTOM)
+    bounds[n - 2, n - 1] = 0.5
+    bounds[n - 1, n - 2] = 0.25
+    inst = ChebyshevInstance(
+        points=np.zeros((2, n)),
+        weights=[1.0, 1.0],
+        addends=[0.0, 0.0],
+        box_lo=np.full(n, -1.0),
+        box_hi=np.full(n, 1.0),
+        diff_bounds=bounds,
+    )
+    rep = tropiloc.check_feasibility(inst)
+    assert not rep.spectral_ok and rep.cycle_gauge == 0.75 and rep.bounds_gap is None
+    spectral = Infeasible("spectral", 0.75)
+    assert tropiloc.solve(inst) == spectral
+    assert solve_double(bounds, np.full(n, BOTTOM), np.zeros(n)) == spectral
+    assert solve_fixed_point(bounds, np.zeros(n)) == spectral
+    path = tmp_path / "cycle.json"
+    path.write_text(emit_instance(inst))
+    assert cli.main(["check", str(path)]) == 2
+    assert "spectral certificate: FAILED (cycle gauge 0.75)" in capsys.readouterr().out
+    assert cli.main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "infeasible: positive cycle among difference bounds (weight 0.75)\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
