@@ -14,7 +14,9 @@ decided by two exact certificates:
 
 * spectral: Tr(B) <= 0 (no positive cycle among the difference bounds);
 * bounds:   t~ (x) B* (x) s <= 0, where s and t are the theta-independent
-            lower/upper envelopes from caps and box.
+            lower/upper envelopes from caps and box.  This is the
+            nonemptiness of the parameter box s <= u <= (t~ B*)~ with no
+            objective level, and it is read off that box.
 
 When both pass, the optimum theta has a closed form (a finite max over point
 pairs and closure entries) and the full optimal set is the box
@@ -52,7 +54,6 @@ from .semiring import (
     mat_mul,
     mat_vec,
     trace_and_closure,
-    vec_dot,
     vec_mat,
 )
 
@@ -271,12 +272,22 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     return BoundVectors(level_lo, level_hi, fixed_lo, fixed_hi)
 
 
+def _parameter_box(star, level: BoundVectors) -> tuple[np.ndarray, np.ndarray]:
+    u_lo = np.maximum(level.level_lo, level.fixed_lo)
+    u_hi = parameter_upper_bound(star, np.minimum(level.level_hi, level.fixed_hi))
+    return u_lo, u_hi
+
+
 def _certificates(inst: ChebyshevInstance):
     gauge, star = trace_and_closure(inst.diff_bounds)
     bounds = assemble_bounds(inst)
     if star is None:
         return FeasibilityReport(False, gauge, False, None), None, bounds
-    gap = vec_dot(vec_mat(conjugate_transpose(bounds.fixed_hi), star), bounds.fixed_lo)
+    # With no level, the bottom / +inf placeholders are the identities of max
+    # and min, so this is the box s <= u <= (t~ B*)~.  In floats s - (-x) is
+    # s + x exactly, so its largest u_lo - u_hi is t~ B* s bit for bit.
+    u_lo, u_hi = _parameter_box(star, bounds)
+    gap = float(np.max(u_lo - u_hi))
     return FeasibilityReport(True, gauge, gap <= 0.0, gap), star, bounds
 
 
@@ -402,18 +413,6 @@ def compute_theta_scaled(inst: ScaledChebyshevInstance) -> float:
     return _feasible_theta(inst, "compute_theta_scaled")
 
 
-def _parameter_box(star, level: BoundVectors) -> tuple[np.ndarray, np.ndarray]:
-    u_lo = np.maximum(level.level_lo, level.fixed_lo)
-    u_hi = parameter_upper_bound(star, np.minimum(level.level_hi, level.fixed_hi))
-    return u_lo, u_hi
-
-
-def _infeasible_result(report: FeasibilityReport) -> Infeasible:
-    if not report.spectral_ok:
-        return Infeasible("spectral", report.cycle_gauge)
-    return Infeasible("bounds", float(report.bounds_gap))
-
-
 def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox | Infeasible:
     """Optimal value and the complete optimal set of a plain or scaled instance.
 
@@ -427,8 +426,10 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     the transform also rotates members back.
     """
     report, star, bounds = _certificates(inst)
-    if not report.feasible:
-        return _infeasible_result(report)
+    if not report.spectral_ok:
+        return Infeasible("spectral", report.cycle_gauge)
+    if not report.bounds_ok:
+        return Infeasible("bounds", report.bounds_gap)
     theta = _theta(inst, star, bounds)
     leveled = assemble_bounds(inst, theta)
     u_lo, u_hi = _parameter_box(star, leveled)

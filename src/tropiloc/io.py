@@ -284,9 +284,11 @@ def _clip(poly, a: float, b: float, g: float):
         nxt = poly[(idx + 1) % k]
         c_val = a * cur[0] + b * cur[1] - g
         n_val = a * nxt[0] + b * nxt[1] - g
-        if c_val <= 1e-9:
+        # Exact signs: when they differ, |c_val| <= |c_val - n_val| in floats
+        # too, so t lies in [0, 1] and the new vertex is on the edge.
+        if c_val <= 0.0:
             out.append(cur)
-        if (c_val <= 1e-9) != (n_val <= 1e-9):
+        if (c_val <= 0.0) != (n_val <= 0.0):
             t = c_val / (c_val - n_val)
             out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
     return out

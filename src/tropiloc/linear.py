@@ -117,8 +117,7 @@ def solve_double(a, p, q) -> ParametricFamily | Infeasible:
     a = np.asarray(a, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    n = a.shape[0]
-    if p.shape != (n,) or q.shape != (n,):
+    if a.ndim != 2 or p.shape != a.shape[:1] or q.shape != a.shape[:1]:
         raise DomainError(f"incompatible shapes {a.shape}, {p.shape}, {q.shape}")
     if not is_regular(q):
         raise DomainError("upper bound q must be regular (no bottom entries)")
@@ -126,8 +125,9 @@ def solve_double(a, p, q) -> ParametricFamily | Infeasible:
     if star is None:
         return Infeasible("spectral", gauge)
     u_hi = parameter_upper_bound(star, q)
-    if np.any(p > u_hi):
-        return Infeasible("bounds", float(np.max(p - u_hi)))
+    gap = float(np.max(p - u_hi))
+    if not gap <= 0.0:
+        return Infeasible("bounds", gap)
     return ParametricFamily(star, u_lo=p, u_hi=u_hi)
 
 

@@ -102,21 +102,17 @@ def mat_add(a, b) -> np.ndarray:
 def mat_mul(a, b) -> np.ndarray:
     """Matrix product with (max, +) in place of (+, *).
 
-    The contraction axis is taken in slices so that the (p, slice, q)
-    temporary stays near 2^20 entries: one slice when p * q is small, one k
-    at a time when p * q exceeds 2^20.  The operands' memory layout is kept
-    as given; an F-ordered right operand can be much slower or faster,
-    depending on the shapes.
+    One pass per contraction index k folds the outer sum a[:, k] + b[k] into
+    the result, so memory stays at the output plus one temporary of its size.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or a.shape[1] == 0:
         raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}")
     # (i, j) entry: max_k a[i, k] + b[k, j]
-    step = max(1, (1 << 20) // max(1, a.shape[0] * b.shape[1]))
-    out = np.max(a[:, :step, None] + b[None, :step, :], axis=1)
-    for s in range(step, a.shape[1], step):
-        np.maximum(out, np.max(a[:, s:s + step, None] + b[None, s:s + step, :], axis=1), out=out)
+    out = a[:, 0, None] + b[0]
+    for k in range(1, a.shape[1]):
+        np.maximum(out, a[:, k, None] + b[k], out=out)
     return out
 
 
@@ -206,7 +202,7 @@ def power_trace(a) -> float:
     best = trace(a)
     for _ in range(n - 1):
         p = mat_mul(p, a)
-        best = max(best, trace(p))
+        best = np.maximum(best, trace(p))   # NaN propagates, as in trace_and_closure
     return float(best)
 
 

@@ -1,16 +1,20 @@
-"""The benchmark's hooks into the package: every binding it wraps must exist.
+"""The benchmark's hooks into the package: every binding it wraps must exist,
+and a short traced run must complete.
 
 benchmarks/spans.py wraps functions by (module, attribute) to time the
 solver's layers; a refactor that drops or renames one of those bindings
 would break ``benchmarks/run.py --trace 1`` without any other test noticing.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 @pytest.fixture
@@ -29,3 +33,16 @@ def test_span_targets_resolve(spans):
     for module, attr, _, _ in spans.TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is missing"
 
+
+
+def test_traced_small_files_run_completes():
+    # One short traced run end to end.  `failed` is not asserted: the
+    # magnitude-rescaled files still fail (the tolerance item of ROADMAP.md).
+    argv = ["--workload", "small_files", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] == 240

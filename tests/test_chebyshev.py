@@ -24,14 +24,18 @@ from tropiloc import (
     compute_theta_scaled,
     is_member,
     objective_value,
+    random_instance,
+    solve,
     solve_particular,
     solve_scaled,
     verify,
 )
 from tropiloc import chebyshev
 from tropiloc.errors import ContractViolationError, InstanceError
-from tropiloc.linear import Infeasible
+from tropiloc.generate import VARIANTS
+from tropiloc.linear import Infeasible, solve_double
 from tropiloc.semiring import BOTTOM
+from tropiloc.variants import lookup
 
 
 def test_instance_validation_messages():
@@ -458,6 +462,39 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
             side_binds += theta == own.max()
     assert min(checked.values()) >= 120, checked
     assert side_binds >= 60, side_binds
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_certificate_and_box_are_solve_double(variant):
+    # The bounds certificate is solve_double on the envelopes with no level,
+    # and the optimal box is solve_double on them at level theta.
+    verdicts = set()
+    for seed in range(24):
+        n = 2 if variant.startswith("rectilinear") else 2 + seed % 2
+        inst = random_instance(variant, n, 2 + seed % 4, seed)
+        if seed % 2:
+            inst = dataclasses.replace(inst, caps=np.full(inst.m, 0.05 * (seed % 5 + 1)))
+        core = lookup(inst).reduce(inst)
+        report = chebyshev.check_feasibility(core)
+        bounds = assemble_bounds(core)
+        family = solve_double(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
+        verdicts.add(report.feasible)
+        if report.feasible:
+            assert _bits(np.max(family.u_lo - family.u_hi)) == _bits(report.bounds_gap)
+            box = solve(inst)
+            level = assemble_bounds(core, box.theta)
+            # u_hi depends on q alone.  The lower side stays open: at theta the
+            # box is often degenerate and can cross by an ulp.
+            open_lo = np.full(core.dim, BOTTOM)
+            family = solve_double(core.diff_bounds, open_lo, np.minimum(level.level_hi, level.fixed_hi))
+            assert _bits(family.u_hi) == _bits(box.u_hi)
+        else:
+            assert (family.cause, _bits(family.witness)) == ("bounds", _bits(report.bounds_gap))
+    assert verdicts == {True, False}
 
 
 def test_large_m_solves_in_linear_memory():

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import tilted_line_instance, two_point_instance, wide_strip_instance
 from tropiloc import (
@@ -21,7 +23,7 @@ from tropiloc import (
 )
 from tropiloc.errors import InstanceError, UnsupportedFormatError
 from tropiloc.generate import VARIANTS
-from tropiloc.io import instance_from_document, variant_of
+from tropiloc.io import _clip, instance_from_document, variant_of
 from tropiloc.semiring import BOTTOM
 from tropiloc.solutions import sample, violation_batch
 
@@ -336,6 +338,33 @@ def test_svg_region_is_the_feasible_region(variant):
         assert np.all(inside | (dist <= band))
         compared += int(clear.sum())
     assert compared > 12 * 3900
+
+
+def test_clip_sign_test_is_exact():
+    # The line passes 0.5e-9 below (0, 0): the unit square misses the half
+    # plane, although its lower corners are within 2e-9 of the line.
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    assert _clip(square, 1.5e-9, 1.0, -0.5e-9) == []
+
+
+coords = st.integers(-8, 8).map(float)
+magnitudes = st.sampled_from([1.0, 1e-9, 1e6 + 0.3])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(coords, coords), min_size=3, max_size=6),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, 1.0, -1.0]),
+    st.floats(-2.0, 2.0),
+    magnitudes,
+)
+def test_clip_vertices_lie_on_the_input_outline(poly, a, b, g, magnitude):
+    # Lines with a tiny slope or offset pass within rounding of the corners.
+    out = _clip(poly, a * magnitude, b, g * magnitude)
+    if out:
+        _, dist = _inside_and_distance(np.array(poly), np.array(out))
+        assert dist.max() <= 1e-12, out
 
 
 def test_svg_needs_two_dimensions():

@@ -131,6 +131,9 @@ def test_double_guards():
         solve_double(a, np.zeros(2), np.array([5.0, B]))
     with pytest.raises(DomainError):
         solve_double(a, np.zeros(3), np.full(2, 5.0))
+    for flat in (1.0, [0.0]):
+        with pytest.raises(DomainError):
+            solve_double(flat, [0.0], [0.0])
 
 
 def test_double_family_is_complete_against_dense_scan():

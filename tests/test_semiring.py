@@ -1,5 +1,7 @@
 """Max-plus kernel tests: axioms, conjugation, trace, closure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,45 @@ def test_product_examples():
     assert vec_dot(np.array([-3.0, -3.0]), np.array([0.0, 2.0])) == -1.0
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+def test_mat_mul_is_its_definition(layout):
+    # The max of the same rounded sums, whatever the operands' memory layout.
+    rng = np.random.default_rng(17)
+    shapes = [(1, 1, 1), (40, 40, 40), (1, 40, 1), (40, 1, 40)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 41, 3)) for _ in range(30)]
+    for p, k, q in shapes:
+        if layout == "transposed":
+            a = dyadic_with_bottom(rng, (k, p)).T
+            b = dyadic_with_bottom(rng, (q, k)).T
+        else:
+            a = dyadic_with_bottom(rng, (p, k))
+            b = dyadic_with_bottom(rng, (k, q))
+            if layout == "F":
+                a, b = np.asfortranarray(a), np.asfortranarray(b)
+        want = np.max(a[:, :, None] + b[None], axis=1)
+        assert mat_mul(a, b).tobytes() == want.tobytes(), (p, k, q)
+
+
+def test_mat_mul_shape_guard():
+    # An empty contraction has no max: k = 0 is rejected like a mismatch.
+    for ashape, bshape in [((2, 0), (0, 3)), ((2, 3), (2, 3)), ((2,), (2, 2))]:
+        with pytest.raises(DimensionError):
+            mat_mul(np.zeros(ashape), np.zeros(bshape))
+
+
+def test_mat_mul_memory_is_the_output_and_one_term():
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-1.0, 1.0, (1500, 2))
+    b = rng.uniform(-1.0, 1.0, (2, 1500))
+    tracemalloc.start()
+    try:
+        out = mat_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * out.nbytes, peak / out.nbytes
+
+
 def test_vector_matrix_agreement():
     rng = np.random.default_rng(7)
     a = dyadic_with_bottom(rng, (4, 4))
@@ -181,10 +222,12 @@ def test_spectral_verdict_matches_power_sum():
 
 
 def test_nan_entries_get_no_closure():
+    # Both oracles of Tr propagate NaN.
     nan = float("nan")
-    for a in ([[nan]], [[-1.0, nan], [-1.0, -1.0]]):
+    for a in ([[nan]], [[-1.0, nan], [-1.0, -1.0]], [[0.0, nan], [BOTTOM, 0.0]]):
         gauge, star = trace_and_closure(np.array(a))
         assert np.isnan(gauge) and star is None
+        assert np.isnan(power_trace(np.array(a)))
 
 
 def test_witness_is_a_closed_walk_not_the_power_sum():
