@@ -29,8 +29,16 @@ where F_i(theta) = max_j (|c_i| (h_j - theta) / w_j - c_i p_ji) and
 G_k(theta) = max_l (|c_k| (h_l - theta) / w_l + c_k p_lk).  Phi is convex,
 decreasing and piecewise linear, so Newton's method finds the root in a few
 O(m n) steps after one O(m n^2) max-plus product per distinct |c_i|; the
-closed form's terms within rounding of the root are then evaluated, so
-theta is the float max of the closed form bit for bit.  Memory is O(m n).
+closed form's distinct terms within rounding of the root are then
+evaluated, so theta is the float max of the closed form bit for bit.  Memory is O(m n).
+
+Inside the solver the client data c * p is held as an (n, m) array, one row
+per axis, formed once per solve; theta and the envelopes q, r, s, t reduce
+it along the contiguous axis.  Each numpy op on it costs a fixed overhead
+per row, O(n), which the O(n^3) closure and the O(m n^2) products already
+exceed; held as (m, n), each op would cost one per client, O(m), as much as
+the O(m n) Newton work.  Max, min and argmax are exact and every sum sees
+the same operands, so the layout does not change a single bit.
 
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
 difference bounds while keeping the same objective; it is solved by the same
@@ -52,7 +60,6 @@ from .semiring import (
     BOTTOM,
     conjugate_transpose,
     mat_mul,
-    mat_vec,
     trace_and_closure,
     vec_mat,
 )
@@ -74,9 +81,8 @@ def _store(inst, name: str, arr: np.ndarray, sized: bool, shape_error: str, bad:
     """
     if not sized:
         raise InstanceError(shape_error)
-    where = np.argwhere(bad)
-    if where.size:
-        index = "".join(f"[{k}]" for k in where[0])
+    if bad.any():
+        index = "".join(f"[{k}]" for k in np.argwhere(bad)[0])
         raise InstanceError(f"{label}{index} must be {must}")
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -235,6 +241,33 @@ def _scale_of(inst: ChebyshevInstance) -> np.ndarray:
     return inst.scale if isinstance(inst, ScaledChebyshevInstance) else np.ones(inst.dim)
 
 
+def _client_rows(inst: ChebyshevInstance, c: np.ndarray) -> np.ndarray:
+    """c (.) points with the clients along the contiguous axis: row k is c_k p_.k."""
+    return np.multiply(c[:, None], inst.points.T, order="C")
+
+
+def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) -> BoundVectors:
+    # assemble_bounds(inst) on the client rows cpt = _client_rows(inst, c).
+    # A negative c_i swaps the ends of the box.  Selecting by sign rather than
+    # by min/max keeps a signed zero where the two ends tie.
+    flip = c < 0
+    cf = c * inst.box_lo
+    cg = c * inst.box_hi
+    fixed_lo = np.where(flip, cg, cf)
+    fixed_hi = np.where(flip, cf, cg)
+    if inst.caps is not None:
+        radii = np.abs(c)[:, None] * inst.caps
+        fixed_lo = np.maximum((cpt - radii).max(axis=1), fixed_lo)
+        fixed_hi = np.minimum((cpt + radii).min(axis=1), fixed_hi)
+    return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
+
+
+def _at_level(bounds: BoundVectors, inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray, theta: float) -> BoundVectors:
+    # bounds with the level envelopes of theta filled in.
+    rad = np.abs(c)[:, None] * ((inst.addends - theta) / inst.weights)
+    return BoundVectors((rad + cpt).max(axis=1), (cpt - rad).min(axis=1), bounds.fixed_lo, bounds.fixed_hi)
+
+
 def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> BoundVectors:
     """Coordinatewise envelopes of the constraint set (and objective level).
 
@@ -246,30 +279,10 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     where c_i < 0 flips the axis and swaps the box ends: c_i g_i is then the
     lower end and c_i f_i the upper one.
     """
-    w = inst.weights
-    h = inst.addends
     c = _scale_of(inst)
-    absc = np.abs(c)
-    cp = c[None, :] * inst.points
-    # A negative c_i swaps the ends of the box.  Selecting by sign rather than
-    # by min/max keeps a signed zero where the two ends tie.
-    flip = c < 0
-    cf = c * inst.box_lo
-    cg = c * inst.box_hi
-    fixed_lo = np.where(flip, cg, cf)
-    fixed_hi = np.where(flip, cf, cg)
-    if inst.caps is not None:
-        radii = inst.caps[:, None] * absc[None, :]
-        fixed_lo = np.maximum((cp - radii).max(axis=0), fixed_lo)
-        fixed_hi = np.minimum((cp + radii).min(axis=0), fixed_hi)
-    if theta is None:
-        level_lo = np.full(inst.dim, BOTTOM)
-        level_hi = np.full(inst.dim, np.inf)
-    else:
-        rad = ((h - theta) / w)[:, None] * absc[None, :]
-        level_lo = (rad + cp).max(axis=0)
-        level_hi = (cp - rad).min(axis=0)
-    return BoundVectors(level_lo, level_hi, fixed_lo, fixed_hi)
+    cpt = _client_rows(inst, c)
+    bounds = _fixed_envelopes(inst, c, cpt)
+    return bounds if theta is None else _at_level(bounds, inst, c, cpt, theta)
 
 
 def _parameter_box(star, level: BoundVectors) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +291,9 @@ def _parameter_box(star, level: BoundVectors) -> tuple[np.ndarray, np.ndarray]:
     return u_lo, u_hi
 
 
-def _certificates(inst: ChebyshevInstance):
+def _certify(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray):
     gauge, star = trace_and_closure(inst.diff_bounds)
-    bounds = assemble_bounds(inst)
+    bounds = _fixed_envelopes(inst, c, cpt)
     if star is None:
         return FeasibilityReport(False, gauge, False, None), None, bounds
     # With no level, the bottom / +inf placeholders are the identities of max
@@ -291,6 +304,11 @@ def _certificates(inst: ChebyshevInstance):
     return FeasibilityReport(True, gauge, gap <= 0.0, gap), star, bounds
 
 
+def _certificates(inst: ChebyshevInstance):
+    c = _scale_of(inst)
+    return _certify(inst, c, _client_rows(inst, c))
+
+
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     """Evaluate both feasibility certificates (plain or scaled instance)."""
     report, _, _ = _certificates(inst)
@@ -298,73 +316,89 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
 
 
 def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
-    # The pair term at reach_jk + cp_lk = x, in one fixed float evaluation order.
+    # The pair term at reach_kj + cp_kl = x, in one fixed float evaluation order.
     awl = alpha * wl
     bwj = beta * wj
     return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
 
 
+def _distinct(*cols):
+    # The distinct tuples (cols[0][i], cols[1][i], ...), compared bit for bit,
+    # in order of first occurrence, as the columns of one array.
+    bits = np.stack(cols).view(np.int64).tolist()
+    return np.array(list(dict.fromkeys(zip(*bits))), dtype=np.int64).view(np.float64).T
+
+
 def _pair_max(alpha, absc, reach, cp, w, h, t):
     """max(t, the largest pair term through the axes i with |c_i| = alpha).
 
-    reach[j, k] = max over those i of b_ik - cp_ji.  With beta = |c_k|, the
-    term of (j, l, k) exceeds t exactly when a_jk + c_lk > 0, where
+    reach and cp are (n, m), one row per axis k: reach[k, j] = max over those
+    i of b_ik - cp_ij.  With beta = |c_k|, the term of (j, l, k) exceeds t
+    exactly when a_kj + c_kl > 0, where
         a = alpha (h - t) / w + reach   and   c = beta (h - t) / w + cp,
-    so the largest term is the root of Phi(t) = max_k (max_j a_jk + max_l c_lk):
+    so the largest term is the root of Phi(t) = max_k (max_j a_kj + max_l c_kl):
     the condition for the parametrized inequalities to have a solution.  Phi
     is convex, decreasing and piecewise linear, so Newton's method on it
     (Dinkelbach's method) climbs to the root from below in a few steps, each
     O(m n): t becomes the term of the (j, l, k) that attains Phi(t).
     """
-    ra = (alpha / w)[:, None]
-    rb = absc[None, :] / w[:, None]
-    p = ra * h[:, None] + reach
-    q = rb * h[:, None] + cp
+    ra = alpha / w
+    rb = absc[:, None] / w
+    p = ra * h + reach
+    q = rb * h + cp
+    a = np.empty_like(p)
+    c = np.empty_like(q)
     while True:
-        a = p - t * ra
-        c = q - t * rb
-        s = a.max(axis=0) + c.max(axis=0)
+        np.subtract(p, t * ra, out=a)
+        np.multiply(rb, t, out=c)
+        np.subtract(q, c, out=c)
+        s = a.max(axis=1) + c.max(axis=1)
         k = int(np.argmax(s))
         if not s[k] > 0.0:
             break
-        j = int(np.argmax(a[:, k]))
-        l = int(np.argmax(c[:, k]))
-        step = _pair_terms(alpha, absc[k], w[j], w[l], h[j], h[l], reach[j, k] + cp[l, k])
+        j = int(np.argmax(a[k]))
+        l = int(np.argmax(c[k]))
+        step = _pair_terms(alpha, absc[k], w[j], w[l], h[j], h[l], reach[k, j] + cp[k, l])
         if not step > t:
             break
         t = step
     # Newton's t is the root up to rounding, and the float max of the terms
     # may sit on another (j, l, k) within rounding of it, so every (j, l, k)
     # whose term could reach t in floats is evaluated again.  With u the unit
-    # roundoff and S = (alpha / w_j)(|h_j| + |t|) + |reach_jk|
-    # + (beta / w_l)(|h_l| + |t|) + |cp_lk|, such a (j, l, k) has
-    # a_jk + c_lk >= -13 u S in floats, counting roundings:
+    # roundoff and S = (alpha / w_j)(|h_j| + |t|) + |reach_kj|
+    # + (beta / w_l)(|h_l| + |t|) + |cp_kl|, such a (j, l, k) has
+    # a_kj + c_kl >= -13 u S in floats, counting roundings:
     #   7  the term: two per product, the two sums of the numerator, the
     #      denominator's sum and the division;
-    #   1  reach_jk + cp_lk, the x the term is given;
-    #   4  a_jk or c_lk: alpha / w, its product with h, the sum, the product
+    #   1  reach_kj + cp_kl, the x the term is given;
+    #   4  a_kj or c_kl: alpha / w, its product with h, the sum, the product
     #      with t and the difference;
     #   1  adding each side's share below (the sign of the final sum is exact).
     # 16 u covers 13 u and the second-order terms of those bounds.  Each side
     # gets its share of 16 u S added, so (j, l, k) is a candidate when its a
-    # plus share, plus the largest c plus share in column k, is >= 0, and
+    # plus share, plus the largest c plus share in row k, is >= 0, and
     # likewise for l.  The term is monotone in x under rounding, so the max
     # over the candidates is the max over every (j, l, k).
     tol = 16 * (np.finfo(np.float64).eps / 2)
-    ha = np.abs(h)[:, None] + abs(t)
+    ha = np.abs(h) + abs(t)
     a += tol * (ra * ha + np.abs(np.where(reach == BOTTOM, 0.0, reach)))
     c += tol * (rb * ha + np.abs(cp))
-    amax = a.max(axis=0)
-    cmax = c.max(axis=0)
+    amax = a.max(axis=1)
+    cmax = c.max(axis=1)
     for k in np.flatnonzero(amax + cmax >= 0.0):
-        js = np.flatnonzero(a[:, k] + cmax[k] >= 0.0)
-        ls = np.flatnonzero(c[:, k] + amax[k] >= 0.0)
-        wl, hl, cpl = w[ls], h[ls], cp[ls, k]
+        js = np.flatnonzero(a[k] + cmax[k] >= 0.0)
+        ls = np.flatnonzero(c[k] + amax[k] >= 0.0)
+        # A term depends on j only through (w_j, h_j, reach_kj) and on l only
+        # through (w_l, h_l, cp_kl), so each distinct tuple is evaluated once:
+        # m copies of one client cost one term, not m^2.
+        wj, hj, xj = _distinct(w[js], h[js], reach[k, js])
+        wl, hl, xl = _distinct(w[ls], h[ls], cp[k, ls])
         # Many near-tied points are rare; chunk them to bound the memory.
-        rows = max(1, (1 << 20) // ls.size)
-        for r in range(0, js.size, rows):
-            jc = js[r:r + rows, None]
-            t = max(t, _pair_terms(alpha, absc[k], w[jc], wl, h[jc], hl, reach[jc, k] + cpl).max())
+        rows = max(1, (1 << 20) // wl.size)
+        for r in range(0, wj.size, rows):
+            jc = slice(r, r + rows)
+            terms = _pair_terms(alpha, absc[k], wj[jc, None], wl, hj[jc, None], hl, xj[jc, None] + xl)
+            t = max(t, terms.max())
     return t
 
 
@@ -373,32 +407,38 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
     #   (|c_i| w_l h_j + |c_k| w_j h_l + w_j w_l (b - cp_ji + cp_lk)) / (|c_i| w_l + |c_k| w_j)
     # and of the cap/box side terms.  Axes of equal |c_i| share the
     # denominator and each term is monotone in b - cp_ji, so per magnitude
-    # alpha only reach_jk = max_{|c_i| = alpha} b_ik - cp_ji counts, and
+    # alpha only reach_kj = max_{|c_i| = alpha} b_ik - cp_ji counts, and
     # _pair_max finds the largest term from it.  Time is O(m n^2) for the
     # products plus O(m n) per Newton step; memory is O(m n).
+    # cp arrives as (m, n) and is held as (n, m) (see the module docstring);
+    # the copy is free when cp is the .T of the solver's row-major rows.
+    cpt = np.ascontiguousarray(cp.T)
     hi_row = vec_mat(conjugate_transpose(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
     best = BOTTOM
     for alpha in set(absc.tolist()):
         ia = np.flatnonzero(absc == alpha)
-        cpa = cp[:, ia]
-        reach = mat_mul(-cpa, star[ia])                     # (m, n): max_{i in ia} b_ik - cp_ji
-        sides = np.maximum(mat_vec(reach, fixed_lo), mat_vec(cpa, hi_row[ia]))
+        cpa = cpt[ia]
+        # reach[k, j] = max_{i in ia} b_ik - cp_ji, formed as (m, n) from a
+        # row-major -cp_a, on which mat_mul's passes run fastest.
+        reach = mat_mul(np.negative(cpa.T, order="C"), star[ia]).T.copy()
+        sides = np.maximum(vec_mat(fixed_lo, reach), vec_mat(hi_row[ia], cpa))
         best = max(best, (h + (w / alpha) * sides).max())
-        best = _pair_max(alpha, absc, reach, cp, w, h, best)
+        best = _pair_max(alpha, absc, reach, cpt, w, h, best)
     return float(best)
 
 
-def _theta(inst: ChebyshevInstance, star, bounds: BoundVectors) -> float:
-    c = _scale_of(inst)
+def _theta(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray, star, bounds: BoundVectors) -> float:
     args = (inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-    return _theta_kernel(c[None, :] * inst.points, np.abs(c), *args)
+    return _theta_kernel(cpt.T, np.abs(c), *args)
 
 
 def _feasible_theta(inst: ChebyshevInstance, op: str) -> float:
-    report, star, bounds = _certificates(inst)
+    c = _scale_of(inst)
+    cpt = _client_rows(inst, c)
+    report, star, bounds = _certify(inst, c, cpt)
     if not report.feasible:
         raise ContractViolationError(f"{op} requires a feasible instance; run check_feasibility first")
-    return _theta(inst, star, bounds)
+    return _theta(inst, c, cpt, star, bounds)
 
 
 def compute_theta(inst: ChebyshevInstance) -> float:
@@ -425,15 +465,15 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     rotate45 marks an instance that is the rotated image of a plane one, so
     the transform also rotates members back.
     """
-    report, star, bounds = _certificates(inst)
+    c = _scale_of(inst)
+    cpt = _client_rows(inst, c)
+    report, star, bounds = _certify(inst, c, cpt)
     if not report.spectral_ok:
         return Infeasible("spectral", report.cycle_gauge)
     if not report.bounds_ok:
         return Infeasible("bounds", report.bounds_gap)
-    theta = _theta(inst, star, bounds)
-    leveled = assemble_bounds(inst, theta)
-    u_lo, u_hi = _parameter_box(star, leveled)
-    c = _scale_of(inst)
+    theta = _theta(inst, c, cpt, star, bounds)
+    u_lo, u_hi = _parameter_box(star, _at_level(bounds, inst, c, cpt, theta))
     scale = None if (c == 1.0).all() else tuple(float(v) for v in c)
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
 

@@ -46,3 +46,17 @@ def test_traced_small_files_run_completes():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] == 240
+
+
+def test_many_clients_run_completes():
+    # One short untraced run of the workload whose solves the client-row
+    # layout of theta and the envelopes serves; the benchmark checks every
+    # answer against the generator's ground truth.
+    argv = ["--workload", "many_clients", "--seed", "1", "--seconds", "1", "--trace", "0"]
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert (result["attempted"], result["failed"]) == (12, 0)

@@ -123,6 +123,62 @@ def test_assemble_bounds_with_level():
     assert np.array_equal(b.level_hi, np.array([2.0, 2.0]))
 
 
+def _bounds_loop(inst, c, theta):
+    # assemble_bounds' docstring formulas, one client at a time.  |c_i| times
+    # ((h_j - theta) / w_j) is the grouping the envelopes are computed in.
+    m, n = inst.points.shape
+    caps = [np.inf] * m if inst.caps is None else inst.caps.tolist()
+    out = {"fixed_lo": [], "fixed_hi": [], "level_lo": [], "level_hi": []}
+    for i in range(n):
+        ci, ai = float(c[i]), abs(float(c[i]))
+        ends = (ci * inst.box_lo[i], ci * inst.box_hi[i])
+        lo_end, hi_end = ends[::-1] if ci < 0 else ends
+        cp = [ci * inst.points[j, i] for j in range(m)]
+        out["fixed_lo"].append(max(max(cp[j] - ai * caps[j] for j in range(m)), lo_end))
+        out["fixed_hi"].append(min(min(cp[j] + ai * caps[j] for j in range(m)), hi_end))
+        if theta is None:
+            out["level_lo"].append(BOTTOM)
+            out["level_hi"].append(np.inf)
+        else:
+            h, w = inst.addends, inst.weights
+            out["level_lo"].append(max(ai * ((h[j] - theta) / w[j]) + cp[j] for j in range(m)))
+            out["level_hi"].append(min(ai * ((theta - h[j]) / w[j]) + cp[j] for j in range(m)))
+    return {key: np.array(v) for key, v in out.items()}
+
+
+def test_assemble_bounds_is_its_per_client_loop():
+    # The envelopes hold the clients along the contiguous axis; each entry
+    # must still be the docstring's max or min over the clients, bit for bit.
+    rng = np.random.default_rng(21)
+    for trial in range(240):
+        m = int(rng.integers(1, 30))
+        n = int(rng.integers(1, 5))
+        pts = rng.normal(0.0, 3.0, (m, n))
+        caps = [None, rng.uniform(5.0, 30.0, m), np.full(m, np.inf)][trial % 3]
+        if trial % 3 == 2:
+            caps[int(rng.integers(0, m))] = 9.0
+        fields = dict(
+            points=pts,
+            weights=rng.uniform(0.2, 3.0, m),
+            addends=rng.normal(0.0, 2.0, m),
+            caps=caps,
+            box_lo=pts.min(axis=0) - rng.uniform(0.0, 5.0, n),
+            box_hi=pts.max(axis=0) + rng.uniform(0.0, 5.0, n),
+            diff_bounds=np.full((n, n), BOTTOM),
+        )
+        if trial % 2:
+            c = rng.choice([-2.0, -0.7, 0.3, 1.0, 5.1], n)
+            inst = ScaledChebyshevInstance(**fields, scale=c)
+        else:
+            c = np.ones(n)
+            inst = ChebyshevInstance(**fields)
+        for theta in (None, float(rng.normal(5.0, 3.0))):
+            got = assemble_bounds(inst, theta)
+            want = _bounds_loop(inst, c, theta)
+            for key, value in want.items():
+                assert getattr(got, key).tobytes() == value.tobytes(), (trial, theta, key)
+
+
 def test_certificates_pass_and_fail():
     ok = check_feasibility(two_point_instance())
     assert ok.feasible and ok.spectral_ok and ok.bounds_ok
@@ -466,6 +522,90 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_theta_kernel_ignores_the_layout_of_cp():
+    # The kernel takes cp as (m, n) and holds it as (n, m); C-ordered,
+    # F-ordered and strided views of the same values give the same bits.
+    checked = 0
+    for seed in range(60):
+        variant = VARIANTS[seed % 2]
+        inst = random_instance(variant, 2 + seed % 3, 2 + seed % 30, seed)
+        report, star, bounds = chebyshev._certificates(inst)
+        if not report.feasible:
+            continue
+        c = chebyshev._scale_of(inst)
+        cp = c * inst.points
+        wide = np.zeros((2 * inst.m, 3 * inst.dim))
+        wide[::2, ::3] = cp
+        rest = (np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+        thetas = {_bits(chebyshev._theta_kernel(view, *rest)) for view in (cp, np.asfortranarray(cp), wide[::2, ::3])}
+        assert thetas == {_bits(theta_reference(cp, *rest))}, seed
+        checked += 1
+    assert checked >= 40, checked
+
+
+def test_repeated_clients_cost_linear_terms(monkeypatch):
+    # Copies of one client give one distinct pair term per row, so the terms
+    # evaluated stay linear in m: the full tie set of 20 000 copies is 4e8
+    # terms per row.  theta is the theta of the single client.
+    one = dict(points=[[0.3, -1.1]], weights=[0.7], addends=[0.1], caps=[5.0])
+    box = dict(box_lo=[-4.0, -4.0], box_hi=[4.0, 4.0], diff_bounds=[[BOTTOM, -0.5], [BOTTOM, BOTTOM]])
+    m = 20_000
+    copies = {key: np.repeat(value, m, axis=0) for key, value in one.items()}
+    counted = []
+    terms = chebyshev._pair_terms
+
+    def counting(*args):
+        out = terms(*args)
+        counted.append(np.size(out))
+        return out
+
+    single = solve_particular(ChebyshevInstance(**one, **box)).theta
+    monkeypatch.setattr(chebyshev, "_pair_terms", counting)
+    theta = solve_particular(ChebyshevInstance(**copies, **box)).theta
+    assert _bits(theta) == _bits(single)
+    assert 0 < sum(counted) <= m, sum(counted)
+
+
+def test_distinct_keeps_the_first_of_each_tuple_bit_for_bit():
+    # Tuples that differ in one column only, or only in the sign of a zero,
+    # are distinct; the survivors keep their order of first occurrence.
+    w = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0])
+    h = np.array([0.5, 0.5, 0.5, 0.7, 0.5, 0.5, 0.5])
+    x = np.array([3.0, 3.0, 3.0, 3.0, -0.0, 0.0, 3.0])
+    kept = [0, 2, 3, 4, 5]
+    out = chebyshev._distinct(w, h, x)
+    assert out.view(np.int64).tolist() == np.stack((w, h, x))[:, kept].view(np.int64).tolist()
+
+
+def test_distinct_tuples_keep_theta():
+    # With every tie set reduced to its distinct tuples, theta stays the
+    # float max of the closed form on repeated, non-dyadic clients.  Half
+    # the clients sit one ulp from the other half, with the same weight, so
+    # tuples that differ only in x are near-tied candidates of one row.
+    rng = np.random.default_rng(5)
+    checked = 0
+    for trial in range(200):
+        m = int(rng.integers(2, 40))
+        n = int(rng.integers(1, 4))
+        pick = rng.integers(0, 4, m)
+        base = rng.integers(-5, 6, (2, n)) * 0.1
+        pts = np.vstack([base, np.nextafter(base, np.inf)])[pick]
+        w = np.tile(rng.choice([0.1, 0.3, 0.7], 2), 2)[pick]
+        h = rng.choice([0.1, 0.7, -0.3], m)
+        b = np.full((n, n), BOTTOM) if n == 1 else nonpos_cycle_matrix(rng, n) * 1.1
+        c = rng.choice([0.3, -0.3, 7.1, -2.0], n)
+        inst = ScaledChebyshevInstance(
+            points=pts, weights=w, addends=h, box_lo=np.full(n, -3.0), box_hi=np.full(n, 3.0), diff_bounds=b, scale=c
+        )
+        report, star, bounds = chebyshev._certificates(inst)
+        if not report.feasible:
+            continue
+        args = (c * inst.points, np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+        assert _bits(chebyshev._theta_kernel(*args)) == _bits(theta_reference(*args)), trial
+        checked += 1
+    assert checked >= 100, checked
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
