@@ -56,10 +56,10 @@ class Transform:
         return () if self.scale is None else self.scale
 
     def to_original(self, y) -> np.ndarray:
-        """Map a point from internal solver coordinates back to the original."""
+        """Map a point, or each row of an (N, dim) array, from solver coordinates back to the original."""
         y = np.asarray(y, dtype=np.float64)
         if self.rotate45:
-            self._expect_plane(y)
+            self._expect_plane(y, rows=True)
         if self.scale is not None:
             y = y / np.asarray(self.scale)
         return unrotate45(y) if self.rotate45 else y
@@ -73,8 +73,8 @@ class Transform:
         return x if self.scale is None else x * np.asarray(self.scale)
 
     @staticmethod
-    def _expect_plane(v) -> None:
-        if v.shape != (2,):
+    def _expect_plane(v, rows: bool = False) -> None:
+        if v.shape[-1:] != (2,) or v.ndim > 1 + rows:
             raise DimensionError(f"planar point expected, got shape {v.shape}")
 
 

@@ -56,13 +56,7 @@ import numpy as np
 from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
 from .linear import Infeasible, parameter_upper_bound
-from .semiring import (
-    BOTTOM,
-    conjugate_transpose,
-    mat_mul,
-    trace_and_closure,
-    vec_mat,
-)
+from .semiring import BOTTOM, _vec_mat, mat_mul, trace_and_closure
 
 
 def _as_float_array(value, shape_hint: str) -> np.ndarray:
@@ -89,6 +83,30 @@ def _store(inst, name: str, arr: np.ndarray, sized: bool, shape_error: str, bad:
     object.__setattr__(inst, name, out)
 
 
+def _store_points(inst, pts: np.ndarray, sized: bool, shape_error: str):
+    _store(inst, "points", pts, sized, shape_error, ~np.isfinite(pts), "points", "finite")
+
+
+def _store_bounds(inst, b: np.ndarray, sized: bool, shape_error: str):
+    _store(inst, "diff_bounds", b, sized, shape_error, np.isnan(b) | np.isposinf(b), "B", "real or absent")
+
+
+def _trusted(cls, *, points: np.ndarray, diff_bounds: np.ndarray, **checked):
+    """A cls instance on the frozen arrays of an instance that was checked.
+
+    For the plane reductions.  __post_init__ does not run; only points and
+    diff_bounds, which a reduction computes in the right shapes, are checked,
+    with the constructor's messages, because the rotation and the doubled
+    strip ends can overflow.
+    """
+    inst = object.__new__(cls)
+    for name, value in checked.items():
+        object.__setattr__(inst, name, value)
+    _store_points(inst, points, True, "")
+    _store_bounds(inst, diff_bounds, True, "")
+    return inst
+
+
 @dataclass(frozen=True, eq=False, kw_only=True)
 class _Instance:
     """The data every variant shares: one facility among m weighted points.
@@ -113,7 +131,7 @@ class _Instance:
         pts = _as_float_array(self.points, "points")
         sized = pts.ndim == 2 and pts.shape[0] >= 1 and pts.shape[1] >= 1
         error = f"points must be a nonempty 2-D array, got shape {pts.shape}"
-        _store(self, "points", pts, sized, error, ~np.isfinite(pts), "points", "finite")
+        _store_points(self, pts, sized, error)
         m, n = pts.shape
         w = _as_float_array(self.weights, "weights")
         error = f"weights must have length {m}, got shape {w.shape}"
@@ -162,7 +180,7 @@ class ChebyshevInstance(_Instance):
         n = self.dim
         b = _as_float_array(self.diff_bounds, "B")
         error = f"B must be {n}x{n}, got shape {b.shape}"
-        _store(self, "diff_bounds", b, b.shape == (n, n), error, np.isnan(b) | np.isposinf(b), "B", "real or absent")
+        _store_bounds(self, b, b.shape == (n, n), error)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -412,16 +430,17 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
     # products plus O(m n) per Newton step; memory is O(m n).
     # cp arrives as (m, n) and is held as (n, m) (see the module docstring);
     # the copy is free when cp is the .T of the solver's row-major rows.
+    # fixed_hi is finite, so its conjugate is its negation.
     cpt = np.ascontiguousarray(cp.T)
-    hi_row = vec_mat(conjugate_transpose(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
+    hi_row = _vec_mat(np.negative(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
     best = BOTTOM
     for alpha in set(absc.tolist()):
         ia = np.flatnonzero(absc == alpha)
         cpa = cpt[ia]
-        # reach[k, j] = max_{i in ia} b_ik - cp_ji, formed as (m, n) from a
-        # row-major -cp_a, on which mat_mul's passes run fastest.
-        reach = mat_mul(np.negative(cpa.T, order="C"), star[ia]).T.copy()
-        sides = np.maximum(vec_mat(fixed_lo, reach), vec_mat(hi_row[ia], cpa))
+        # reach[k, j] = max_{i in ia} b_ik - cp_ji, (n, m) like cpt; mat_mul
+        # runs its passes along the longer axis.
+        reach = mat_mul(star[ia].T, np.negative(cpa))
+        sides = np.maximum(_vec_mat(fixed_lo, reach), _vec_mat(hi_row[ia], cpa))
         best = max(best, (h + (w / alpha) * sides).max())
         best = _pair_max(alpha, absc, reach, cpt, w, h, best)
     return float(best)

@@ -273,24 +273,36 @@ def _half_planes(box: SolutionBox, inst) -> list[tuple[float, float, float]]:
     return planes
 
 
-def _clip(poly, a: float, b: float, g: float):
-    """Sutherland-Hodgman step: keep the side a*x1 + b*x2 <= g."""
+def _clip(poly, a: float, b: float, g: float, made: dict | None = None):
+    """Sutherland-Hodgman step: keep the side a*x1 + b*x2 <= g.
+
+    made maps each vertex that an earlier step made to that step's (a, b, g),
+    and receives the vertices this step makes.  A vertex made on a line lies
+    on it only up to rounding, so it counts as exactly on the line when the
+    opposite half-plane (-a, -b, -g) of that line clips it: a region of zero
+    width, between the two half-planes of one line, keeps its segment.
+    """
     if a == 0.0 and b == 0.0:
         return poly if g >= 0.0 else []
+    made = {} if made is None else made
+    opposite = (-a, -b, -g)
+    vals = [0.0 if made.get(v) == opposite else a * v[0] + b * v[1] - g for v in poly]
     out = []
     k = len(poly)
     for idx in range(k):
         cur = poly[idx]
         nxt = poly[(idx + 1) % k]
-        c_val = a * cur[0] + b * cur[1] - g
-        n_val = a * nxt[0] + b * nxt[1] - g
+        c_val = vals[idx]
+        n_val = vals[(idx + 1) % k]
         # Exact signs: when they differ, |c_val| <= |c_val - n_val| in floats
         # too, so t lies in [0, 1] and the new vertex is on the edge.
         if c_val <= 0.0:
             out.append(cur)
         if (c_val <= 0.0) != (n_val <= 0.0):
             t = c_val / (c_val - n_val)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+            new = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
+            made[new] = (a, b, g)
+            out.append(new)
     return out
 
 
@@ -309,8 +321,9 @@ def _svg_document(box: SolutionBox, inst, members: np.ndarray) -> str:
     # the region ends only at its constraints or at the edge of the picture.
     top = lo + span
     region = [(lo[0], lo[1]), (top[0], lo[1]), (top[0], top[1]), (lo[0], top[1])]
+    made = {}
     for a, b, g in _half_planes(box, inst):
-        region = _clip(region, a, b, g)
+        region = _clip(region, a, b, g, made)
         if not region:
             break
     size = 480.0

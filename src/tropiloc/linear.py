@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .semiring import (
-    BOTTOM,
-    conjugate_transpose,
-    is_regular,
-    mat_vec,
-    trace_and_closure,
-    vec_mat,
-)
+from .semiring import BOTTOM, _vec_mat, is_regular, mat_vec, trace_and_closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +95,13 @@ def solve_fixed_point(a, b) -> ParametricFamily | Infeasible:
 def parameter_upper_bound(star, q) -> np.ndarray:
     """Largest u with ``star (x) u <= q``, i.e. ``(q~ star)~``.
 
-    q must be regular; star has a zero diagonal so the bound is finite.
-    This is the arithmetic of solve_upper, without its checks.
+    q must be regular and every column of star must hold a finite entry (a
+    closure has a zero diagonal).  Then every entry of q and of q~ star is
+    finite, and the conjugate of a finite entry is its negation, signed
+    zeros included: the bound is two negations around one vec_mat.  This is
+    the arithmetic of solve_upper, without its checks.
     """
-    return conjugate_transpose(vec_mat(conjugate_transpose(np.asarray(q, dtype=np.float64)), star))
+    return np.negative(_vec_mat(np.negative(np.asarray(q, dtype=np.float64)), np.asarray(star, dtype=np.float64)))
 
 
 def solve_double(a, p, q) -> ParametricFamily | Infeasible:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import SolutionBox, rotate45, unrotate45
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _as_float_array, _Instance, solve_core
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _as_float_array, _Instance, _trusted, solve_core
 from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .errors import DimensionError, InstanceError
 from .linear import Infeasible
@@ -105,7 +105,8 @@ def _rotated(inst: StripInstance, core: type, **scale) -> ChebyshevInstance:
     bounds = np.full((2, 2), BOTTOM)
     bounds[0, 1] = 2.0 * inst.strip_lo
     bounds[1, 0] = -2.0 * inst.strip_hi
-    return core(
+    return _trusted(
+        core,
         points=rotate45(inst.points),
         weights=inst.weights,
         addends=inst.addends,
@@ -124,7 +125,11 @@ def strip_to_chebyshev(inst: StripInstance) -> ChebyshevInstance:
 
 def tilted_to_scaled(inst: TiltedStripInstance) -> ScaledChebyshevInstance:
     """The rotated, scaled Chebyshev instance equivalent to a tilted strip."""
-    return _rotated(inst, ScaledChebyshevInstance, scale=np.array([inst.slope - 1.0, inst.slope + 1.0]))
+    # c - 1 and c + 1 are finite and nonzero for every finite c other than 1
+    # and -1, the slopes the strip's own constructor rejects.
+    scale = np.array([inst.slope - 1.0, inst.slope + 1.0])
+    scale.setflags(write=False)
+    return _rotated(inst, ScaledChebyshevInstance, scale=scale)
 
 
 def solve_strip(inst: StripInstance) -> SolutionBox | Infeasible:

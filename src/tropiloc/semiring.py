@@ -11,6 +11,12 @@ The closure A* = I max A max ... max A^(n-1) is computed by Floyd-Warshall
 style all-pairs relaxation in O(n^3), which also decides the spectral
 certificate.  The O(n^4) power-sum forms power_trace and power_closure are
 the definitions, kept as cross-check oracles for the relaxation.
+
+The public wrappers validate their operands: conversion, shapes and, for the
+conjugate, an entry to invert.  The solver does not call them: it checks its
+data once, when an instance is built, and then runs the same arithmetic on
+trusted arrays through the private kernels _mat_vec and _vec_mat, which the
+wrappers call too, so there is one arithmetic path.
 """
 
 from __future__ import annotations
@@ -104,16 +110,34 @@ def mat_mul(a, b) -> np.ndarray:
 
     One pass per contraction index k folds the outer sum a[:, k] + b[k] into
     the result, so memory stays at the output plus one temporary of its size.
+    Each pass costs a fixed overhead per output row, so the longer output
+    axis goes innermost: when a has more rows than b has columns, the product
+    is formed as (b^T a^T)^T and returned as that transposed view.  Every
+    entry sees the same sums, folded in the same order of k, so the bits are
+    the same in either orientation.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or a.shape[1] == 0:
         raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}")
+    if a.shape[0] > b.shape[1]:
+        return mat_mul(b.T, a.T).T
     # (i, j) entry: max_k a[i, k] + b[k, j]
     out = a[:, 0, None] + b[0]
     for k in range(1, a.shape[1]):
         np.maximum(out, a[:, k, None] + b[k], out=out)
     return out
+
+
+def _mat_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # max_k a[i, k] + x[..., k]: x is one vector or a stack of them in rows,
+    # and each result row is reduced along its contiguous last axis.
+    return (a + x[..., None, :]).max(axis=-1)
+
+
+def _vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # max_i x[i] + a[i, k].
+    return (x[:, None] + a).max(axis=0)
 
 
 def mat_vec(a, x) -> np.ndarray:
@@ -122,7 +146,7 @@ def mat_vec(a, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
         raise DimensionError(f"incompatible shapes {a.shape} and {x.shape}")
-    return np.max(a + x[None, :], axis=1)
+    return _mat_vec(a, x)
 
 
 def vec_mat(x, a) -> np.ndarray:
@@ -131,7 +155,7 @@ def vec_mat(x, a) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or x.ndim != 1 or a.shape[0] != x.shape[0]:
         raise DimensionError(f"incompatible shapes {x.shape} and {a.shape}")
-    return np.max(x[:, None] + a, axis=0)
+    return _vec_mat(x, a)
 
 
 def vec_dot(x, y) -> float:

@@ -17,7 +17,7 @@ from .chebyshev import _scale_of
 from .errors import DimensionError, DomainError
 from .linear import parameter_upper_bound
 from .rectilinear import TiltedStripInstance
-from .semiring import BOTTOM, mat_vec
+from .semiring import BOTTOM, _mat_vec, mat_vec
 from .variants import lookup
 
 OBJECTIVE_TOL = 1e-9
@@ -120,15 +120,18 @@ def sample(box: SolutionBox, k: int, seed: int = 0) -> np.ndarray:
     gap = box.u_lo - box.u_hi
     if np.any(gap > MEMBERSHIP_ATOL):
         raise DomainError("cannot sample from an empty box")
-    members = [box.member(box.u_lo)]
-    if k >= 2:
-        members.append(box.member(box.u_hi))
+    us = np.vstack([box.u_lo, box.u_hi])[:k]
     if k > 2:
         rng = np.random.default_rng(seed)
         span = box.u_hi - box.u_lo
         draws = box.u_lo[None, :] + rng.random((k - 2, box.u_lo.shape[0])) * span[None, :]
-        members.extend(box.member(u) for u in draws)
-    return np.asarray(members)
+        us = np.vstack([us, draws])
+    # The rows of one max-plus product, each reduced as box.member reduces
+    # its one row; chunked to bound the (rows, n, n) temporary.
+    n = box.generator.shape[0]
+    rows = max(1, (1 << 20) // (n * n))
+    members = np.vstack([_mat_vec(box.generator, us[r : r + rows]) for r in range(0, k, rows)])
+    return box.transform.to_original(members)
 
 
 @dataclass(frozen=True)

@@ -60,3 +60,17 @@ def test_many_clients_run_completes():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert (result["attempted"], result["failed"]) == (12, 0)
+
+
+def test_wide_bounds_run_completes():
+    # One short untraced run of the workload with n up to 300 and m = 20,
+    # where mat_mul's orientation rule keeps theta's products as they were;
+    # the benchmark checks every answer against the generator's ground truth.
+    argv = ["--workload", "wide_bounds", "--seed", "1", "--seconds", "1", "--trace", "0"]
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert (result["attempted"], result["failed"]) == (18, 0)

@@ -340,6 +340,25 @@ def test_svg_region_is_the_feasible_region(variant):
     assert compared > 12 * 3900
 
 
+def test_zero_width_strip_keeps_its_segment():
+    # With a = b the strip is the line x1 = a.  Its two half-planes clip the
+    # vertices the first one made on the line; those count as exactly on it,
+    # so the sketch keeps a segment with two distinct ends on x1 = a, and both
+    # ends meet every constraint up to the two decimals of the drawing.
+    inst = random_instance("rectilinear_strip", 2, 3, 12)
+    assert inst.strip_lo == inst.strip_hi == -0.8
+    box = solve(inst)
+    members = sample(box, 5, 0)
+    svg = emit_solution(box, inst, "svg", samples=5, seed=0).decode()
+    poly, lo, hi = _sketch_region(svg, inst, members)
+    ends = np.unique(poly, axis=0)
+    pixel = float(np.max(hi - lo)) / 480.0
+    assert ends.shape == (2, 2), ends
+    assert np.all(np.abs(ends[:, 0] - inst.strip_lo) <= 0.01 * pixel)
+    assert ends[1, 1] - ends[0, 1] > pixel
+    assert np.all(violation_batch(inst, ends) <= 0.01 * pixel)
+
+
 def test_clip_sign_test_is_exact():
     # The line passes 0.5e-9 below (0, 0): the unit square misses the half
     # plane, although its lower corners are within 2e-9 of the line.

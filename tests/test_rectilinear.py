@@ -16,6 +16,7 @@ from tropiloc import (
     check_feasibility,
     is_member,
     rotate,
+    solve,
     solve_strip,
     solve_tilted,
     strip_to_chebyshev,
@@ -111,6 +112,24 @@ def test_tilted_rejects_unit_slopes():
             TiltedStripInstance(**base, slope=flag)
     assert TiltedStripInstance(**base, slope=np.int64(0)).slope == 0.0
     assert TiltedStripInstance(**base, slope=np.float32(0.5)).slope == 0.5
+
+
+def test_reductions_reject_overflow_with_the_constructor_messages():
+    # The rotation and the doubled strip ends can overflow data that the
+    # plane instance accepted; the core instance rejects it with the messages
+    # of the core constructor, whether reduced alone or inside solve.
+    base = dict(weights=[1.0], addends=[0.0], box_lo=[-8.0, -8.0], box_hi=[8.0, 8.0])
+    far = dict(base, points=[[1e308, 1e308]], strip_lo=0.0, strip_hi=1.0)
+    with np.errstate(over="ignore"):
+        strip, tilted = StripInstance(**far), TiltedStripInstance(**far, slope=2.0)
+        for inst, reduce in ((strip, strip_to_chebyshev), (tilted, tilted_to_scaled)):
+            for call in (reduce, solve):
+                with pytest.raises(InstanceError, match=r"^points\[0\]\[0\] must be finite$"):
+                    call(inst)
+        wide = StripInstance(**base, points=[[0.0, 0.0]], strip_lo=1e308, strip_hi=1e308)
+        for call in (strip_to_chebyshev, solve):
+            with pytest.raises(InstanceError, match=r"^B\[0\]\[1\] must be real or absent$"):
+                call(wide)
 
 
 def test_degenerate_strip_pinned_solution():

@@ -135,6 +135,23 @@ def test_mat_mul_is_its_definition(layout):
         assert mat_mul(a, b).tobytes() == want.tobytes(), (p, k, q)
 
 
+def test_mat_mul_runs_along_the_longer_output_axis():
+    # A tall product is formed as the transposed product of the transposes,
+    # so its passes run along the longer axis.  The folds over k see the same
+    # sums in the same order, so every bit, signed zeros included, matches
+    # the fold in the given orientation.
+    rng = np.random.default_rng(23)
+    for p, k, q in [(60, 3, 2), (2, 3, 60), (7, 9, 7), (300, 20, 1)]:
+        a = rng.choice([0.0, -0.0, 0.5, -0.5, BOTTOM], size=(p, k))
+        b = rng.choice([0.0, -0.0, 0.25, -0.25, BOTTOM], size=(k, q))
+        fold = a[:, 0, None] + b[0]
+        for kk in range(1, k):
+            fold = np.maximum(fold, a[:, kk, None] + b[kk])
+        out = mat_mul(a, b)
+        assert out.shape == (p, q) and out.tobytes() == fold.tobytes(), (p, k, q)
+        assert (out.T if p > q else out).flags.c_contiguous, (p, k, q)
+
+
 def test_mat_mul_shape_guard():
     # An empty contraction has no max: k = 0 is rejected like a mismatch.
     for ashape, bshape in [((2, 0), (0, 3)), ((2, 3), (2, 3)), ((2,), (2, 2))]:

@@ -12,10 +12,13 @@ from support import (
 )
 from tropiloc import (
     ScaledChebyshevInstance,
+    Transform,
     constraint_violation,
     is_member,
     objective_value,
+    random_instance,
     sample,
+    solve,
     solve_particular,
     solve_scaled,
     solve_strip,
@@ -137,6 +140,32 @@ def test_sample_vertices_first_and_deterministic():
     assert not np.array_equal(a, c)
     with pytest.raises(DomainError):
         sample(box, 0)
+
+
+def test_sample_rows_are_members_bit_for_bit():
+    # sample forms its members in one max-plus product over the parameter
+    # rows and maps them back through one transform; each row is member() of
+    # the same draw, bit for bit.  At n = 40, 700 rows take two chunks.
+    variants = ("chebyshev_scaled", "rectilinear_strip", "rectilinear_tilted")
+    cases = [(random_instance(v, 2, 5, seed), 9) for v in variants for seed in range(4)]
+    cases += [(two_point_instance(), 9), (random_instance("chebyshev", 40, 3, 1), 700)]
+    for inst, k in cases:
+        box = solve(inst)
+        draws = np.random.default_rng(5).random((k - 2, box.u_lo.shape[0]))
+        us = [box.u_lo, box.u_hi, *(box.u_lo + draws * (box.u_hi - box.u_lo))]
+        want = np.array([box.member(u) for u in us])
+        assert sample(box, k, seed=5).tobytes() == want.tobytes()
+        assert sample(box, 1, seed=5).tobytes() == want[:1].tobytes()
+
+
+def test_to_original_maps_rows():
+    ys = np.array([[4.0, -2.0], [1.0, 3.0], [-0.5, 0.25]])
+    for transform in (Transform(), Transform((2.0, -4.0)), Transform(None, True), Transform((3.0, 0.5), True)):
+        rows = transform.to_original(ys)
+        assert rows.tobytes() == np.array([transform.to_original(y) for y in ys]).tobytes()
+    for bad in (np.zeros((3, 3)), np.zeros((2, 2, 2)), np.zeros(3)):
+        with pytest.raises(DimensionError):
+            Transform(None, True).to_original(bad)
 
 
 def test_sampled_points_are_members_across_variants():

@@ -1,6 +1,7 @@
 """The variant table: one entry per variant drives parsing, solving and checking."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from tropiloc import (
     cli,
     emit_instance,
     parse_instance,
+    random_infeasible,
     random_instance,
+    semiring,
     solve,
     solve_particular,
     solve_scaled,
@@ -18,6 +21,7 @@ from tropiloc import (
     variant_of,
 )
 from tropiloc import check_feasibility as check_any
+from tropiloc.chebyshev import _Instance
 from tropiloc.errors import InstanceError
 from tropiloc.linear import Infeasible
 from tropiloc.semiring import BOTTOM
@@ -78,6 +82,43 @@ def test_variant_roundtrip_solve_and_check(variant, tmp_path, capsys):
         assert code == (0 if check_any(inst).feasible else 2)
         assert check_any(inst).feasible == (not isinstance(result, Infeasible))
     assert infeasible > 0
+
+
+def _answer_bits(result) -> tuple:
+    if isinstance(result, Infeasible):
+        return result.cause, np.float64(result.witness).tobytes()
+    arrays = (result.theta, result.generator, result.u_lo, result.u_hi)
+    bits = tuple(np.asarray(a, dtype=np.float64).tobytes() for a in arrays)
+    return bits + (result.transform.scale, result.transform.rotate45)
+
+
+def test_solve_trusts_the_arrays_it_has_checked(monkeypatch):
+    # An instance is checked once, when it is built.  After that, solve calls
+    # none of the validating semiring wrappers, wherever they are bound, and
+    # builds no instance through a constructor that checks (the plane
+    # reductions pass on the frozen arrays), and every answer is bit for bit
+    # that of an unpatched run.
+    cases = [inst for variant in TABLE for inst in _instances(variant)]
+    cases += [random_infeasible(2 + seed % 3, 4, seed, mode) for seed in range(4) for mode in ("caps", "cycle")]
+    results = [solve(inst) for inst in cases]
+    kinds = {(lookup(inst).name, isinstance(r, Infeasible)) for inst, r in zip(cases, results)}
+    assert kinds == {(v.name, infeasible) for v in TABLE for infeasible in (False, True)}
+    assert {r.cause for r in results if isinstance(r, Infeasible)} == {"spectral", "bounds"}
+    want = [_answer_bits(r) for r in results]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checking entry point ran on the solve path")
+
+    for name in ("conjugate_transpose", "vec_mat", "mat_vec"):
+        wrapper = getattr(semiring, name)
+        for module in [m for key, m in sys.modules.items() if key == "tropiloc" or key.startswith("tropiloc.")]:
+            if getattr(module, name, None) is wrapper:
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(_Instance, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="checking entry point"):
+        dataclasses.replace(cases[0])
+    got = [_answer_bits(solve(inst)) for inst in cases]
+    assert got == want
 
 
 # The fields each class adds to the shared ones, valid for m = 2 plane points.
