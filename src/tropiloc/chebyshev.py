@@ -24,21 +24,24 @@ pairs and closure entries) and the full optimal set is the box
 the envelopes induced by requiring the objective not to exceed theta.
 
 theta is also the least level at which the parametrized inequalities have a
-solution: the root of Phi(theta) = max_{i,k} F_i(theta) + B*[i, k] + G_k(theta),
-where F_i(theta) = max_j (|c_i| (h_j - theta) / w_j - c_i p_ji) and
-G_k(theta) = max_l (|c_k| (h_l - theta) / w_l + c_k p_lk).  Phi is convex,
-decreasing and piecewise linear, so Newton's method finds the root in a few
-O(m n) steps after one O(m n^2) max-plus product per distinct |c_i|; the
-closed form's distinct terms within rounding of the root are then
-evaluated, so theta is the float max of the closed form bit for bit.  Memory is O(m n).
+solution: the root of Phi(theta) = max_{i,k} g_i(theta) + B*[i, k] + C_k(theta),
+where -g_i and C_k are the upper and lower envelopes of axes i and k, each
+the max of m lines |c_i| (h_j - theta) / w_j -/+ c_i p_ji and a cap/box side.
+Phi is convex, decreasing and piecewise linear, and the root of each piece
+is one term of the closed form, so Newton's method finds theta from below in
+a few steps, each two O(m n) reductions and one O(n^2) product: O(n^3) for
+the closure plus O((m n + n^2) steps) in all, and O(m n) memory.  theta is
+the term Newton stops on, within a derived rounding bound of the exact
+closed form; rounding can also cross the box at theta by a bounded amount,
+and solve_core closes such axes.
 
 Inside the solver the client data c * p is held as an (n, m) array, one row
 per axis, formed once per solve; theta and the envelopes q, r, s, t reduce
 it along the contiguous axis.  Each numpy op on it costs a fixed overhead
-per row, O(n), which the O(n^3) closure and the O(m n^2) products already
-exceed; held as (m, n), each op would cost one per client, O(m), as much as
-the O(m n) Newton work.  Max, min and argmax are exact and every sum sees
-the same operands, so the layout does not change a single bit.
+per row, O(n), which each Newton step's O(n^2) product already exceeds;
+held as (m, n), each op would cost one per client, O(m), as much as the
+O(m n) Newton work.  Max, min and argmax are exact and every sum sees the
+same operands, so the layout does not change a single bit.
 
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
 difference bounds while keeping the same objective; it is solved by the same
@@ -56,7 +59,7 @@ import numpy as np
 from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
 from .linear import Infeasible, parameter_upper_bound
-from .semiring import BOTTOM, _vec_mat, mat_mul, trace_and_closure
+from .semiring import BOTTOM, _vec_mat, trace_and_closure
 
 
 def _as_float_array(value, shape_hint: str) -> np.ndarray:
@@ -75,12 +78,23 @@ def _store(inst, name: str, arr: np.ndarray, sized: bool, shape_error: str, bad:
     """
     if not sized:
         raise InstanceError(shape_error)
-    if bad.any():
-        index = "".join(f"[{k}]" for k in np.argwhere(bad)[0])
-        raise InstanceError(f"{label}{index} must be {must}")
+    _reject(bad, label, must)
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     object.__setattr__(inst, name, out)
+
+
+def _reject(bad: np.ndarray, label: str, must: str) -> None:
+    if bad.any():
+        index = "".join(f"[{k}]" for k in np.argwhere(bad)[0])
+        raise InstanceError(f"{label}{index} must be {must}")
+
+
+def _check_scaled_products(inst) -> None:
+    # The solver works on c * p and c * box, so they must not overflow.
+    with np.errstate(over="ignore"):
+        for label, value in (("points", inst.points), ("lower", inst.box_lo), ("upper", inst.box_hi)):
+            _reject(~np.isfinite(inst.scale * value), f"c * {label}", "finite")
 
 
 def _store_points(inst, pts: np.ndarray, sized: bool, shape_error: str):
@@ -95,15 +109,17 @@ def _trusted(cls, *, points: np.ndarray, diff_bounds: np.ndarray, **checked):
     """A cls instance on the frozen arrays of an instance that was checked.
 
     For the plane reductions.  __post_init__ does not run; only points and
-    diff_bounds, which a reduction computes in the right shapes, are checked,
-    with the constructor's messages, because the rotation and the doubled
-    strip ends can overflow.
+    diff_bounds, which a reduction computes in the right shapes, and the
+    scaled products are checked, with the constructor's messages, because
+    the rotation, the doubled strip ends and the tilted scale can overflow.
     """
     inst = object.__new__(cls)
     for name, value in checked.items():
         object.__setattr__(inst, name, value)
     _store_points(inst, points, True, "")
     _store_bounds(inst, diff_bounds, True, "")
+    if "scale" in checked:
+        _check_scaled_products(inst)
     return inst
 
 
@@ -203,6 +219,7 @@ class ScaledChebyshevInstance(ChebyshevInstance):
         c = _as_float_array(self.scale, "c")
         error = f"c must have length {n}, got shape {c.shape}"
         _store(self, "scale", c, c.shape == (n,), error, ~np.isfinite(c) | (c == 0), "c", "a finite nonzero real")
+        _check_scaled_products(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,116 +351,91 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
 
 
 def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
-    # The pair term at reach_kj + cp_kl = x, in one fixed float evaluation order.
+    # The pair term at x = b*_ik - cp_ij + cp_kl, in one fixed float evaluation order.
     awl = alpha * wl
     bwj = beta * wj
     return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
 
 
-def _distinct(*cols):
-    # The distinct tuples (cols[0][i], cols[1][i], ...), compared bit for bit,
-    # in order of first occurrence, as the columns of one array.
-    bits = np.stack(cols).view(np.int64).tolist()
-    return np.array(list(dict.fromkeys(zip(*bits))), dtype=np.int64).view(np.float64).T
+def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
+    """theta: the root of the existence condition, by Newton's method.
 
-
-def _pair_max(alpha, absc, reach, cp, w, h, t):
-    """max(t, the largest pair term through the axes i with |c_i| = alpha).
-
-    reach and cp are (n, m), one row per axis k: reach[k, j] = max over those
-    i of b_ik - cp_ij.  With beta = |c_k|, the term of (j, l, k) exceeds t
-    exactly when a_kj + c_kl > 0, where
-        a = alpha (h - t) / w + reach   and   c = beta (h - t) / w + cp,
-    so the largest term is the root of Phi(t) = max_k (max_j a_kj + max_l c_kl):
-    the condition for the parametrized inequalities to have a solution.  Phi
-    is convex, decreasing and piecewise linear, so Newton's method on it
-    (Dinkelbach's method) climbs to the root from below in a few steps, each
-    O(m n): t becomes the term of the (j, l, k) that attains Phi(t).
+    cp arrives as (m, n) and is held as (n, m) (see the module docstring);
+    the copy is free when cp is the .T of the solver's row-major rows.  With
+    r_ij = |c_i| / w_j, at level t the parameter box is nonempty exactly when
+        Phi(t) = max_k ((g (x) B*)_k + C_k) <= 0,   where
+        g_i(t) = max(max_j (r_ij (h_j - t) - cp_ij), -fixed_hi_i)   (minus the upper envelope),
+        C_k(t) = max(max_l (r_kl (h_l - t) + cp_kl), fixed_lo_k)    (the lower envelope).
+    Phi is convex, decreasing and piecewise linear, and the root of each piece
+    is one term of theta's closed form: the pair term of (j, l) through
+    b*_ik, or a side term when g_i or C_k takes its envelope entry.  So
+    Newton's method on Phi (Dinkelbach's method) climbs to theta from below:
+    at t, the argmax chain k, i, j, l names the piece that attains Phi(t),
+    and t becomes its root.  It starts at the j = l, i = k term of the
+    largest h_j, which is h_j since b*_ii = 0, evaluated like every pair
+    term; so theta is always one float term of the closed form.  Each step
+    costs two O(m n) reductions and one O(n^2) product; memory is O(m n).
     """
-    ra = alpha / w
-    rb = absc[:, None] / w
-    p = ra * h + reach
-    q = rb * h + cp
-    a = np.empty_like(p)
-    c = np.empty_like(q)
+    cpt = np.ascontiguousarray(cp.T)
+    r = absc[:, None] / w
+    rh = r * h
+    lo = rh - cpt
+    hi = rh + cpt
+    neg_hi = np.negative(fixed_hi)
+    rt = np.empty_like(r)
+    a = np.empty_like(r)
+    c = np.empty_like(r)
+    j = int(np.argmax(h))
+    t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)
     while True:
-        np.subtract(p, t * ra, out=a)
-        np.multiply(rb, t, out=c)
-        np.subtract(q, c, out=c)
-        s = a.max(axis=1) + c.max(axis=1)
+        np.multiply(r, t, out=rt)
+        np.subtract(lo, rt, out=a)
+        np.subtract(hi, rt, out=c)
+        amax = a.max(axis=1)
+        cmax = c.max(axis=1)
+        g = np.maximum(amax, neg_hi)
+        s = _vec_mat(g, star) + np.maximum(cmax, fixed_lo)
         k = int(np.argmax(s))
         if not s[k] > 0.0:
             break
-        j = int(np.argmax(a[k]))
-        l = int(np.argmax(c[k]))
-        step = _pair_terms(alpha, absc[k], w[j], w[l], h[j], h[l], reach[k, j] + cp[k, l])
+        i = int(np.argmax(g + star[:, k]))
+        b = star[i, k]
+        if amax[i] >= neg_hi[i]:
+            j = int(np.argmax(a[i]))
+            y = b - cpt[i, j]
+            if cmax[k] >= fixed_lo[k]:
+                l = int(np.argmax(c[k]))
+                step = _pair_terms(absc[i], absc[k], w[j], w[l], h[j], h[l], y + cpt[k, l])
+            else:
+                step = h[j] + (w[j] / absc[i]) * (fixed_lo[k] + y)
+        elif cmax[k] >= fixed_lo[k]:
+            l = int(np.argmax(c[k]))
+            step = h[l] + (w[l] / absc[k]) * ((b - fixed_hi[i]) + cpt[k, l])
+        else:
+            break  # the bounds certificate's own term, which no level moves
         if not step > t:
             break
         t = step
-    # Newton's t is the root up to rounding, and the float max of the terms
-    # may sit on another (j, l, k) within rounding of it, so every (j, l, k)
-    # whose term could reach t in floats is evaluated again.  With u the unit
-    # roundoff and S = (alpha / w_j)(|h_j| + |t|) + |reach_kj|
-    # + (beta / w_l)(|h_l| + |t|) + |cp_kl|, such a (j, l, k) has
-    # a_kj + c_kl >= -13 u S in floats, counting roundings:
-    #   7  the term: two per product, the two sums of the numerator, the
-    #      denominator's sum and the division;
-    #   1  reach_kj + cp_kl, the x the term is given;
-    #   4  a_kj or c_kl: alpha / w, its product with h, the sum, the product
-    #      with t and the difference;
-    #   1  adding each side's share below (the sign of the final sum is exact).
-    # 16 u covers 13 u and the second-order terms of those bounds.  Each side
-    # gets its share of 16 u S added, so (j, l, k) is a candidate when its a
-    # plus share, plus the largest c plus share in row k, is >= 0, and
-    # likewise for l.  The term is monotone in x under rounding, so the max
-    # over the candidates is the max over every (j, l, k).
-    tol = 16 * (np.finfo(np.float64).eps / 2)
-    ha = np.abs(h) + abs(t)
-    a += tol * (ra * ha + np.abs(np.where(reach == BOTTOM, 0.0, reach)))
-    c += tol * (rb * ha + np.abs(cp))
-    amax = a.max(axis=1)
-    cmax = c.max(axis=1)
-    for k in np.flatnonzero(amax + cmax >= 0.0):
-        js = np.flatnonzero(a[k] + cmax[k] >= 0.0)
-        ls = np.flatnonzero(c[k] + amax[k] >= 0.0)
-        # A term depends on j only through (w_j, h_j, reach_kj) and on l only
-        # through (w_l, h_l, cp_kl), so each distinct tuple is evaluated once:
-        # m copies of one client cost one term, not m^2.
-        wj, hj, xj = _distinct(w[js], h[js], reach[k, js])
-        wl, hl, xl = _distinct(w[ls], h[ls], cp[k, ls])
-        # Many near-tied points are rare; chunk them to bound the memory.
-        rows = max(1, (1 << 20) // wl.size)
-        for r in range(0, wj.size, rows):
-            jc = slice(r, r + rows)
-            terms = _pair_terms(alpha, absc[k], wj[jc, None], wl, hj[jc, None], hl, xj[jc, None] + xl)
-            t = max(t, terms.max())
-    return t
+    return float(t)
 
 
-def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
-    # theta is the max, over points j, l and closure entries b = B*[i, k], of
-    #   (|c_i| w_l h_j + |c_k| w_j h_l + w_j w_l (b - cp_ji + cp_lk)) / (|c_i| w_l + |c_k| w_j)
-    # and of the cap/box side terms.  Axes of equal |c_i| share the
-    # denominator and each term is monotone in b - cp_ji, so per magnitude
-    # alpha only reach_kj = max_{|c_i| = alpha} b_ik - cp_ji counts, and
-    # _pair_max finds the largest term from it.  Time is O(m n^2) for the
-    # products plus O(m n) per Newton step; memory is O(m n).
-    # cp arrives as (m, n) and is held as (n, m) (see the module docstring);
-    # the copy is free when cp is the .T of the solver's row-major rows.
-    # fixed_hi is finite, so its conjugate is its negation.
-    cpt = np.ascontiguousarray(cp.T)
-    hi_row = _vec_mat(np.negative(fixed_hi), star)   # row k: max_i b_ik - fixed_hi_i
-    best = BOTTOM
-    for alpha in set(absc.tolist()):
-        ia = np.flatnonzero(absc == alpha)
-        cpa = cpt[ia]
-        # reach[k, j] = max_{i in ia} b_ik - cp_ji, (n, m) like cpt; mat_mul
-        # runs its passes along the longer axis.
-        reach = mat_mul(star[ia].T, np.negative(cpa))
-        sides = np.maximum(_vec_mat(fixed_lo, reach), _vec_mat(hi_row[ia], cpa))
-        best = max(best, (h + (w / alpha) * sides).max())
-        best = _pair_max(alpha, absc, reach, cpt, w, h, best)
-    return float(best)
+# How far rounding can cross the parameter box of a feasible instance at its
+# theta, in units of u S (u the unit roundoff, S from _magnitude), to first
+# order: 5 for u_lo (c p, h - theta, / w, * |c| and the sum), 8 for u_hi (the
+# same 5 for q, then -q_k + b*_ki), and 70 for how far below the root theta
+# can stop, which adds Phi(theta) to the crossing.  Phi is evaluated within
+# 15 u S (6 for each envelope, 3 for g + b*; the sign of the last sum is
+# exact), and a pair term within 40 u S of slope times error; Newton stops
+# where Phi looks <= 0 (15), or where the next term is no larger (40 + 2 x 15).
+_BOX_ROUNDINGS = 83
+_U = float(np.finfo(np.float64).eps) / 2
+
+
+def _magnitude(absc, cpt, w, h, star, bounds: BoundVectors, theta: float) -> float:
+    """S: the largest |c_i p_ji|, |c_i| (|h_j| + |theta|) / w_j, |fixed_lo|, |fixed_hi| or finite |b*_ik|."""
+    level = absc.max() * ((np.abs(h) + abs(theta)) / w).max()
+    envelopes = max(np.abs(bounds.fixed_lo).max(), np.abs(bounds.fixed_hi).max())
+    return float(max(np.abs(cpt).max(), level, envelopes, np.abs(star[star > BOTTOM]).max()))
 
 
 def _theta(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray, star, bounds: BoundVectors) -> float:
@@ -477,9 +469,9 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
 
     Returns a SolutionBox whose members all attain theta, or a typed
     Infeasible result naming the failed certificate.  Once the certificates
-    pass, the box is nonempty by construction; it is never re-checked, so
-    last-ulp rounding cannot flip a feasible instance into a spurious empty
-    verdict.  The box lives in scaled coordinates and its transform divides
+    pass, the box is nonempty in exact arithmetic; an axis that rounding
+    crossed, by at most _BOX_ROUNDINGS u S, is closed up to its lower end, so
+    a feasible instance never gets an empty box.  The box lives in scaled coordinates and its transform divides
     members by c; an all-ones scale gets no scale in the transform.
     rotate45 marks an instance that is the rotated image of a plane one, so
     the transform also rotates members back.
@@ -493,6 +485,12 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
         return Infeasible("bounds", report.bounds_gap)
     theta = _theta(inst, c, cpt, star, bounds)
     u_lo, u_hi = _parameter_box(star, _at_level(bounds, inst, c, cpt, theta))
+    gap = u_lo - u_hi
+    if gap.max() > 0.0:
+        # Rounding crosses a feasible box by at most _BOX_ROUNDINGS u S; those
+        # axes are closed up to their lower end.
+        slack = _BOX_ROUNDINGS * _U * _magnitude(np.abs(c), cpt, inst.weights, inst.addends, star, bounds, theta)
+        u_hi = np.where((gap > 0.0) & (gap <= slack), u_lo, u_hi)
     scale = None if (c == 1.0).all() else tuple(float(v) for v in c)
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
 

@@ -110,18 +110,11 @@ def mat_mul(a, b) -> np.ndarray:
 
     One pass per contraction index k folds the outer sum a[:, k] + b[k] into
     the result, so memory stays at the output plus one temporary of its size.
-    Each pass costs a fixed overhead per output row, so the longer output
-    axis goes innermost: when a has more rows than b has columns, the product
-    is formed as (b^T a^T)^T and returned as that transposed view.  Every
-    entry sees the same sums, folded in the same order of k, so the bits are
-    the same in either orientation.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or a.shape[1] == 0:
         raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}")
-    if a.shape[0] > b.shape[1]:
-        return mat_mul(b.T, a.T).T
     # (i, j) entry: max_k a[i, k] + b[k, j]
     out = a[:, 0, None] + b[0]
     for k in range(1, a.shape[1]):

@@ -36,8 +36,8 @@ def test_span_targets_resolve(spans):
 
 
 def test_traced_small_files_run_completes():
-    # One short traced run end to end.  `failed` is not asserted: the
-    # magnitude-rescaled files still fail (the tolerance item of ROADMAP.md).
+    # One short traced run end to end.  The magnitude-rescaled files solve and
+    # sample too: rounding never leaves a feasible box crossed.
     argv = ["--workload", "small_files", "--seed", "1", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(
         [sys.executable, str(BENCHMARKS / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
@@ -45,7 +45,7 @@ def test_traced_small_files_run_completes():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["attempted"] == 240
+    assert (result["attempted"], result["failed"]) == (240, 0)
 
 
 def test_many_clients_run_completes():
@@ -64,8 +64,9 @@ def test_many_clients_run_completes():
 
 def test_wide_bounds_run_completes():
     # One short untraced run of the workload with n up to 300 and m = 20,
-    # where mat_mul's orientation rule keeps theta's products as they were;
-    # the benchmark checks every answer against the generator's ground truth.
+    # where theta's Newton steps are dominated by their O(n^2) product with
+    # B*; the benchmark checks every answer against the generator's ground
+    # truth.
     argv = ["--workload", "wide_bounds", "--seed", "1", "--seconds", "1", "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, str(BENCHMARKS / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300
