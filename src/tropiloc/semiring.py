@@ -12,6 +12,16 @@ style all-pairs relaxation in O(n^3), which also decides the spectral
 certificate.  The O(n^4) power-sum forms power_trace and power_closure are
 the definitions, kept as cross-check oracles for the relaxation.
 
+Each pivot adds a column and a row broadcast against each other.  numpy
+copies a broadcast operand through its ufunc buffer (8192 elements by
+default) whenever a row is shorter than the buffer; at n = 300 that makes
+the add about four times slower.  So once n^2 exceeds the buffer in force,
+the relaxation runs with a 16-element buffer, which leaves the rows
+unbuffered, and restores the caller's size on return.  Smaller matrices keep
+the caller's buffer: from n of about 24 to 40 the small buffer costs one
+inner-loop call per row and is slower.  The arithmetic and its bits are the
+same either way.
+
 The public wrappers validate their operands: conversion, shapes and, for the
 conjugate, an entry to invert.  The solver does not call them: it checks its
 data once, when an instance is built, and then runs the same arithmetic on
@@ -27,6 +37,9 @@ from .errors import DimensionError, DomainError
 
 BOTTOM = float("-inf")
 ONE = 0.0
+
+# ufunc buffer for the closure pivots once n^2 outgrows the caller's buffer
+_PIVOT_BUFSIZE = 16
 
 
 def is_bottom(x: float) -> bool:
@@ -139,6 +152,8 @@ def mat_vec(a, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
         raise DimensionError(f"incompatible shapes {a.shape} and {x.shape}")
+    if x.size == 0:
+        raise DimensionError("vector must be nonempty")
     return _mat_vec(a, x)
 
 
@@ -148,6 +163,8 @@ def vec_mat(x, a) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or x.ndim != 1 or a.shape[0] != x.shape[0]:
         raise DimensionError(f"incompatible shapes {x.shape} and {a.shape}")
+    if x.size == 0:
+        raise DimensionError("vector must be nonempty")
     return _vec_mat(x, a)
 
 
@@ -157,6 +174,8 @@ def vec_dot(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionError(f"incompatible shapes {x.shape} and {y.shape}")
+    if x.size == 0:
+        raise DimensionError("vector must be nonempty")
     return float(np.max(x + y))
 
 
@@ -180,6 +199,8 @@ def trace(a) -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix expected, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionError("matrix must be nonempty")
     return float(np.max(np.diagonal(a)))
 
 
@@ -194,19 +215,36 @@ def trace_and_closure(a) -> tuple[float, np.ndarray | None]:
     positive closed walk, which can be less than Tr.  With no positive cycle,
     every closed walk splits into nonpositive simple cycles, so the final
     diagonal maximum is Tr.  NaN input gives (nan, None).
+
+    When n^2 exceeds numpy's ufunc buffer (np.getbufsize(), 8192 elements by
+    default, so n >= 91), the pivots run with a 16-element buffer: numpy
+    would otherwise copy the broadcast row and column through the buffer,
+    because a row is shorter than it.  The caller's size is restored on every
+    return.  Otherwise no buffer call is made.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix expected, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionError("matrix must be nonempty")
     n = a.shape[0]
     d = a.copy()
     diag = np.diagonal(d)
-    for k in range(n + 1):
-        gauge = float(diag.max())
-        if not gauge <= ONE:
-            return gauge, None
-        if k < n:
-            np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
+    # n <= 4 skips the size lookup (about 2 us): there the rule could only
+    # grow a buffer smaller than 16.  The size is restored by value, because
+    # numpy 1.x does not scope it to np.errstate.
+    shrink = n * n > _PIVOT_BUFSIZE and n * n > np.getbufsize()
+    saved = np.setbufsize(_PIVOT_BUFSIZE) if shrink else None
+    try:
+        for k in range(n + 1):
+            gauge = float(diag.max())
+            if not gauge <= ONE:
+                return gauge, None
+            if k < n:
+                np.maximum(d, d[:, k, None] + d[None, k, :], out=d)
+    finally:
+        if saved is not None:
+            np.setbufsize(saved)
     np.fill_diagonal(d, np.maximum(diag, ONE))
     return gauge, d
 

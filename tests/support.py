@@ -39,6 +39,26 @@ def nonpos_cycle_matrix(rng, n, density=0.5, limit=64):
     return a
 
 
+def closure_reference(a):
+    """trace_and_closure as the literal one-line relaxation, under numpy's
+    default ufunc buffer of 8192 elements: the same pivots, the same early exit
+    on the first positive diagonal entry and the same returned bits."""
+    d = np.array(a, dtype=np.float64)
+    n = d.shape[0]
+    saved = np.setbufsize(8192)
+    try:
+        for k in range(n + 1):
+            gauge = float(np.diagonal(d).max())
+            if not gauge <= 0.0:
+                return gauge, None
+            if k < n:
+                d = np.maximum(d, d[:, k, None] + d[None, k, :])
+    finally:
+        np.setbufsize(saved)
+    np.fill_diagonal(d, np.maximum(np.diagonal(d), 0.0))
+    return gauge, d
+
+
 def theta_reference(cp, absc, w, h, star, fixed_lo, fixed_hi):
     """Closed-form theta as the literal loop over closure entries (i, k).
 

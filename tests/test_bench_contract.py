@@ -64,9 +64,8 @@ def test_many_clients_run_completes():
 
 def test_wide_bounds_run_completes():
     # One short untraced run of the workload with n up to 300 and m = 20,
-    # where theta's Newton steps are dominated by their O(n^2) product with
-    # B*; the benchmark checks every answer against the generator's ground
-    # truth.
+    # where the O(n^3) closure B* takes about 90% of the solve time; the
+    # benchmark checks every answer against the generator's ground truth.
     argv = ["--workload", "wide_bounds", "--seed", "1", "--seconds", "1", "--trace", "0"]
     proc = subprocess.run(
         [sys.executable, str(BENCHMARKS / "run.py"), *argv], cwd=ROOT, capture_output=True, text=True, timeout=300

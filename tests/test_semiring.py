@@ -1,5 +1,6 @@
 """Max-plus kernel tests: axioms, conjugation, trace, closure."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import dyadic_with_bottom, nonpos_cycle_matrix
+from support import closure_reference, dyadic_with_bottom, nonpos_cycle_matrix
 import tropiloc
 from tropiloc import ChebyshevInstance, cli, emit_instance, semiring
 from tropiloc.errors import DimensionError, DomainError
@@ -313,6 +314,124 @@ def test_trace_shape_guard():
         trace(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         trace_and_closure(np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (trace_and_closure, (np.zeros((0, 0)),)),
+        (trace, (np.zeros((0, 0)),)),
+        (power_trace, (np.zeros((0, 0)),)),
+        (vec_dot, (np.zeros(0), np.zeros(0))),
+        (mat_vec, (np.zeros((2, 0)), np.zeros(0))),
+        (vec_mat, (np.zeros(0), np.zeros((0, 2)))),
+    ],
+    ids=["trace_and_closure", "trace", "power_trace", "vec_dot", "mat_vec", "vec_mat"],
+)
+def test_empty_operands_raise_dimension_error(fn, args):
+    with pytest.raises(DimensionError, match="must be nonempty"):
+        fn(*args)
+
+
+def _potential_matrix(rng, n, p_bottom):
+    # Non-dyadic entries phi_i - phi_k - slack: every cycle weighs minus its
+    # slacks, far below the rounding of the differences, so Tr <= 0.
+    phi = rng.normal(0.0, 100.0, n)
+    a = phi[:, None] - phi[None, :] - rng.exponential(1.0, (n, n))
+    a[rng.random((n, n)) < p_bottom] = BOTTOM
+    return a, phi
+
+
+def _same_bits(got, want):
+    g_gauge, g_star = got
+    w_gauge, w_star = want
+    assert np.float64(g_gauge).view(np.int64) == np.float64(w_gauge).view(np.int64)
+    assert (g_star is None) == (w_star is None)
+    if w_star is not None:
+        assert np.array_equal(g_star.view(np.int64), w_star.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 90, 91, 100, 301])
+def test_closure_is_the_default_buffer_relaxation_bit_for_bit(n):
+    # Either side of the buffer rule (n^2 > 8192 from n = 91) gives the bits of
+    # the one-line relaxation run under numpy's default buffer.
+    rng = np.random.default_rng(1000 + n)
+    closed = 0
+    for p_bottom in (0.05, 0.3, 0.6, 0.9):
+        a, phi = _potential_matrix(rng, n, p_bottom)
+        want = closure_reference(a)
+        _same_bits(trace_and_closure(a), want)
+        closed += want[1] is not None
+        if n >= 2:
+            # a planted 2-cycle of weight about 0.5: the witness matches too
+            i, j = rng.choice(n, 2, replace=False)
+            a[i, j] = phi[i] - phi[j] + 0.5
+            a[j, i] = phi[j] - phi[i]
+            want = closure_reference(a)
+            assert want[1] is None and want[0] > 0.0
+            _same_bits(trace_and_closure(a), want)
+        # random entries, most with positive cycles found mid-relaxation
+        b = rng.normal(-2.0, 1.0, (n, n))
+        b[rng.random((n, n)) < p_bottom] = BOTTOM
+        _same_bits(trace_and_closure(b), closure_reference(b))
+    assert closed == 4
+    a = _potential_matrix(rng, n, 0.3)[0]
+    a[n // 2, (n + 1) // 3] = float("nan")
+    gauge, star = trace_and_closure(a)
+    assert math.isnan(gauge) and star is None
+    assert math.isnan(closure_reference(a)[0])
+
+
+def test_closure_sets_the_buffer_only_when_n_squared_outgrows_it(monkeypatch):
+    calls = []
+    real = np.setbufsize
+    monkeypatch.setattr(np, "setbufsize", lambda size: calls.append(size) or real(size))
+    size = np.getbufsize()
+    fits = math.isqrt(size)
+    rng = np.random.default_rng(3)
+    trace_and_closure(_potential_matrix(rng, fits, 0.3)[0])
+    assert calls == []
+    trace_and_closure(_potential_matrix(rng, fits + 1, 0.3)[0])
+    assert calls == [16, size]
+
+
+def test_closure_restores_the_buffer_size(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    before = np.getbufsize()
+    for n in (5, 100):
+        feasible, phi = _potential_matrix(rng, n, 0.3)
+        cycle = feasible.copy()
+        cycle[0, n - 1] = phi[0] - phi[n - 1] + 0.5
+        cycle[n - 1, 0] = phi[n - 1] - phi[0]
+        nan = feasible.copy()
+        nan[1, 2] = float("nan")
+        for a, closes in ((feasible, True), (cycle, False), (nan, False)):
+            assert (trace_and_closure(a)[1] is not None) == closes
+            assert np.getbufsize() == before
+    with np.errstate():
+        saved = np.setbufsize(4096)
+        try:
+            assert trace_and_closure(_potential_matrix(rng, 91, 0.3)[0])[1] is not None
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(saved)
+    assert np.getbufsize() == before
+    n = 120
+    inst = ChebyshevInstance(
+        points=np.zeros((2, n)),
+        weights=[1.0, 1.0],
+        addends=[0.0, 0.0],
+        box_lo=np.full(n, -100.0),
+        box_hi=np.full(n, 100.0),
+        diff_bounds=nonpos_cycle_matrix(rng, n, density=0.3),
+    )
+    assert not isinstance(tropiloc.solve(inst), Infeasible)
+    assert np.getbufsize() == before
+    path = tmp_path / "wide.json"
+    path.write_text(emit_instance(inst))
+    assert cli.main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    assert np.getbufsize() == before
 
 
 def test_distances():
