@@ -29,11 +29,15 @@ where -g_i and C_k are the upper and lower envelopes of axes i and k, each
 the max of m lines |c_i| (h_j - theta) / w_j -/+ c_i p_ji and a cap/box side.
 Phi is convex, decreasing and piecewise linear, and the root of each piece
 is one term of the closed form, so Newton's method finds theta from below in
-a few steps, each two O(m n) reductions and one O(n^2) product: O(n^3) for
-the closure plus O((m n + n^2) steps) in all, and O(m n) memory.  theta is
-the term Newton stops on, within a derived rounding bound of the exact
-closed form; rounding can also cross the box at theta by a bounded amount,
-and solve_core closes such axes.
+a few steps.  Each step evaluates Phi once, as the parameter box at its level:
+the level envelopes (one formula, shared with assemble_bounds), then u_lo and
+u_hi, whose largest crossing u_lo - u_hi is Phi.  That costs two O(m n)
+reductions and one O(n^2) product: O(n^3) for the closure plus
+O((m n + n^2) steps) in all, and O(m n) memory.  theta is the term Newton
+stops on, within a derived rounding bound of the exact closed form, and the
+box of that last step is the optimal box; nothing is evaluated again at
+theta.  Rounding can cross that box by a bounded amount, and solve_core
+closes such axes.
 
 Inside the solver the client data c * p is held as an (n, m) array, one row
 per axis, formed once per solve; theta and the envelopes q, r, s, t reduce
@@ -58,7 +62,8 @@ import numpy as np
 
 from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
-from .linear import Infeasible, parameter_upper_bound
+from .linear import Infeasible
+from .linear import parameter_upper_bound  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .semiring import BOTTOM, _vec_mat, trace_and_closure
 
 
@@ -261,14 +266,11 @@ class FeasibilityReport:
         return self.spectral_ok and self.bounds_ok
 
 
-def _require_plain(inst, op: str) -> None:
-    if isinstance(inst, ScaledChebyshevInstance):
-        raise TypeError(f"{op} expects a plain ChebyshevInstance; use the scaled solver for scaled instances")
-
-
-def _require_scaled(inst) -> None:
-    if not isinstance(inst, ScaledChebyshevInstance):
-        raise TypeError("a ScaledChebyshevInstance is required here")
+def _require(inst, cls: type, op: str, narrower: type | None = None) -> None:
+    """Raise TypeError unless inst is a cls and, if narrower is given, not a narrower one."""
+    if not isinstance(inst, cls) or (narrower is not None and isinstance(inst, narrower)):
+        kind = cls.__name__ if narrower is None else f"{cls.__name__} (not a {narrower.__name__})"
+        raise TypeError(f"{op} expects a {kind}, got a {type(inst).__name__}")
 
 
 def _scale_of(inst: ChebyshevInstance) -> np.ndarray:
@@ -297,10 +299,15 @@ def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) ->
     return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
 
 
-def _at_level(bounds: BoundVectors, inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray, theta: float) -> BoundVectors:
-    # bounds with the level envelopes of theta filled in.
-    rad = np.abs(c)[:, None] * ((inst.addends - theta) / inst.weights)
-    return BoundVectors((rad + cpt).max(axis=1), (cpt - rad).min(axis=1), bounds.fixed_lo, bounds.fixed_hi)
+def _level_terms(absc, cpt, w, h, t):
+    """The lines of the level envelopes at level t, as two (n, m) arrays.
+
+    Row i holds |c_i| ((h_j - t) / w_j) + c_i p_ji for every client j, whose
+    max is level_lo_i, and c_i p_ji - |c_i| ((h_j - t) / w_j), whose min is
+    level_hi_i.  assemble_bounds and every Newton step evaluate them here.
+    """
+    rad = absc[:, None] * ((h - t) / w)
+    return rad + cpt, cpt - rad
 
 
 def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> BoundVectors:
@@ -314,16 +321,27 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     where c_i < 0 flips the axis and swaps the box ends: c_i g_i is then the
     lower end and c_i f_i the upper one.
     """
+    _require(inst, ChebyshevInstance, "assemble_bounds")
     c = _scale_of(inst)
     cpt = _client_rows(inst, c)
     bounds = _fixed_envelopes(inst, c, cpt)
-    return bounds if theta is None else _at_level(bounds, inst, c, cpt, theta)
+    if theta is None:
+        return bounds
+    lo, hi = _level_terms(np.abs(c), cpt, inst.weights, inst.addends, theta)
+    return BoundVectors(lo.max(axis=1), hi.min(axis=1), bounds.fixed_lo, bounds.fixed_hi)
 
 
-def _parameter_box(star, level: BoundVectors) -> tuple[np.ndarray, np.ndarray]:
-    u_lo = np.maximum(level.level_lo, level.fixed_lo)
-    u_hi = parameter_upper_bound(star, np.minimum(level.level_hi, level.fixed_hi))
-    return u_lo, u_hi
+def _box(star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
+    """The parameter box u_lo <= u <= u_hi at a level, or with none, and its upper envelope q.
+
+    u_lo = max(level_lo, fixed_lo) and u_hi = (q~ B*)~ with q =
+    min(level_hi, fixed_hi), in the arithmetic of parameter_upper_bound; the
+    default, no level, is the identity of max and of min.  In floats
+    u_lo - u_hi is u_lo + (-q) (x) B* bit for bit: its max is the existence
+    condition Phi at the level, and with no level the bounds gap t~ B* s.
+    """
+    q = np.minimum(level_hi, fixed_hi)
+    return np.maximum(level_lo, fixed_lo), np.negative(_vec_mat(np.negative(q), star)), q
 
 
 def _certify(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray):
@@ -331,10 +349,7 @@ def _certify(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray):
     bounds = _fixed_envelopes(inst, c, cpt)
     if star is None:
         return FeasibilityReport(False, gauge, False, None), None, bounds
-    # With no level, the bottom / +inf placeholders are the identities of max
-    # and min, so this is the box s <= u <= (t~ B*)~.  In floats s - (-x) is
-    # s + x exactly, so its largest u_lo - u_hi is t~ B* s bit for bit.
-    u_lo, u_hi = _parameter_box(star, bounds)
+    u_lo, u_hi, _ = _box(star, bounds.fixed_lo, bounds.fixed_hi)
     gap = float(np.max(u_lo - u_hi))
     return FeasibilityReport(True, gauge, gap <= 0.0, gap), star, bounds
 
@@ -346,6 +361,7 @@ def _certificates(inst: ChebyshevInstance):
 
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     """Evaluate both feasibility certificates (plain or scaled instance)."""
+    _require(inst, ChebyshevInstance, "check_feasibility")
     report, _, _ = _certificates(inst)
     return report
 
@@ -357,15 +373,16 @@ def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
     return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
 
 
-def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
-    """theta: the root of the existence condition, by Newton's method.
+def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> tuple[float, np.ndarray, np.ndarray]:
+    """(theta, u_lo, u_hi): the root of the existence condition, by Newton's method, and its box.
 
     cp arrives as (m, n) and is held as (n, m) (see the module docstring);
-    the copy is free when cp is the .T of the solver's row-major rows.  With
-    r_ij = |c_i| / w_j, at level t the parameter box is nonempty exactly when
-        Phi(t) = max_k ((g (x) B*)_k + C_k) <= 0,   where
-        g_i(t) = max(max_j (r_ij (h_j - t) - cp_ij), -fixed_hi_i)   (minus the upper envelope),
-        C_k(t) = max(max_l (r_kl (h_l - t) + cp_kl), fixed_lo_k)    (the lower envelope).
+    the copy is free when cp is the .T of the solver's row-major rows.  At
+    level t the parameter box u_lo <= u <= u_hi (_box, on the envelopes of
+    _level_terms) is nonempty exactly when
+        Phi(t) = max_k ((g (x) B*)_k + C_k) = max_k (u_lo - u_hi)_k <= 0,   where
+        g_i(t) = max(max_j (|c_i| (h_j - t) / w_j - cp_ij), -fixed_hi_i)   (-q_i, minus the upper envelope),
+        C_k(t) = max(max_l (|c_k| (h_l - t) / w_l + cp_kl), fixed_lo_k)    (u_lo_k, the lower envelope).
     Phi is convex, decreasing and piecewise linear, and the root of each piece
     is one term of theta's closed form: the pair term of (j, l) through
     b*_ik, or a side term when g_i or C_k takes its envelope entry.  So
@@ -373,61 +390,55 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> float:
     at t, the argmax chain k, i, j, l names the piece that attains Phi(t),
     and t becomes its root.  It starts at the j = l, i = k term of the
     largest h_j, which is h_j since b*_ii = 0, evaluated like every pair
-    term; so theta is always one float term of the closed form.  Each step
-    costs two O(m n) reductions and one O(n^2) product; memory is O(m n).
+    term; so theta is always one float term of the closed form.  The last
+    step evaluates Phi at theta, so its box is the optimal box, returned
+    with theta.  Each step costs two O(m n) reductions and one O(n^2)
+    product; memory is O(m n).
     """
     cpt = np.ascontiguousarray(cp.T)
-    r = absc[:, None] / w
-    rh = r * h
-    lo = rh - cpt
-    hi = rh + cpt
-    neg_hi = np.negative(fixed_hi)
-    rt = np.empty_like(r)
-    a = np.empty_like(r)
-    c = np.empty_like(r)
     j = int(np.argmax(h))
     t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)
     while True:
-        np.multiply(r, t, out=rt)
-        np.subtract(lo, rt, out=a)
-        np.subtract(hi, rt, out=c)
-        amax = a.max(axis=1)
-        cmax = c.max(axis=1)
-        g = np.maximum(amax, neg_hi)
-        s = _vec_mat(g, star) + np.maximum(cmax, fixed_lo)
-        k = int(np.argmax(s))
-        if not s[k] > 0.0:
+        lo, hi = _level_terms(absc, cpt, w, h, t)
+        level_lo = lo.max(axis=1)
+        level_hi = hi.min(axis=1)
+        u_lo, u_hi, q = _box(star, fixed_lo, fixed_hi, level_lo, level_hi)
+        crossing = u_lo - u_hi
+        k = int(np.argmax(crossing))
+        if not crossing[k] > 0.0:
             break
-        i = int(np.argmax(g + star[:, k]))
+        i = int(np.argmax(star[:, k] - q))
         b = star[i, k]
-        if amax[i] >= neg_hi[i]:
-            j = int(np.argmax(a[i]))
+        if level_hi[i] <= fixed_hi[i]:
+            j = int(np.argmin(hi[i]))
             y = b - cpt[i, j]
-            if cmax[k] >= fixed_lo[k]:
-                l = int(np.argmax(c[k]))
+            if level_lo[k] >= fixed_lo[k]:
+                l = int(np.argmax(lo[k]))
                 step = _pair_terms(absc[i], absc[k], w[j], w[l], h[j], h[l], y + cpt[k, l])
             else:
                 step = h[j] + (w[j] / absc[i]) * (fixed_lo[k] + y)
-        elif cmax[k] >= fixed_lo[k]:
-            l = int(np.argmax(c[k]))
+        elif level_lo[k] >= fixed_lo[k]:
+            l = int(np.argmax(lo[k]))
             step = h[l] + (w[l] / absc[k]) * ((b - fixed_hi[i]) + cpt[k, l])
         else:
             break  # the bounds certificate's own term, which no level moves
         if not step > t:
             break
         t = step
-    return float(t)
+    return float(t), u_lo, u_hi
 
 
 # How far rounding can cross the parameter box of a feasible instance at its
 # theta, in units of u S (u the unit roundoff, S from _magnitude), to first
-# order: 5 for u_lo (c p, h - theta, / w, * |c| and the sum), 8 for u_hi (the
-# same 5 for q, then -q_k + b*_ki), and 70 for how far below the root theta
-# can stop, which adds Phi(theta) to the crossing.  Phi is evaluated within
-# 15 u S (6 for each envelope, 3 for g + b*; the sign of the last sum is
-# exact), and a pair term within 40 u S of slope times error; Newton stops
-# where Phi looks <= 0 (15), or where the next term is no larger (40 + 2 x 15).
-_BOX_ROUNDINGS = 83
+# order.  The box is the last evaluation of Phi, so no axis is crossed by more
+# than the float Phi(theta).  A level term costs 5 (h - t, / w and * |c|
+# together 3, then +/- c p 2) and g + b* 3 more, so each float piece of Phi is
+# within 13 of its exact value.  Newton stops where Phi looks <= 0 (no
+# crossing), on the bounds certificate's own term (<= 0 by that certificate),
+# or where the root of the piece that attains Phi is no larger than theta;
+# that root is within 40 u S of slope times error, so the piece is at most
+# 40 at theta, and its float value at most 40 + 13.
+_BOX_ROUNDINGS = 53
 _U = float(np.finfo(np.float64).eps) / 2
 
 
@@ -438,43 +449,37 @@ def _magnitude(absc, cpt, w, h, star, bounds: BoundVectors, theta: float) -> flo
     return float(max(np.abs(cpt).max(), level, envelopes, np.abs(star[star > BOTTOM]).max()))
 
 
-def _theta(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray, star, bounds: BoundVectors) -> float:
-    args = (inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-    return _theta_kernel(cpt.T, np.abs(c), *args)
-
-
-def _feasible_theta(inst: ChebyshevInstance, op: str) -> float:
-    c = _scale_of(inst)
-    cpt = _client_rows(inst, c)
-    report, star, bounds = _certify(inst, c, cpt)
-    if not report.feasible:
-        raise ContractViolationError(f"{op} requires a feasible instance; run check_feasibility first")
-    return _theta(inst, c, cpt, star, bounds)
-
-
 def compute_theta(inst: ChebyshevInstance) -> float:
     """Optimal objective value of a feasible plain instance, in closed form."""
-    _require_plain(inst, "compute_theta")
+    _require(inst, ChebyshevInstance, "compute_theta", ScaledChebyshevInstance)
     return _feasible_theta(inst, "compute_theta")
 
 
 def compute_theta_scaled(inst: ScaledChebyshevInstance) -> float:
     """Optimal objective value of a feasible scaled instance."""
-    _require_scaled(inst)
+    _require(inst, ScaledChebyshevInstance, "compute_theta_scaled")
     return _feasible_theta(inst, "compute_theta_scaled")
+
+
+def _feasible_theta(inst: ChebyshevInstance, op: str) -> float:
+    box = solve_core(inst)
+    if isinstance(box, Infeasible):
+        raise ContractViolationError(f"{op} requires a feasible instance; run check_feasibility first")
+    return box.theta
 
 
 def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox | Infeasible:
     """Optimal value and the complete optimal set of a plain or scaled instance.
 
     Returns a SolutionBox whose members all attain theta, or a typed
-    Infeasible result naming the failed certificate.  Once the certificates
-    pass, the box is nonempty in exact arithmetic; an axis that rounding
-    crossed, by at most _BOX_ROUNDINGS u S, is closed up to its lower end, so
-    a feasible instance never gets an empty box.  The box lives in scaled coordinates and its transform divides
-    members by c; an all-ones scale gets no scale in the transform.
-    rotate45 marks an instance that is the rotated image of a plane one, so
-    the transform also rotates members back.
+    Infeasible result naming the failed certificate.  theta and the box come
+    from the same, last, Newton step.  Once the certificates pass, the box is
+    nonempty in exact arithmetic; an axis that rounding crossed, by at most
+    _BOX_ROUNDINGS u S, is closed up to its lower end, so a feasible instance
+    never gets an empty box.  The box lives in scaled coordinates and its
+    transform divides members by c; an all-ones scale gets no scale in the
+    transform.  rotate45 marks an instance that is the rotated image of a
+    plane one, so the transform also rotates members back.
     """
     c = _scale_of(inst)
     cpt = _client_rows(inst, c)
@@ -483,13 +488,11 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
         return Infeasible("spectral", report.cycle_gauge)
     if not report.bounds_ok:
         return Infeasible("bounds", report.bounds_gap)
-    theta = _theta(inst, c, cpt, star, bounds)
-    u_lo, u_hi = _parameter_box(star, _at_level(bounds, inst, c, cpt, theta))
+    absc = np.abs(c)
+    theta, u_lo, u_hi = _theta_kernel(cpt.T, absc, inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
     gap = u_lo - u_hi
     if gap.max() > 0.0:
-        # Rounding crosses a feasible box by at most _BOX_ROUNDINGS u S; those
-        # axes are closed up to their lower end.
-        slack = _BOX_ROUNDINGS * _U * _magnitude(np.abs(c), cpt, inst.weights, inst.addends, star, bounds, theta)
+        slack = _BOX_ROUNDINGS * _U * _magnitude(absc, cpt, inst.weights, inst.addends, star, bounds, theta)
         u_hi = np.where((gap > 0.0) & (gap <= slack), u_lo, u_hi)
     scale = None if (c == 1.0).all() else tuple(float(v) for v in c)
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
@@ -497,7 +500,7 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
 
 def solve_particular(inst: ChebyshevInstance) -> SolutionBox | Infeasible:
     """Optimal value and the complete optimal set of a plain instance."""
-    _require_plain(inst, "solve_particular")
+    _require(inst, ChebyshevInstance, "solve_particular", ScaledChebyshevInstance)
     return solve_core(inst)
 
 
@@ -507,7 +510,7 @@ def solve_scaled(inst: ScaledChebyshevInstance) -> SolutionBox | Infeasible:
     An all-ones scale yields the identity transform, making the result
     indistinguishable from solve_particular on the embedded plain instance.
     """
-    _require_scaled(inst)
+    _require(inst, ScaledChebyshevInstance, "solve_scaled")
     return solve_core(inst)
 
 

@@ -203,6 +203,10 @@ def random_infeasible(n: int, m: int, seed: int, mode: str | None = None) -> Che
     plants a positive cycle in the difference bounds (spectral certificate
     fails).  Defaults to a seed-dependent choice.
     """
+    if m < 1 or n < 1:
+        raise ValueError("n and m must be positive")
+    if mode not in (None, "caps", "cycle"):
+        raise ValueError(f"mode must be 'caps', 'cycle' or None, got {mode!r}")
     rng = np.random.default_rng(seed)
     if mode is None:
         mode = "caps" if rng.random() < 0.5 else "cycle"

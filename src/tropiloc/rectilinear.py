@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import SolutionBox, rotate45, unrotate45
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _as_float_array, _Instance, _trusted, solve_core
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _as_float_array, _Instance, _require, _trusted, solve_core
 from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .errors import DimensionError, InstanceError
 from .linear import Infeasible
@@ -134,15 +134,13 @@ def tilted_to_scaled(inst: TiltedStripInstance) -> ScaledChebyshevInstance:
 
 def solve_strip(inst: StripInstance) -> SolutionBox | Infeasible:
     """Optimal value and complete optimal set of a strip instance."""
-    if isinstance(inst, TiltedStripInstance):
-        raise TypeError("solve_strip expects a plain StripInstance; use solve_tilted")
+    _require(inst, StripInstance, "solve_strip", TiltedStripInstance)
     return solve_core(strip_to_chebyshev(inst), rotate45=True)
 
 
 def solve_tilted(inst: TiltedStripInstance) -> SolutionBox | Infeasible:
     """Optimal value and complete optimal set of a tilted-strip instance."""
-    if not isinstance(inst, TiltedStripInstance):
-        raise TypeError("solve_tilted expects a TiltedStripInstance; use solve_strip")
+    _require(inst, TiltedStripInstance, "solve_tilted")
     return solve_core(tilted_to_scaled(inst), rotate45=True)
 
 

@@ -189,18 +189,25 @@ def conjugate_transpose(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionError(f"vector expected, got shape {x.shape}")
+    if x.size == 0:
+        raise DimensionError("vector must be nonempty")
     if not np.any(x > BOTTOM):
         raise DomainError("all-bottom vector has no conjugate")
     return np.where(np.isneginf(x), BOTTOM, -x)
 
 
-def trace(a) -> float:
-    """Tropical trace: max of the diagonal."""
+def _square(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"square matrix expected, got shape {a.shape}")
     if a.size == 0:
         raise DimensionError("matrix must be nonempty")
+    return a
+
+
+def trace(a) -> float:
+    """Tropical trace: max of the diagonal."""
+    a = _square(a)
     return float(np.max(np.diagonal(a)))
 
 
@@ -222,11 +229,7 @@ def trace_and_closure(a) -> tuple[float, np.ndarray | None]:
     because a row is shorter than it.  The caller's size is restored on every
     return.  Otherwise no buffer call is made.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"square matrix expected, got shape {a.shape}")
-    if a.size == 0:
-        raise DimensionError("matrix must be nonempty")
+    a = _square(a)
     n = a.shape[0]
     d = a.copy()
     diag = np.diagonal(d)
@@ -263,7 +266,7 @@ def power_trace(a) -> float:
 
 def power_closure(a) -> np.ndarray:
     """A* from its definition: I max A max ... max A^(n-1). O(n^4) oracle."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _square(a)
     n = a.shape[0]
     star = identity(n)
     p = identity(n)

@@ -41,7 +41,7 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
 def _distances(inst, xs: np.ndarray) -> np.ndarray:
     """(N, m) distances from each row of xs to each point, in the variant's metric."""
     diff = np.abs(xs[:, None, :] - inst.points[None, :, :])
-    norm = np.sum if lookup(inst).metric == "d1" else np.max
+    norm = np.sum if lookup(inst).rotate45 else np.max
     return norm(diff, axis=2)
 
 

@@ -4,8 +4,9 @@ Every variant reduces to the core problem, a Chebyshev instance in scaled
 coordinates (a plain one is scaled with c = 1): the plane variants after the
 45-degree rotation, which turns rectilinear distance into Chebyshev
 distance.  One entry per variant names its JSON tag, its instance class, that
-reduction, whether the solution transform rotates back, and the metric of its
-objective.  Everything that depends on the variant reads this table.
+reduction, and whether the solution transform rotates back; the rotated
+variants are the two whose objective is rectilinear.  Everything that depends
+on the variant reads this table.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ class Variant:
     name: str
     instance: type
     reduce: Callable[[AnyInstance], ChebyshevInstance]
-    rotate45: bool
-    metric: str  # "dinf" (Chebyshev) or "d1" (rectilinear)
+    rotate45: bool  # also: the objective is rectilinear (d1), not Chebyshev
 
 
 def _as_is(inst: ChebyshevInstance) -> ChebyshevInstance:
@@ -36,10 +36,10 @@ def _as_is(inst: ChebyshevInstance) -> ChebyshevInstance:
 
 
 TABLE = (
-    Variant("chebyshev", ChebyshevInstance, _as_is, False, "dinf"),
-    Variant("chebyshev_scaled", ScaledChebyshevInstance, _as_is, False, "dinf"),
-    Variant("rectilinear_strip", StripInstance, strip_to_chebyshev, True, "d1"),
-    Variant("rectilinear_tilted", TiltedStripInstance, tilted_to_scaled, True, "d1"),
+    Variant("chebyshev", ChebyshevInstance, _as_is, False),
+    Variant("chebyshev_scaled", ScaledChebyshevInstance, _as_is, False),
+    Variant("rectilinear_strip", StripInstance, strip_to_chebyshev, True),
+    Variant("rectilinear_tilted", TiltedStripInstance, tilted_to_scaled, True),
 )
 
 _BY_CLASS = {v.instance: v for v in TABLE}

@@ -10,9 +10,10 @@ The bounds are first-order rounding analyses of the solver's float
 evaluation, in units of u S, where u is the unit roundoff and S the largest
 magnitude among the operands (see magnitude); the derivations are in
 CHANGES.md.  THETA_ROUNDINGS bounds |theta - exact theta| times sigma, the
-least slope |c_i| / w_j of a piece of the existence condition.  The
-solver's own chebyshev._BOX_ROUNDINGS bounds, in the same units, how far
-rounding can cross the parameter box of a feasible instance.
+least slope |c_i| / w_j of a piece of the existence condition Phi.  The
+solver's box is its last evaluation of Phi, at theta, so rounding crosses it
+by at most the float Phi(theta); the solver's own chebyshev._BOX_ROUNDINGS
+bounds that, in the same units.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 U = float(np.finfo(np.float64).eps) / 2
-THETA_ROUNDINGS = 70
+THETA_ROUNDINGS = 66
 
 
 def theta_exact(cp, absc, w, h, star, fixed_lo, fixed_hi) -> Fraction:

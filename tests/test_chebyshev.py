@@ -15,7 +15,9 @@ from support import (
     theta_grid,
     theta_reference,
     tight_caps_instance,
+    tilted_line_instance,
     two_point_instance,
+    wide_strip_instance,
 )
 from tropiloc import (
     ChebyshevInstance,
@@ -31,6 +33,8 @@ from tropiloc import (
     solve,
     solve_particular,
     solve_scaled,
+    solve_strip,
+    solve_tilted,
     verify,
 )
 from tropiloc import chebyshev
@@ -339,6 +343,10 @@ def test_scaled_negative_axis_flips_box():
 
 
 def test_dispatch_guards():
+    # Each typed entry point accepts its own instance classes and raises
+    # TypeError on the others, instead of an AttributeError from inside or,
+    # for assemble_bounds on a strip, envelopes in mixed coordinates.
+    plain = two_point_instance()
     scaled = ScaledChebyshevInstance(
         points=[[0.0]],
         weights=[1.0],
@@ -348,14 +356,24 @@ def test_dispatch_guards():
         diff_bounds=np.full((1, 1), BOTTOM),
         scale=[2.0],
     )
-    with pytest.raises(TypeError):
-        solve_particular(scaled)
-    with pytest.raises(TypeError):
-        compute_theta(scaled)
-    with pytest.raises(TypeError):
-        solve_scaled(two_point_instance())
-    with pytest.raises(TypeError):
-        compute_theta_scaled(two_point_instance())
+    strip, tilted = wide_strip_instance(), tilted_line_instance()
+    accepts = {
+        solve_particular: {plain},
+        compute_theta: {plain},
+        solve_scaled: {scaled},
+        compute_theta_scaled: {scaled},
+        chebyshev.check_feasibility: {plain, scaled},
+        assemble_bounds: {plain, scaled},
+        solve_strip: {strip},
+        solve_tilted: {tilted},
+    }
+    for entry, own in accepts.items():
+        for inst in (plain, scaled, strip, tilted):
+            if inst in own:
+                entry(inst)
+            else:
+                with pytest.raises(TypeError, match=entry.__name__):
+                    entry(inst)
 
 
 def test_all_ones_scale_reduces_to_particular():
@@ -486,7 +504,7 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
     args = (0.3 * pair.points, np.array([0.3]), pair.weights, pair.addends, star, bounds.fixed_lo, bounds.fixed_hi)
     assert theta_exact(*args) == Fraction(0.001)
     assert theta_reference(*args) == theta_grid(*args) == 0.0010000000000000005
-    assert chebyshev._theta_kernel(*args) == solve_scaled(pair).theta == 0.001
+    assert chebyshev._theta_kernel(*args)[0] == solve_scaled(pair).theta == 0.001
     rng = np.random.default_rng(11)
     shapes = ("repeated", "lattice", "single", "diagonal", "side")
     scales = ("plain", "unit", "repeated", "per-axis")
@@ -539,7 +557,7 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
             continue
         cp = c * inst.points
         args = (cp, np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-        theta = chebyshev._theta_kernel(*args)
+        theta = chebyshev._theta_kernel(*args)[0]
         assert theta_reference(*args) == theta_grid(*args), (trial, shape, kind)
         assert _within_exact_bound(theta, args), (trial, shape, kind)
         checked[shape] += 1
@@ -570,7 +588,7 @@ def test_theta_kernel_ignores_the_layout_of_cp():
         wide = np.zeros((2 * inst.m, 3 * inst.dim))
         wide[::2, ::3] = cp
         rest = (np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-        thetas = [chebyshev._theta_kernel(view, *rest) for view in (cp, np.asfortranarray(cp), wide[::2, ::3])]
+        thetas = [chebyshev._theta_kernel(view, *rest)[0] for view in (cp, np.asfortranarray(cp), wide[::2, ::3])]
         assert len({_bits(theta) for theta in thetas}) == 1, seed
         assert _within_exact_bound(thetas[0], (cp, *rest)), seed
         checked += 1
@@ -623,7 +641,7 @@ def test_distinct_tuples_keep_theta():
         if not report.feasible:
             continue
         args = (c * inst.points, np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-        assert _within_exact_bound(chebyshev._theta_kernel(*args), args), trial
+        assert _within_exact_bound(chebyshev._theta_kernel(*args)[0], args), trial
         checked += 1
     assert checked >= 100, checked
 
@@ -631,10 +649,10 @@ def test_distinct_tuples_keep_theta():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_certificate_and_box_are_solve_double(variant):
     # The bounds certificate is solve_double on the envelopes with no level,
-    # and the optimal box is solve_double on them at level theta, except
-    # where rounding crossed the box: those axes are closed up to u_lo, and
-    # only within the solver's derived bound.  Rescaled copies make rounding
-    # cross some boxes.
+    # and the optimal box is solve_double on them at level theta, u_lo and
+    # u_hi bit for bit, except where rounding crossed the box: those axes are
+    # closed up to u_lo, and only within the solver's derived bound.  Rescaled
+    # copies make rounding cross some boxes.
     verdicts = set()
     clamped = 0
     for seed in range(24):
@@ -654,6 +672,7 @@ def test_certificate_and_box_are_solve_double(variant):
             assert _bits(np.max(family.u_lo - family.u_hi)) == _bits(report.bounds_gap)
             box = solve(scaled)
             level = assemble_bounds(core, box.theta)
+            assert _bits(box.u_lo) == _bits(np.maximum(level.level_lo, level.fixed_lo)), (seed, f)
             # u_hi depends on q alone; the lower side stays open.
             open_lo = np.full(core.dim, BOTTOM)
             family = solve_double(core.diff_bounds, open_lo, np.minimum(level.level_hi, level.fixed_hi))

@@ -40,6 +40,14 @@ def test_argument_validation():
         random_instance("rectilinear_strip", 3, 3, 0)
     with pytest.raises(ValueError, match="plane"):
         random_instance("rectilinear_tilted", 1, 3, 0)
+    # random_infeasible checks its shape and mode before any draw, so that no
+    # unknown mode falls through to the cycle construction.
+    with pytest.raises(ValueError, match="must be positive"):
+        random_infeasible(0, 3, 0)
+    with pytest.raises(ValueError, match="must be positive"):
+        random_infeasible(2, 0, 0)
+    with pytest.raises(ValueError, match="mode must be"):
+        random_infeasible(2, 3, 0, mode="foo")
 
 
 def test_generated_instances_solve_and_verify():

@@ -325,8 +325,10 @@ def test_trace_shape_guard():
         (vec_dot, (np.zeros(0), np.zeros(0))),
         (mat_vec, (np.zeros((2, 0)), np.zeros(0))),
         (vec_mat, (np.zeros(0), np.zeros((0, 2)))),
+        (power_closure, (np.zeros((0, 0)),)),
+        (conjugate_transpose, (np.zeros(0),)),
     ],
-    ids=["trace_and_closure", "trace", "power_trace", "vec_dot", "mat_vec", "vec_mat"],
+    ids=["trace_and_closure", "trace", "power_trace", "vec_dot", "mat_vec", "vec_mat", "power_closure", "conjugate_transpose"],
 )
 def test_empty_operands_raise_dimension_error(fn, args):
     with pytest.raises(DimensionError, match="must be nonempty"):
