@@ -47,6 +47,17 @@ held as (m, n), each op would cost one per client, O(m), as much as the
 O(m n) Newton work.  Max, min and argmax are exact and every sum sees the
 same operands, so the layout does not change a single bit.
 
+For the same reason the solve path calls no Python-level numpy wrapper: it
+reduces with np.maximum.reduce, np.minimum.reduce and np.logical_or/and.reduce
+(not .max(), .min(), .any(), .all() or np.max), takes x.argmax() (not
+np.argmax(x)), tests b == np.inf (not np.isposinf(b)) and builds no
+np.full/np.ones per call.  The wrappers forward to those same C reductions,
+so the bits are the same, but each adds from 0.3 microseconds (a method such
+as .max()) to 2 (a function such as np.argmax), and a solve at n <= 4 makes
+dozens of such calls.  The plane reductions keep the layout of
+the rotation's fresh array, an F-ordered (m, 2) view, which _client_rows
+transposes to C order with no copy in between.
+
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
 difference bounds while keeping the same objective; it is solved by the same
 machinery in scaled coordinates y_i = c_i * x_i and mapped back.  A plain
@@ -84,13 +95,17 @@ def _store(inst, name: str, arr: np.ndarray, sized: bool, shape_error: str, bad:
     if not sized:
         raise InstanceError(shape_error)
     _reject(bad, label, must)
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    object.__setattr__(inst, name, out)
+    _freeze(inst, name, np.ascontiguousarray(arr))
+
+
+def _freeze(inst, name: str, arr: np.ndarray) -> None:
+    arr.setflags(write=False)
+    object.__setattr__(inst, name, arr)
 
 
 def _reject(bad: np.ndarray, label: str, must: str) -> None:
-    if bad.any():
+    # One reduction on the common path; the offender is located on failure only.
+    if np.logical_or.reduce(bad, axis=None):
         index = "".join(f"[{k}]" for k in np.argwhere(bad)[0])
         raise InstanceError(f"{label}{index} must be {must}")
 
@@ -102,12 +117,12 @@ def _check_scaled_products(inst) -> None:
             _reject(~np.isfinite(inst.scale * value), f"c * {label}", "finite")
 
 
-def _store_points(inst, pts: np.ndarray, sized: bool, shape_error: str):
-    _store(inst, "points", pts, sized, shape_error, ~np.isfinite(pts), "points", "finite")
+def _bad_points(pts: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(pts)
 
 
-def _store_bounds(inst, b: np.ndarray, sized: bool, shape_error: str):
-    _store(inst, "diff_bounds", b, sized, shape_error, np.isnan(b) | np.isposinf(b), "B", "real or absent")
+def _bad_bounds(b: np.ndarray) -> np.ndarray:
+    return np.isnan(b) | (b == np.inf)
 
 
 def _trusted(cls, *, points: np.ndarray, diff_bounds: np.ndarray, **checked):
@@ -117,12 +132,18 @@ def _trusted(cls, *, points: np.ndarray, diff_bounds: np.ndarray, **checked):
     diff_bounds, which a reduction computes in the right shapes, and the
     scaled products are checked, with the constructor's messages, because
     the rotation, the doubled strip ends and the tilted scale can overflow.
+    points and diff_bounds must be fresh arrays: they are frozen in the
+    layout they come in, with no copy.  The rotation's points are the
+    F-ordered transpose of a (2, m) array, which _client_rows transposes
+    straight back to C order.
     """
     inst = object.__new__(cls)
     for name, value in checked.items():
         object.__setattr__(inst, name, value)
-    _store_points(inst, points, True, "")
-    _store_bounds(inst, diff_bounds, True, "")
+    _reject(_bad_points(points), "points", "finite")
+    _reject(_bad_bounds(diff_bounds), "B", "real or absent")
+    _freeze(inst, "points", points)
+    _freeze(inst, "diff_bounds", diff_bounds)
     if "scale" in checked:
         _check_scaled_products(inst)
     return inst
@@ -152,7 +173,7 @@ class _Instance:
         pts = _as_float_array(self.points, "points")
         sized = pts.ndim == 2 and pts.shape[0] >= 1 and pts.shape[1] >= 1
         error = f"points must be a nonempty 2-D array, got shape {pts.shape}"
-        _store_points(self, pts, sized, error)
+        _store(self, "points", pts, sized, error, _bad_points(pts), "points", "finite")
         m, n = pts.shape
         w = _as_float_array(self.weights, "weights")
         error = f"weights must have length {m}, got shape {w.shape}"
@@ -172,9 +193,9 @@ class _Instance:
         error = f"lower/upper box bounds must have length {n}"
         _store(self, "box_lo", lo, sized, error, ~np.isfinite(lo), "lower", "finite")
         _store(self, "box_hi", hi, sized, error, ~np.isfinite(hi), "upper", "finite")
-        bad = np.argwhere(lo > hi)
-        if bad.size:
-            i = int(bad[0][0])
+        crossed = lo > hi
+        if np.logical_or.reduce(crossed):
+            i = int(crossed.argmax())
             raise InstanceError(f"lower[{i}] exceeds upper[{i}]")
 
     @property
@@ -201,7 +222,7 @@ class ChebyshevInstance(_Instance):
         n = self.dim
         b = _as_float_array(self.diff_bounds, "B")
         error = f"B must be {n}x{n}, got shape {b.shape}"
-        _store_bounds(self, b, b.shape == (n, n), error)
+        _store(self, "diff_bounds", b, b.shape == (n, n), error, _bad_bounds(b), "B", "real or absent")
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -275,7 +296,11 @@ def _require(inst, cls: type, op: str, narrower: type | None = None) -> None:
 
 def _scale_of(inst: ChebyshevInstance) -> np.ndarray:
     """The scale vector c; a plain instance is the scaled one with c = 1."""
-    return inst.scale if isinstance(inst, ScaledChebyshevInstance) else np.ones(inst.dim)
+    if isinstance(inst, ScaledChebyshevInstance):
+        return inst.scale
+    c = np.empty(inst.dim)
+    c.fill(1.0)
+    return c
 
 
 def _client_rows(inst: ChebyshevInstance, c: np.ndarray) -> np.ndarray:
@@ -283,10 +308,11 @@ def _client_rows(inst: ChebyshevInstance, c: np.ndarray) -> np.ndarray:
     return np.multiply(c[:, None], inst.points.T, order="C")
 
 
-def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) -> BoundVectors:
-    # assemble_bounds(inst) on the client rows cpt = _client_rows(inst, c).
-    # A negative c_i swaps the ends of the box.  Selecting by sign rather than
-    # by min/max keeps a signed zero where the two ends tie.
+def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (fixed_lo, fixed_hi) of assemble_bounds(inst), on the client rows
+    # cpt = _client_rows(inst, c).  A negative c_i swaps the ends of the box.
+    # Selecting by sign rather than by min/max keeps a signed zero where the
+    # two ends tie.
     flip = c < 0
     cf = c * inst.box_lo
     cg = c * inst.box_hi
@@ -294,9 +320,14 @@ def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) ->
     fixed_hi = np.where(flip, cf, cg)
     if inst.caps is not None:
         radii = np.abs(c)[:, None] * inst.caps
-        fixed_lo = np.maximum((cpt - radii).max(axis=1), fixed_lo)
-        fixed_hi = np.minimum((cpt + radii).min(axis=1), fixed_hi)
-    return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
+        fixed_lo = np.maximum(np.maximum.reduce(cpt - radii, axis=1), fixed_lo)
+        fixed_hi = np.minimum(np.minimum.reduce(cpt + radii, axis=1), fixed_hi)
+    return fixed_lo, fixed_hi
+
+
+def _without_level(fixed_lo: np.ndarray, fixed_hi: np.ndarray) -> BoundVectors:
+    n = fixed_lo.shape[0]
+    return BoundVectors(np.full(n, BOTTOM), np.full(n, np.inf), fixed_lo, fixed_hi)
 
 
 def _level_terms(absc, cpt, w, h, t):
@@ -324,11 +355,11 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     _require(inst, ChebyshevInstance, "assemble_bounds")
     c = _scale_of(inst)
     cpt = _client_rows(inst, c)
-    bounds = _fixed_envelopes(inst, c, cpt)
+    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
     if theta is None:
-        return bounds
+        return _without_level(fixed_lo, fixed_hi)
     lo, hi = _level_terms(np.abs(c), cpt, inst.weights, inst.addends, theta)
-    return BoundVectors(lo.max(axis=1), hi.min(axis=1), bounds.fixed_lo, bounds.fixed_hi)
+    return BoundVectors(np.maximum.reduce(lo, axis=1), np.minimum.reduce(hi, axis=1), fixed_lo, fixed_hi)
 
 
 def _box(star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
@@ -345,18 +376,21 @@ def _box(star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
 
 
 def _certify(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray):
+    """(report, B* or None, fixed_lo, fixed_hi) on the client rows cpt."""
     gauge, star = trace_and_closure(inst.diff_bounds)
-    bounds = _fixed_envelopes(inst, c, cpt)
+    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
     if star is None:
-        return FeasibilityReport(False, gauge, False, None), None, bounds
-    u_lo, u_hi, _ = _box(star, bounds.fixed_lo, bounds.fixed_hi)
-    gap = float(np.max(u_lo - u_hi))
-    return FeasibilityReport(True, gauge, gap <= 0.0, gap), star, bounds
+        return FeasibilityReport(False, gauge, False, None), None, fixed_lo, fixed_hi
+    u_lo, u_hi, _ = _box(star, fixed_lo, fixed_hi)
+    gap = float(np.maximum.reduce(u_lo - u_hi))
+    return FeasibilityReport(True, gauge, gap <= 0.0, gap), star, fixed_lo, fixed_hi
 
 
 def _certificates(inst: ChebyshevInstance):
+    """(report, B* or None, the fixed envelopes as BoundVectors)."""
     c = _scale_of(inst)
-    return _certify(inst, c, _client_rows(inst, c))
+    report, star, fixed_lo, fixed_hi = _certify(inst, c, _client_rows(inst, c))
+    return report, star, _without_level(fixed_lo, fixed_hi)
 
 
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
@@ -396,29 +430,29 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> tuple[float, np.n
     product; memory is O(m n).
     """
     cpt = np.ascontiguousarray(cp.T)
-    j = int(np.argmax(h))
+    j = int(h.argmax())
     t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)
     while True:
         lo, hi = _level_terms(absc, cpt, w, h, t)
-        level_lo = lo.max(axis=1)
-        level_hi = hi.min(axis=1)
+        level_lo = np.maximum.reduce(lo, axis=1)
+        level_hi = np.minimum.reduce(hi, axis=1)
         u_lo, u_hi, q = _box(star, fixed_lo, fixed_hi, level_lo, level_hi)
         crossing = u_lo - u_hi
-        k = int(np.argmax(crossing))
+        k = int(crossing.argmax())
         if not crossing[k] > 0.0:
             break
-        i = int(np.argmax(star[:, k] - q))
+        i = int((star[:, k] - q).argmax())
         b = star[i, k]
         if level_hi[i] <= fixed_hi[i]:
-            j = int(np.argmin(hi[i]))
+            j = int(hi[i].argmin())
             y = b - cpt[i, j]
             if level_lo[k] >= fixed_lo[k]:
-                l = int(np.argmax(lo[k]))
+                l = int(lo[k].argmax())
                 step = _pair_terms(absc[i], absc[k], w[j], w[l], h[j], h[l], y + cpt[k, l])
             else:
                 step = h[j] + (w[j] / absc[i]) * (fixed_lo[k] + y)
         elif level_lo[k] >= fixed_lo[k]:
-            l = int(np.argmax(lo[k]))
+            l = int(lo[k].argmax())
             step = h[l] + (w[l] / absc[k]) * ((b - fixed_hi[i]) + cpt[k, l])
         else:
             break  # the bounds certificate's own term, which no level moves
@@ -442,11 +476,12 @@ _BOX_ROUNDINGS = 53
 _U = float(np.finfo(np.float64).eps) / 2
 
 
-def _magnitude(absc, cpt, w, h, star, bounds: BoundVectors, theta: float) -> float:
+def _magnitude(absc, cpt, w, h, star, fixed_lo, fixed_hi, theta: float) -> float:
     """S: the largest |c_i p_ji|, |c_i| (|h_j| + |theta|) / w_j, |fixed_lo|, |fixed_hi| or finite |b*_ik|."""
-    level = absc.max() * ((np.abs(h) + abs(theta)) / w).max()
-    envelopes = max(np.abs(bounds.fixed_lo).max(), np.abs(bounds.fixed_hi).max())
-    return float(max(np.abs(cpt).max(), level, envelopes, np.abs(star[star > BOTTOM]).max()))
+    amax = np.maximum.reduce
+    level = amax(absc) * amax((np.abs(h) + abs(theta)) / w)
+    envelopes = max(amax(np.abs(fixed_lo)), amax(np.abs(fixed_hi)))
+    return float(max(amax(np.abs(cpt), axis=None), level, envelopes, amax(np.abs(star[star > BOTTOM]))))
 
 
 def compute_theta(inst: ChebyshevInstance) -> float:
@@ -483,18 +518,18 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     """
     c = _scale_of(inst)
     cpt = _client_rows(inst, c)
-    report, star, bounds = _certify(inst, c, cpt)
+    report, star, fixed_lo, fixed_hi = _certify(inst, c, cpt)
     if not report.spectral_ok:
         return Infeasible("spectral", report.cycle_gauge)
     if not report.bounds_ok:
         return Infeasible("bounds", report.bounds_gap)
     absc = np.abs(c)
-    theta, u_lo, u_hi = _theta_kernel(cpt.T, absc, inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    theta, u_lo, u_hi = _theta_kernel(cpt.T, absc, inst.weights, inst.addends, star, fixed_lo, fixed_hi)
     gap = u_lo - u_hi
-    if gap.max() > 0.0:
-        slack = _BOX_ROUNDINGS * _U * _magnitude(absc, cpt, inst.weights, inst.addends, star, bounds, theta)
+    if np.maximum.reduce(gap) > 0.0:
+        slack = _BOX_ROUNDINGS * _U * _magnitude(absc, cpt, inst.weights, inst.addends, star, fixed_lo, fixed_hi, theta)
         u_hi = np.where((gap > 0.0) & (gap <= slack), u_lo, u_hi)
-    scale = None if (c == 1.0).all() else tuple(float(v) for v in c)
+    scale = None if np.logical_and.reduce(c == 1.0) else tuple(c.tolist())
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
 
 

@@ -184,7 +184,8 @@ def variant_of(inst) -> str:
 
 
 def _bounds_to_rows(bounds: np.ndarray) -> list:
-    return [[None if v == BOTTOM else float(v) for v in row] for row in bounds]
+    # tolist() first: comparing Python floats costs a fraction of numpy scalars.
+    return [[None if v == BOTTOM else v for v in row] for row in bounds.tolist()]
 
 
 def emit_instance(inst) -> str:
@@ -199,7 +200,7 @@ def emit_instance(inst) -> str:
         "addends": inst.addends.tolist(),
     }
     if inst.caps is not None:
-        doc["caps"] = [None if np.isinf(v) else float(v) for v in inst.caps]
+        doc["caps"] = [None if v == math.inf else v for v in inst.caps.tolist()]
     doc["lower"] = inst.box_lo.tolist()
     doc["upper"] = inst.box_hi.tolist()
     if variant == "chebyshev":

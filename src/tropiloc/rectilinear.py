@@ -102,9 +102,7 @@ def rotate(point, direction: str = "forward") -> np.ndarray:
 
 
 def _rotated(inst: StripInstance, core: type, **scale) -> ChebyshevInstance:
-    bounds = np.full((2, 2), BOTTOM)
-    bounds[0, 1] = 2.0 * inst.strip_lo
-    bounds[1, 0] = -2.0 * inst.strip_hi
+    bounds = np.array([[BOTTOM, 2.0 * inst.strip_lo], [-2.0 * inst.strip_hi, BOTTOM]])
     return _trusted(
         core,
         points=rotate45(inst.points),

@@ -41,13 +41,13 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
 def _distances(inst, xs: np.ndarray) -> np.ndarray:
     """(N, m) distances from each row of xs to each point, in the variant's metric."""
     diff = np.abs(xs[:, None, :] - inst.points[None, :, :])
-    norm = np.sum if lookup(inst).rotate45 else np.max
-    return norm(diff, axis=2)
+    norm = np.add if lookup(inst).rotate45 else np.maximum
+    return norm.reduce(diff, axis=2)
 
 
 def objective_batch(inst, xs: np.ndarray) -> np.ndarray:
     """Objective at each row of xs (shape (N, dim)) without validation."""
-    return np.max(inst.weights[None, :] * _distances(inst, xs) + inst.addends[None, :], axis=1)
+    return np.maximum.reduce(inst.weights[None, :] * _distances(inst, xs) + inst.addends[None, :], axis=1)
 
 
 def objective_value(inst, x) -> float:
@@ -118,19 +118,20 @@ def sample(box: SolutionBox, k: int, seed: int = 0) -> np.ndarray:
     if k < 1:
         raise DomainError("sample size must be at least 1")
     gap = box.u_lo - box.u_hi
-    if np.any(gap > MEMBERSHIP_ATOL):
+    if np.logical_or.reduce(gap > MEMBERSHIP_ATOL):
         raise DomainError("cannot sample from an empty box")
-    us = np.vstack([box.u_lo, box.u_hi])[:k]
+    n = box.generator.shape[0]
+    us = np.empty((k, n))
+    us[0] = box.u_lo
+    us[1:2] = box.u_hi  # no row when k = 1
     if k > 2:
         rng = np.random.default_rng(seed)
         span = box.u_hi - box.u_lo
-        draws = box.u_lo[None, :] + rng.random((k - 2, box.u_lo.shape[0])) * span[None, :]
-        us = np.vstack([us, draws])
+        us[2:] = box.u_lo[None, :] + rng.random((k - 2, n)) * span[None, :]
     # The rows of one max-plus product, each reduced as box.member reduces
     # its one row; chunked to bound the (rows, n, n) temporary.
-    n = box.generator.shape[0]
     rows = max(1, (1 << 20) // (n * n))
-    members = np.vstack([_mat_vec(box.generator, us[r : r + rows]) for r in range(0, k, rows)])
+    members = np.concatenate([_mat_vec(box.generator, us[r : r + rows]) for r in range(0, k, rows)])
     return box.transform.to_original(members)
 
 

@@ -1,5 +1,7 @@
 """Plane variants: rotation isometry, strip reductions, frozen examples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from tropiloc import (
     TiltedStripInstance,
     check_feasibility,
     is_member,
+    random_instance,
     rotate,
     solve,
     solve_strip,
@@ -23,6 +26,8 @@ from tropiloc import (
     tilted_to_scaled,
     verify,
 )
+from tropiloc.boxes import rotate45
+from tropiloc.chebyshev import solve_core
 from tropiloc.errors import DimensionError, InstanceError
 from tropiloc.semiring import BOTTOM, d1, dinf
 
@@ -112,6 +117,26 @@ def test_tilted_rejects_unit_slopes():
             TiltedStripInstance(**base, slope=flag)
     assert TiltedStripInstance(**base, slope=np.int64(0)).slope == 0.0
     assert TiltedStripInstance(**base, slope=np.float32(0.5)).slope == 0.5
+
+
+def test_reduction_answers_do_not_depend_on_the_points_layout():
+    # The reduction freezes the rotation's fresh array as it comes, the
+    # F-ordered transpose of a (2, m) array, with no copy.  solve_core on it
+    # equals solve_core on a C-ordered copy bit for bit.
+    cases = [(wide_strip_instance(), strip_to_chebyshev), (tilted_line_instance(), tilted_to_scaled)]
+    cases += [(random_instance("rectilinear_strip", 2, 40, 3), strip_to_chebyshev)]
+    cases += [(random_instance("rectilinear_tilted", 2, 40, 3), tilted_to_scaled)]
+    for inst, reduce in cases:
+        core = reduce(inst)
+        assert not core.points.flags.writeable and not core.points.flags.c_contiguous
+        assert not core.diff_bounds.flags.writeable
+        assert np.array_equal(core.points, rotate45(inst.points))
+        copy = dataclasses.replace(core, points=np.ascontiguousarray(core.points))
+        assert copy.points.flags.c_contiguous
+        got, want = solve_core(core, rotate45=True), solve_core(copy, rotate45=True)
+        for a, b in ((got.theta, want.theta), (got.generator, want.generator), (got.u_lo, want.u_lo), (got.u_hi, want.u_hi)):
+            assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+        assert (got.transform.scale, got.transform.rotate45) == (want.transform.scale, want.transform.rotate45)
 
 
 def test_reductions_reject_overflow_with_the_constructor_messages():

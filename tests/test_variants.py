@@ -25,6 +25,7 @@ from tropiloc.chebyshev import _Instance
 from tropiloc.errors import InstanceError
 from tropiloc.linear import Infeasible
 from tropiloc.semiring import BOTTOM
+from tropiloc.solutions import objective_batch, sample
 from tropiloc.variants import TABLE, lookup
 
 TYPED = {
@@ -55,6 +56,51 @@ def _same_result(a, b):
         and np.array_equal(a.u_hi, b.u_hi)
         and (a.transform.scale, a.transform.rotate45) == (b.transform.scale, b.transform.rotate45)
     )
+
+
+def _python_frames(calls) -> set[tuple[str, str]]:
+    # (file, function) of every Python frame entered while calls run.
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_solve_enters_no_numpy_python_wrappers():
+    # A small solve is bound by fixed per-call costs, and numpy's Python-level
+    # wrappers (ndarray.max/.any, np.max, np.argmax, np.diagonal, np.full,
+    # np.vstack, ...) cost up to a few microseconds each.  The solve path and
+    # the sampling of its answers call the ufunc reductions and C-level
+    # methods those wrappers forward to, so no frame of the wrappers' modules
+    # runs.
+    modules = ("core._methods", "core.fromnumeric", "core.numeric", "core.shape_base")
+    wrappers = {m.__file__ for name, m in list(sys.modules.items()) if name.startswith("numpy.") and name.endswith(modules)}
+    assert len(wrappers) >= len(modules)  # numpy 2 may also hold the numpy.core shims
+    cases = [random_instance(v.name, 2 if v.rotate45 else 3, 6, seed) for v in TABLE for seed in range(4)]
+    cases += [random_infeasible(3, 6, 1, mode) for mode in ("caps", "cycle")]
+    results = [solve(inst) for inst in cases]
+    assert sum(isinstance(r, Infeasible) for r in results) == 2
+    calls = [lambda inst=inst: solve(inst) for inst in cases]
+    # sample and objective_batch replay the feasible answers, as `tropiloc solve` does
+    calls += [
+        lambda inst=inst, box=box: objective_batch(inst, sample(box, 5))
+        for inst, box in zip(cases, results)
+        if not isinstance(box, Infeasible)
+    ]
+    frames = _python_frames(calls)
+    entered = {function for file, function in frames}
+    # the clamp, the certificates, theta and the sampling all ran
+    assert {"_magnitude", "_certify", "_theta_kernel", "trace_and_closure", "_distances"} <= entered
+    assert sorted(f"{file}:{function}" for file, function in frames if file in wrappers) == []
 
 
 def test_table_order():
@@ -152,6 +198,8 @@ SHARED_FAULTS = [
     (dict(box_hi=[np.inf, 1.0]), r"upper\[0\] must be finite"),
     (dict(box_lo=[np.nan, 0.0], box_hi=[np.nan, 1.0]), r"lower\[0\] must be finite"),
     (dict(box_lo=[2.0, -1.0]), r"lower\[0\] exceeds upper\[0\]"),
+    (dict(box_lo=[-1.0, 2.0]), r"lower\[1\] exceeds upper\[1\]"),
+    (dict(box_lo=[2.0, 2.0]), r"lower\[0\] exceeds upper\[0\]"),
 ]
 
 
