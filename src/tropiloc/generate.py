@@ -5,10 +5,15 @@ weight scheme so that, in exact arithmetic, an optimal point and the
 feasibility witness both land on the 0.05 reference lattice used by the
 grid oracle: unit weights use grid 0.1, equal integer weights w use 0.1*w,
 mixed {1, 2} weights use 0.6 (strips double these, because the rotation
-back to plane coordinates halves coordinates once more).  Feasibility is
-guaranteed by certificate-checked rejection with widening, which terminates
-because dropping caps and widening the box always succeeds for
-potential-generated difference bounds.
+back to plane coordinates halves coordinates once more).
+
+Two builders draw the data in grid units: one for the Chebyshev variants
+(plain, or scaled with c drawn first) and one for the plane variants (the
+vertical strip or the tilted band).  Both hand it to one loop that builds
+the instance, runs the feasibility certificates and, on failure, widens the
+caps, the box and a vertical strip of nonzero width before the next of at
+most 10 tries.  Widening terminates because large enough caps and box
+always admit a point for potential-generated difference bounds.
 
 Engineered infeasible instances come in two flavors: caps too tight across
 the widest point pair (bounds certificate fails with a margin of at least
@@ -89,110 +94,88 @@ def _cap_units(rng, pts_units: np.ndarray, metric: str) -> np.ndarray | None:
     return caps
 
 
-def _widen(caps, box_lo_u, box_hi_u, amount: int):
-    if caps is not None:
-        caps = np.where(np.isinf(caps), caps, caps * 2 + amount)
-    return caps, box_lo_u - amount, box_hi_u + amount
-
-
 def random_instance(variant: str, n: int, m: int, seed: int, *, extent: int = 12):
     """A random feasible instance of the given variant.
 
     n is the dimension (must be 2 for the rectilinear variants), m the
-    number of points.  The same seed always yields the same instance.
+    number of points, and points are drawn from the integer grid units
+    -extent + 2 to extent - 2 (extent must be at least 2).  The same seed
+    always yields the same instance.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if m < 1 or n < 1:
         raise ValueError("n and m must be positive")
-    if variant.startswith("rectilinear") and n != 2:
+    if extent < 2:
+        raise ValueError(f"extent must be at least 2, got {extent}")
+    entry = TABLE[VARIANTS.index(variant)]
+    if entry.rotate45 and n != 2:
         raise ValueError(f"{variant} instances live in the plane (n = 2), got n = {n}")
-    rng = np.random.default_rng(seed)
-    if variant == "chebyshev":
-        return _random_chebyshev(rng, n, m, extent)
-    if variant == "chebyshev_scaled":
-        return _random_scaled(rng, n, m, extent)
-    if variant == "rectilinear_strip":
-        return _random_strip(rng, m, extent, tilted=False)
-    return _random_strip(rng, m, extent, tilted=True)
+    build = _random_plane if entry.rotate45 else _random_chebyshev
+    return build(np.random.default_rng(seed), entry.instance, n, m, extent)
 
 
-def _random_chebyshev(rng, n, m, extent, scale=None):
-    weights, gamma = _pick_scheme(rng, m)
-    pts_u = rng.integers(-extent + 2, extent - 1, (m, n)).astype(np.float64)
-    h_u = rng.integers(-4, 5, m).astype(np.float64)
-    bounds_u = _potential_bounds(rng, n, density=0.45)
-    caps_u = _cap_units(rng, pts_u, "dinf")
-    lo_u = pts_u.min(axis=0) - rng.integers(2, 6, n)
-    hi_u = pts_u.max(axis=0) + rng.integers(2, 6, n)
+def _certified(cls, gamma: float, units: dict, **fixed):
+    """The first of up to 10 widened tries that passes check_feasibility.
+
+    units holds the arguments in grid units, scaled by gamma on every try;
+    fixed holds the rest (weights, scale, slope).  After a failed try each
+    finite cap becomes cap * 2 + 4 units, the box grows by 4 units on each
+    side, and the ends of a vertical strip of nonzero width move out by 1
+    unit.  A zero-width strip keeps its ends untouched: they may be -0.0,
+    and -0.0 + 0 is +0.0, which would change the emitted instance.
+    """
     for _ in range(10):
-        kwargs = dict(
-            points=pts_u * gamma,
-            weights=weights,
-            addends=h_u * gamma,
-            caps=None if caps_u is None else caps_u * gamma,
-            box_lo=lo_u * gamma,
-            box_hi=hi_u * gamma,
-            diff_bounds=bounds_u * gamma,
-        )
-        if scale is None:
-            inst = ChebyshevInstance(**kwargs)
-        else:
-            inst = ScaledChebyshevInstance(**kwargs, scale=scale)
+        inst = cls(**fixed, **{k: None if u is None else u * gamma for k, u in units.items()})
         if check_feasibility(inst).feasible:
             return inst
-        caps_u, lo_u, hi_u = _widen(caps_u, lo_u, hi_u, 4)
+        caps = units["caps"]
+        if caps is not None:
+            units["caps"] = np.where(np.isinf(caps), caps, caps * 2 + 4)
+        units["box_lo"] = units["box_lo"] - 4
+        units["box_hi"] = units["box_hi"] + 4
+        if cls is StripInstance and units["strip_lo"] != units["strip_hi"]:
+            units["strip_lo"] -= 1
+            units["strip_hi"] += 1
     raise RuntimeError("instance generation failed to reach feasibility")
 
 
-def _random_scaled(rng, n, m, extent):
-    scale = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=n)
-    return _random_chebyshev(rng, n, m, extent, scale=scale)
-
-
-def _random_strip(rng, m, extent, *, tilted: bool):
+def _random_chebyshev(rng, cls, n, m, extent):
+    fixed = {}
+    if cls is ScaledChebyshevInstance:
+        fixed["scale"] = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=n)
     weights, gamma = _pick_scheme(rng, m)
-    gamma *= 2.0
-    pts_u = rng.integers(-extent + 2, extent - 1, (m, 2)).astype(np.float64)
-    h_u = rng.integers(-4, 5, m).astype(np.float64)
-    caps_u = _cap_units(rng, pts_u, "d1")
+    pts_u = rng.integers(-extent + 2, extent - 1, (m, n)).astype(np.float64)
+    units = dict(points=pts_u, addends=rng.integers(-4, 5, m).astype(np.float64))
+    units["diff_bounds"] = _potential_bounds(rng, n, density=0.45)
+    units["caps"] = _cap_units(rng, pts_u, "dinf")
+    units["box_lo"] = pts_u.min(axis=0) - rng.integers(2, 6, n)
+    units["box_hi"] = pts_u.max(axis=0) + rng.integers(2, 6, n)
+    return _certified(cls, gamma, units, weights=weights, **fixed)
+
+
+def _random_plane(rng, cls, n, m, extent):
+    weights, gamma = _pick_scheme(rng, m)
+    pts_u = rng.integers(-extent + 2, extent - 1, (m, n)).astype(np.float64)
+    units = dict(points=pts_u, addends=rng.integers(-4, 5, m).astype(np.float64))
+    units["caps"] = _cap_units(rng, pts_u, "d1")
     rot_u = rotate45(pts_u)
-    lo_u = rot_u.min(axis=0) - rng.integers(2, 8, 2)
-    hi_u = rot_u.max(axis=0) + rng.integers(2, 8, 2)
-    if tilted:
-        slope = float(rng.choice([-3.0, -2.0, 0.0, 2.0, 3.0]))
-        band = slope * pts_u[:, 0] - pts_u[:, 1]
+    units["box_lo"] = rot_u.min(axis=0) - rng.integers(2, 8, n)
+    units["box_hi"] = rot_u.max(axis=0) + rng.integers(2, 8, n)
+    fixed = {}
+    if cls is TiltedStripInstance:
+        fixed["slope"] = float(rng.choice([-3.0, -2.0, 0.0, 2.0, 3.0]))
+        band = fixed["slope"] * pts_u[:, 0] - pts_u[:, 1]
         a_u = np.floor(band.min()) - rng.integers(0, 4)
         b_u = np.ceil(band.max()) + rng.integers(0, 4)
     else:
-        slope = None
         a_u = pts_u[:, 0].min() - rng.integers(0, 4)
         b_u = pts_u[:, 0].max() + rng.integers(0, 4)
         if rng.random() < 0.25:
-            mid = float(np.round(pts_u[:, 0].mean()))
-            a_u = b_u = mid
-    for _ in range(10):
-        kwargs = dict(
-            points=pts_u * gamma,
-            weights=weights,
-            addends=h_u * gamma,
-            caps=None if caps_u is None else caps_u * gamma,
-            box_lo=lo_u * gamma,
-            box_hi=hi_u * gamma,
-            strip_lo=float(a_u) * gamma,
-            strip_hi=float(b_u) * gamma,
-        )
-        if tilted:
-            inst = TiltedStripInstance(**kwargs, slope=slope)
-        else:
-            inst = StripInstance(**kwargs)
-        if check_feasibility(inst).feasible:
-            return inst
-        caps_u, lo_u, hi_u = _widen(caps_u, lo_u, hi_u, 4)
-        if not tilted and a_u != b_u:
-            a_u -= 1
-            b_u += 1
-    raise RuntimeError("instance generation failed to reach feasibility")
+            a_u = b_u = float(np.round(pts_u[:, 0].mean()))
+    units.update(strip_lo=float(a_u), strip_hi=float(b_u))
+    # strips double the grid, since the rotation back halves coordinates once more
+    return _certified(cls, gamma * 2.0, units, weights=weights, **fixed)
 
 
 def random_infeasible(n: int, m: int, seed: int, mode: str | None = None) -> ChebyshevInstance:
@@ -216,36 +199,27 @@ def random_infeasible(n: int, m: int, seed: int, mode: str | None = None) -> Che
     if mode == "caps" and m == 1:
         # lone point: put the box strictly outside the cap ball
         pts_u = rng.integers(-2, 3, (1, n)).astype(np.float64)
-        lo_u = pts_u[0] + 4
-        hi_u = pts_u[0] + 8
-        return ChebyshevInstance(
-            points=pts_u * gamma,
-            weights=np.ones(1),
-            addends=np.zeros(1),
-            caps=np.array([2.0 * gamma]),
-            box_lo=lo_u * gamma,
-            box_hi=hi_u * gamma,
-            diff_bounds=np.full((n, n), BOTTOM),
-        )
-    if mode == "caps":
-        pts_u = rng.integers(-8, 9, (m, n)).astype(np.float64)
-        # force a widest pair: 16 units apart on coordinate 0, the most in [-8, 8]
-        pts_u[0, 0] = -8.0
-        pts_u[1, 0] = 8.0
-        j, l, sep = 0, 1, 16.0
-        caps_u = np.full(m, sep * 2.0)
-        caps_u[j] = np.floor(sep / 2) - 1.0
-        caps_u[l] = np.floor(sep / 2) - 1.0
+        caps_u = np.array([2.0])
         bounds_u = np.full((n, n), BOTTOM)
+        lo_u, hi_u = pts_u[0] + 4, pts_u[0] + 8
     else:
         pts_u = rng.integers(-8, 9, (m, n)).astype(np.float64)
-        caps_u = None
-        bounds_u = _potential_bounds(rng, n, density=0.3)
-        gain = float(rng.integers(1, 4))
-        bounds_u[0, 1] = gain
-        bounds_u[1, 0] = gain
-    lo_u = pts_u.min(axis=0) - 4
-    hi_u = pts_u.max(axis=0) + 4
+        if mode == "caps":
+            # force a widest pair: 16 units apart on coordinate 0, the most in [-8, 8]
+            pts_u[0, 0] = -8.0
+            pts_u[1, 0] = 8.0
+            sep = 16.0
+            caps_u = np.full(m, sep * 2.0)
+            caps_u[:2] = np.floor(sep / 2) - 1.0
+            bounds_u = np.full((n, n), BOTTOM)
+        else:
+            caps_u = None
+            bounds_u = _potential_bounds(rng, n, density=0.3)
+            gain = float(rng.integers(1, 4))
+            bounds_u[0, 1] = gain
+            bounds_u[1, 0] = gain
+        lo_u = pts_u.min(axis=0) - 4
+        hi_u = pts_u.max(axis=0) + 4
     return ChebyshevInstance(
         points=pts_u * gamma,
         weights=np.ones(m),

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .solutions import objective_batch, violation_batch
+from .solutions import CONSTRAINT_SLACK, OBJECTIVE_TOL, objective_batch, violation_batch
 
-BOUNDARY_SLACK = 1e-12
-ATTAIN_TOL = 1e-9
+BOUNDARY_SLACK = CONSTRAINT_SLACK
+ATTAIN_TOL = OBJECTIVE_TOL
 MAX_LATTICE_POINTS = 30_000_000
 _CHUNK = 262_144  # entries of one chunk's (points, m, n) distance array
 
@@ -56,7 +56,7 @@ def _lattice_axes(lo, hi, step: float) -> tuple[np.ndarray, list]:
         raise DomainError(f"lattice scans support dimension <= 3, got {lo.shape[0]}")
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()) or np.any(lo > hi):
         raise DomainError("window bounds must be finite with lo <= hi")
-    if not (isinstance(step, (int, float)) and np.isfinite(step) and step > 0):
+    if isinstance(step, bool) or not (isinstance(step, (int, float)) and np.isfinite(step) and step > 0):
         raise DomainError("step must be a positive real")
     spans = [(b - a) / step for a, b in zip(lo.tolist(), hi.tolist())]
     return lo, [math.floor(s + 1e-9) + 1 if s < math.inf else math.inf for s in spans]

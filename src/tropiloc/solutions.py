@@ -17,7 +17,7 @@ from .chebyshev import _scale_of
 from .errors import DimensionError, DomainError
 from .linear import parameter_upper_bound
 from .rectilinear import TiltedStripInstance
-from .semiring import BOTTOM, _mat_vec, mat_vec
+from .semiring import _mat_vec, mat_vec
 from .variants import lookup
 
 OBJECTIVE_TOL = 1e-9
@@ -27,15 +27,24 @@ CONSTRAINT_SLACK = 1e-12
 MEMBERSHIP_ATOL = 1e-9
 
 
-def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x, dim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         if arr.shape != (dim,):
             raise DimensionError(f"point of dimension {dim} expected, got shape {arr.shape}")
-        return arr[None, :], True
+        return arr[None, :]
     if arr.ndim == 2 and arr.shape[1] == dim:
-        return arr, False
+        return arr
     raise DimensionError(f"points of dimension {dim} expected, got shape {arr.shape}")
+
+
+def _mat_vec_rows(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """a (x) x for each row x of xs, each reduced as a one-vector product is.
+
+    Chunked so that the (rows, n, n) temporary stays within 2^20 entries.
+    """
+    rows = max(1, (1 << 20) // a.size)
+    return np.concatenate([_mat_vec(a, xs[r : r + rows]) for r in range(0, max(xs.shape[0], 1), rows)])
 
 
 def _distances(inst, xs: np.ndarray) -> np.ndarray:
@@ -52,7 +61,7 @@ def objective_batch(inst, xs: np.ndarray) -> np.ndarray:
 
 def objective_value(inst, x) -> float:
     """max_j ( w_j * d(x, p_j) + h_j ) with the instance's metric."""
-    xs, _ = _as_batch(x, inst.dim)
+    xs = _as_batch(x, inst.dim)
     return float(objective_batch(inst, xs)[0])
 
 
@@ -78,16 +87,18 @@ def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
         return worst
     worst = np.maximum(worst, np.max(inst.box_lo[None, :] - xs, axis=1))
     worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
+    # max over finite B[i, k] of B[i, k] + y_k - y_i, with y = c x, is
+    # max_i (B (x) y)_i - y_i: subtracting y_i rounds monotonically, so the
+    # max commutes with it bit for bit, and bottom entries stay bottom.  An
+    # infinite y makes bottom + inf = nan there; fmax keeps the box terms'
+    # inf for such a point, and a nan point is nan in every term.
     coords = xs * _scale_of(inst)[None, :]
-    bounds = inst.diff_bounds
-    for i, k in np.argwhere(bounds > BOTTOM):
-        worst = np.maximum(worst, bounds[i, k] + coords[:, k] - coords[:, i])
-    return worst
+    return np.fmax(worst, np.max(_mat_vec_rows(inst.diff_bounds, coords) - coords, axis=1))
 
 
 def constraint_violation(inst, x) -> float:
     """Largest violation across all constraints at x; <= 0 means feasible."""
-    xs, _ = _as_batch(x, inst.dim)
+    xs = _as_batch(x, inst.dim)
     return float(violation_batch(inst, xs)[0])
 
 
@@ -99,7 +110,7 @@ def is_member(box: SolutionBox, inst, x) -> bool:
     u_lo and reproduces y.  This is a complete test: any witness parameter
     is below that clipped maximizer, which then also reproduces y.
     """
-    xs, _ = _as_batch(x, inst.dim)
+    xs = _as_batch(x, inst.dim)
     y = box.transform.to_internal(xs[0])
     u_cap = parameter_upper_bound(box.generator, y)
     u_hat = np.minimum(u_cap, box.u_hi)
@@ -128,11 +139,8 @@ def sample(box: SolutionBox, k: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         span = box.u_hi - box.u_lo
         us[2:] = box.u_lo[None, :] + rng.random((k - 2, n)) * span[None, :]
-    # The rows of one max-plus product, each reduced as box.member reduces
-    # its one row; chunked to bound the (rows, n, n) temporary.
-    rows = max(1, (1 << 20) // (n * n))
-    members = np.concatenate([_mat_vec(box.generator, us[r : r + rows]) for r in range(0, k, rows)])
-    return box.transform.to_original(members)
+    # The rows of one max-plus product, each reduced as box.member reduces its one row.
+    return box.transform.to_original(_mat_vec_rows(box.generator, us))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from tropiloc import (
     solve,
     verify,
 )
-from tropiloc.generate import VARIANTS, _diameter
+from tropiloc.generate import VARIANTS, _certified, _diameter
 
 
 def test_same_seed_same_instance():
@@ -40,6 +40,11 @@ def test_argument_validation():
         random_instance("rectilinear_strip", 3, 3, 0)
     with pytest.raises(ValueError, match="plane"):
         random_instance("rectilinear_tilted", 1, 3, 0)
+    # points are drawn from -extent + 2 to extent - 2 grid units
+    for extent in (1, 0, -3):
+        with pytest.raises(ValueError, match="extent must be at least 2"):
+            random_instance("chebyshev", 2, 3, 0, extent=extent)
+    assert random_instance("rectilinear_strip", 2, 3, 0, extent=2).points.tolist() == [[0.0, 0.0]] * 3
     # random_infeasible checks its shape and mode before any draw, so that no
     # unknown mode falls through to the cycle construction.
     with pytest.raises(ValueError, match="must be positive"):
@@ -172,3 +177,42 @@ def test_large_m_generation():
     for variant in ("chebyshev", "rectilinear_strip"):
         inst = random_instance(variant, 2, 100_000, 4)
         assert inst.m == 100_000 and inst.caps is not None
+
+
+def test_zero_width_strip_ends_keep_their_sign():
+    # A zero-width strip is drawn as a = b = round(mean x1), which is -0.0
+    # when the mean lies in (-0.5, 0).  Both ends keep that zero's sign, in
+    # the instance and in its JSON: -0.0 + 0 would write 0.0 instead.
+    zero_ends = {}
+    for seed in range(80):
+        inst = random_instance("rectilinear_strip", 2, 3, seed)
+        if inst.strip_lo != inst.strip_hi:
+            continue
+        assert np.signbit(inst.strip_lo) == np.signbit(inst.strip_hi)
+        a = repr(inst.strip_lo)
+        assert f'"strip": {{\n    "a": {a},\n    "b": {a}\n  }}' in emit_instance(inst)
+        if inst.strip_lo == 0.0:
+            zero_ends[seed] = a
+    assert zero_ends == {8: "-0.0", 23: "-0.0", 62: "0.0", 75: "0.0"}
+
+
+def test_widening_moves_only_strips_of_nonzero_width():
+    # No random_instance seed widens a plane instance, so drive the loop with
+    # a box 5 units outside a 1-unit cap: one widening (caps 1 -> 6, box out
+    # by 4) makes it feasible.  The ends of a strip of nonzero width move out
+    # by one unit; a zero-width strip keeps its ends, sign bit included.
+    for ends, widened in (((-1.0, 1.0), (-0.4, 0.4)), ((-0.0, -0.0), (-0.0, -0.0))):
+        units = dict(
+            points=np.zeros((1, 2)),
+            addends=np.zeros(1),
+            caps=np.array([1.0]),
+            box_lo=np.array([5.0, 5.0]),
+            box_hi=np.array([6.0, 6.0]),
+            strip_lo=ends[0],
+            strip_hi=ends[1],
+        )
+        inst = _certified(StripInstance, 0.2, units, weights=np.ones(1))
+        assert inst.caps.tolist() == [6.0 * 0.2]
+        assert inst.box_lo.tolist() == [1.0 * 0.2] * 2 and inst.box_hi.tolist() == [10.0 * 0.2] * 2
+        assert (inst.strip_lo, inst.strip_hi) == widened
+        assert np.signbit([inst.strip_lo, inst.strip_hi]).tolist() == np.signbit(widened).tolist()

@@ -79,6 +79,11 @@ def test_window_validation():
         grid_minimize(inst, [1.0, 1.0], [-1.0, -1.0], 0.1)
     with pytest.raises(DomainError):
         grid_minimize(inst, [-1.0, np.nan], [1.0, 1.0], 0.1)
+    # a bool is not a step, though bool subclasses int
+    with pytest.raises(DomainError, match="step must be a positive real"):
+        grid_minimize(inst, [-1.0, -1.0], [1.0, 1.0], True)
+    with pytest.raises(DomainError, match="step must be a positive real"):
+        grid_feasible(inst, [-1.0, -1.0], [1.0, 1.0], True)
 
 
 def test_dimension_cap():

@@ -75,6 +75,9 @@ def test_constraint_violation_diff_bounds():
     )
     assert constraint_violation(inst, [5.0, 1.0]) <= 0.0
     assert constraint_violation(inst, [2.0, 1.0]) == 2.0  # short by 2
+    # a point at infinity is outside the box by inf, though bottom + inf is nan
+    with np.errstate(invalid="ignore"):
+        assert constraint_violation(inst, [np.inf, 0.0]) == np.inf
 
 
 def test_constraint_violation_strip_band():
@@ -214,3 +217,45 @@ def test_violation_batch_shape():
     v = violation_batch(inst, xs)
     assert v.shape == (2,)
     assert v[0] <= 0.0 and v[1] == 50.0  # strip and rotated box overshoot
+
+
+def _violation_per_entry(inst, xs):
+    # violation_batch of a Chebyshev instance as a literal loop over every
+    # finite difference bound B[i, k]: B[i, k] + c_k x_k - c_i x_i.
+    dist = np.abs(xs[:, None, :] - inst.points[None, :, :]).max(axis=2)
+    worst = np.full(xs.shape[0], -np.inf)
+    if inst.caps is not None:
+        worst = np.maximum(worst, np.max(dist - inst.caps[None, :], axis=1))
+    worst = np.maximum(worst, np.max(inst.box_lo[None, :] - xs, axis=1))
+    worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
+    y = xs * (inst.scale if isinstance(inst, ScaledChebyshevInstance) else 1.0)
+    for i, k in np.argwhere(inst.diff_bounds > BOTTOM):
+        worst = np.maximum(worst, inst.diff_bounds[i, k] + y[:, k] - y[:, i])
+    return worst
+
+
+def test_violation_batch_replays_bounds_bit_for_bit():
+    # The replay takes max_i (B (x) y)_i - y_i in one max-plus product; it
+    # must give the per-entry loop's bits, also on non-dyadic large data and
+    # on instances whose B is all bottom.
+    rng = np.random.default_rng(5)
+    cases = bottom = 0
+    for variant in ("chebyshev", "chebyshev_scaled"):
+        for seed in range(40):
+            base = random_instance(variant, 1 + seed % 6, 2 + seed % 5, seed)
+            for f in (1.0, 1e6 + 0.3, 1e9 + 0.3):
+                inst = dataclasses.replace(
+                    base,
+                    points=base.points * f,
+                    addends=base.addends * f,
+                    caps=None if base.caps is None else base.caps * f,
+                    box_lo=base.box_lo * f,
+                    box_hi=base.box_hi * f,
+                    diff_bounds=base.diff_bounds * f,
+                )
+                xs = rng.normal(size=(12, inst.dim)) * 3.0 * f
+                got = violation_batch(inst, xs)
+                assert np.array_equal(got.view(np.int64), _violation_per_entry(inst, xs).view(np.int64))
+                cases += 1
+                bottom += not np.isfinite(inst.diff_bounds).any()
+    assert cases == 240 and 0 < bottom < cases
