@@ -15,12 +15,13 @@ and rotate_scaled (tilted strips).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
-from .semiring import mat_vec
+from .linear import parameter_upper_bound
+from .semiring import _mat_vec_rows
 
 
 def rotate45(x: np.ndarray) -> np.ndarray:
@@ -78,6 +79,24 @@ class Transform:
             raise DimensionError(f"planar point expected, got shape {v.shape}")
 
 
+class _Closure:
+    """A B* given as a matrix, with the products a box takes of it."""
+
+    __slots__ = ("closure",)
+
+    def __init__(self, closure):
+        self.closure = np.asarray(closure, dtype=np.float64)
+
+    def matrix(self) -> np.ndarray:
+        return self.closure
+
+    def members(self, us: np.ndarray) -> np.ndarray:
+        return _mat_vec_rows(self.closure, us)
+
+    def upper_bound(self, q: np.ndarray) -> np.ndarray:
+        return parameter_upper_bound(self.closure, q)
+
+
 @dataclass(frozen=True, eq=False)
 class SolutionBox:
     """The complete optimal solution set of a location instance.
@@ -85,17 +104,37 @@ class SolutionBox:
     theta is the optimal objective value; every member attains it.  Members
     are ``transform.to_original(generator (x) u)`` for ``u_lo <= u <= u_hi``.
     The box may be degenerate (u_lo == u_hi: a unique solution).
+
+    The generator is the closure B* of the instance's difference bounds.  The
+    solver forms its products without it where that is cheaper (see
+    chebyshev._Star), so ``generator`` is built on first read and kept.
+    member, sample, is_member and verify use the box's own products and
+    never build it: they take the closure if the solve built one, else the
+    same iteration on B as the solve.  The second field is that B* on
+    demand (chebyshev._Star); a box built by hand may pass B* there as a
+    matrix, positionally, and its products are then those of the matrix.
     """
 
     theta: float
-    generator: np.ndarray
+    _star: object = field(repr=False)
     u_lo: np.ndarray
     u_hi: np.ndarray
     transform: Transform
 
+    def __post_init__(self):
+        if isinstance(self._star, (np.ndarray, list, tuple)):
+            object.__setattr__(self, "_star", _Closure(self._star))
+
+    @property
+    def generator(self) -> np.ndarray:
+        return self._star.matrix()
+
     def member(self, u) -> np.ndarray:
         """Original-coordinate solution for a parameter vector u."""
-        return self.transform.to_original(mat_vec(self.generator, np.asarray(u, dtype=np.float64)))
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != self.u_lo.shape:
+            raise DimensionError(f"parameter of shape {self.u_lo.shape} expected, got shape {u.shape}")
+        return self.transform.to_original(self._star.members(u[None, :])[0])
 
     @property
     def vertex_lo(self) -> np.ndarray:

@@ -18,6 +18,15 @@ decided by two exact certificates:
             nonemptiness of the parameter box s <= u <= (t~ B*)~ with no
             objective level, and it is read off that box.
 
+The solver needs the closure B* only through products with vectors, and
+_Star forms them by iterating on B (max-plus Bellman-Ford), a few O(n^2)
+products each; the one product t~ (x) B*, once its fixed point is raised
+to an exact potential, proves that B has no positive cycle, so it decides
+both certificates.  The O(n^3) closure is built only where it is cheaper:
+up front at n <= 41, or once the iteration has cost as much as the closure
+would (rent or buy).  check_feasibility
+builds it up front, because its report gives Tr.
+
 When both pass, the optimum theta has a closed form (a finite max over point
 pairs and closure entries) and the full optimal set is the box
 ``x = B* (x) u`` for ``q max s <= u <= ((r~ max t~) B*)~``, where q and r are
@@ -32,8 +41,11 @@ is one term of the closed form, so Newton's method finds theta from below in
 a few steps.  Each step evaluates Phi once, as the parameter box at its level:
 the level envelopes (one formula, shared with assemble_bounds), then u_lo and
 u_hi, whose largest crossing u_lo - u_hi is Phi.  That costs two O(m n)
-reductions and one O(n^2) product: O(n^3) for the closure plus
-O((m n + n^2) steps) in all, and O(m n) memory.  theta is the term Newton
+reductions, the product for u_hi and one column of B*, each a few O(n^2)
+products on B: O((m n + d n^2) steps) in all, where d, the products per
+product with B*, is at most the hop depth of B's longest paths plus one.
+The products a solve spends before it builds the closure cost at most
+about as much as the closure.  Memory is O(m n).  theta is the term Newton
 stops on, within a derived rounding bound of the exact closed form, and the
 box of that last step is the optimal box; nothing is evaluated again at
 theta.  Rounding can cross that box by a bounded amount, and solve_core
@@ -73,9 +85,8 @@ import numpy as np
 
 from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
-from .linear import Infeasible
-from .linear import parameter_upper_bound  # noqa: F401  (bound here only for benchmarks/spans.py)
-from .semiring import BOTTOM, _vec_mat, trace_and_closure
+from .linear import Infeasible, parameter_upper_bound
+from .semiring import BOTTOM, ONE, _mat_vec, _mat_vec_rows, _vec_mat, trace_and_closure
 
 
 def _as_float_array(value, shape_hint: str) -> np.ndarray:
@@ -275,6 +286,19 @@ class FeasibilityReport:
     relaxation found, which can be less than Tr.  bounds_gap is the value
     t~ (x) B* (x) s (bounds certificate: must be <= 0); it is None when the
     spectral certificate already failed, because the closure then diverges.
+
+    check_feasibility builds the closure B* up front, at every n, because
+    Tr needs it.  solve decides the same two certificates from one product
+    t~ (x) B* by iteration on B, and builds the closure only where that is
+    cheaper (see _Star).  A failed spectral certificate always comes from
+    the closure, with the report's witness: the iteration passes it only
+    with an exact potential, so a positive cycle, however light, fails in
+    both.  At n >= 42 the bounds witness can differ from bounds_gap in the
+    last bits, because the iteration adds the same path weights in another
+    order.  Where the closure's rounding lifts a cycle of exact weight <= 0
+    above zero, this report fails, and solve can pass: its certificate is
+    exact, and it takes the closure's verdict only where it cannot prove
+    one.
     """
 
     spectral_ok: bool
@@ -362,39 +386,242 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     return BoundVectors(np.maximum.reduce(lo, axis=1), np.minimum.reduce(hi, axis=1), fixed_lo, fixed_hi)
 
 
-def _box(star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
+class _PositiveCycle(Exception):
+    """The closure's relaxation met a positive closed walk of weight witness."""
+
+    def __init__(self, witness: float):
+        super().__init__(witness)
+        self.witness = witness
+
+
+# Rent or buy.  The cost of each kernel is counted in element operations, with
+# one numpy call worth _CALL_COST of them (about 1 us against 1 ns an element).
+# trace_and_closure makes 6n + 9 calls (per pivot two slices, an add and a
+# max; per stage a diagonal reduction and its float; the buffer-size lookup,
+# which n <= 4 skips, is counted at every n) and 2n^3 + 3n^2 element
+# operations (per pivot an add and a max over n^2 entries; the copy and the
+# diagonal reductions).  One product of the iteration makes 9 calls (two
+# helpers, the broadcast, the add and its reduction, the comparison and its
+# reduction, the max, the loop's bookkeeping) and 2n^2 + 3n element
+# operations, each worth _PRODUCT_ELEMENT of the closure's: its reduction
+# runs across the rows of a fresh temporary, where a pivot's max runs along
+# them in place.  The closure costs _closure_products(n) products.
+_CALL_COST = 1000
+_PRODUCT_ELEMENT = 2
+# What a solve typically spends iterating: over random_instance data at n = 5
+# to 60 a feasible solve took 19 products at the median and 27 at the upper
+# quartile, passes of _proves_acyclic included, and timed against the
+# closure path the iteration first wins between n = 40 and 45.  A closure
+# that costs no more is built up front: n <= 41.
+_TYPICAL_PRODUCTS = 25
+
+
+def _closure_products(n: int) -> float:
+    """The cost of trace_and_closure at size n, counted in products of the iteration."""
+    closure = (6 * n + 9) * _CALL_COST + 2 * n**3 + 3 * n * n
+    product = 9 * _CALL_COST + _PRODUCT_ELEMENT * (2 * n * n + 3 * n)
+    return closure / product
+
+
+def _row_step(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return _vec_mat(z, b)
+
+
+class _Star:
+    """B*, the closure of a difference-bound matrix B, on demand.
+
+    The solver needs B* only through products: x (x) B* for the bounds
+    certificate and each Newton step's u_hi, one column B* (x) e_k per Newton
+    step, and B* (x) u for the members.  x (x) B* is the fixed point of
+    z <- max(z, z (x) B) started at x (max-plus Bellman-Ford); B* (x) x that
+    of z <- max(z, B (x) z).  Without a positive cycle the iteration is done
+    after at most n - 1 products that move z and one that confirms.  The
+    first row product, the bounds certificate's, is the spectral certificate
+    too, once its fixed point is raised to an exact potential
+    (_proves_acyclic).
+
+    Rent or buy: each product of the solve is counted in spent.  The closure
+    (trace_and_closure, unchanged) is built once, up front when it costs no
+    more than _TYPICAL_PRODUCTS, else once spent reaches budget, its cost in
+    products, or once an iteration has not converged within n products or
+    not reached an exact potential: a positive cycle does neither, and the
+    closure then exits early with its witness (raised as _PositiveCycle).
+    A solve thus costs at most about twice what the closure alone would.
+    After the closure is built, every product is one _vec_mat or column of
+    it, as without this object.
+
+    members and upper_bound, which only replay a solved box, never build the
+    closure and spend nothing: they take the closure if the solve built one,
+    else the same iteration, at most n products.  matrix builds B* for the
+    box's generator on first read and keeps it apart, so a box's members are
+    the same bits before and after its generator is read.
+    """
+
+    __slots__ = ("b", "n", "budget", "spent", "gauge", "closure", "acyclic", "_read")
+
+    def __init__(self, b: np.ndarray, eager: bool):
+        self.b = b
+        self.n = b.shape[0]
+        self.spent = 0
+        self.gauge = None
+        self.closure = None
+        self.acyclic = False
+        self._read = None
+        self.budget = _closure_products(self.n)
+        if eager or self.budget <= _TYPICAL_PRODUCTS:
+            self._buy()
+
+    def _buy(self) -> None:
+        gauge, star = trace_and_closure(self.b)
+        if star is None:
+            raise _PositiveCycle(gauge)
+        self.gauge, self.closure = gauge, star
+
+    def _fixed_point(self, x: np.ndarray, step, budgeted: bool):
+        """The fixed point of z <- max(z, step(B, z)) from x, or None where a budgeted one gives up.
+
+        z starts at x + 0, the product with B*'s zero diagonal, which turns a
+        -0.0 into +0.0 as the closure's products do.
+        """
+        z = x + ONE
+        for _ in range(self.n):
+            if budgeted:
+                if self.spent >= self.budget:
+                    return None
+                self.spent += 1
+            y = step(self.b, z)
+            if not np.logical_or.reduce(y > z, axis=None):
+                return z
+            z = np.maximum(z, y)
+        return None if budgeted else z
+
+    def _proves_acyclic(self, z: np.ndarray) -> bool:
+        """Whether B has no positive cycle, shown by raising z to an exact potential.
+
+        z, the fixed point of a row product, has fl(z_i + b_ik) <= z_k for
+        every finite b_ik.  A cycle weighs the sum of z_i + b_ik - z_k around
+        it, so a w with w_i + b_ik <= w_k in exact arithmetic proves that no
+        cycle is positive.  z need not be one: a sum that rounds to z_k can
+        exceed it by half an ulp of z_k, and a lighter positive cycle
+        (b_00 = 1e-17 beside z_0 near 1) hides there.  So the iteration goes
+        on from z in arithmetic rounded up, over the rows that moved: every
+        sum that reaches w_k is read back exactly (TwoSum) and, where it
+        exceeds w_k, raised to the next float.  It ends at an exact potential,
+        or on the budget, since a positive cycle keeps raising; each pass
+        counts as one product.  The product itself keeps z.
+        """
+        w = z
+        rows = np.arange(self.n)
+        while rows.size:
+            if self.spent >= self.budget:
+                return False
+            self.spent += 1
+            wr = w[rows]
+            s = wr[:, None] + self.b[rows]
+            hit = np.flatnonzero(s >= w)
+            r, k = np.divmod(hit, self.n)
+            a, b, s = wr[r], self.b[rows[r], k], s.ravel()[hit]
+            t = s - a
+            up = np.where((a - (s - t)) + (b - t) > 0.0, np.nextafter(s, np.inf), s)
+            raised = w.copy()
+            np.maximum.at(raised, k, up)
+            rows = np.flatnonzero(raised > w)
+            w = raised
+        return True
+
+    def row(self, x: np.ndarray) -> np.ndarray:
+        """x (x) B* for a finite x; raises _PositiveCycle."""
+        if self.closure is None:
+            z = self._fixed_point(x, _row_step, True)
+            if z is not None and (self.acyclic or self._proves_acyclic(z)):
+                self.acyclic = True
+                return z
+            self._buy()
+        return _vec_mat(x, self.closure)
+
+    def column(self, k: int) -> np.ndarray:
+        """B*[:, k], as B* (x) e_k; raises _PositiveCycle."""
+        if self.closure is None:
+            e = np.empty(self.n)
+            e.fill(BOTTOM)
+            e[k] = ONE
+            z = self._fixed_point(e, _mat_vec, True)
+            if z is not None:
+                return z
+            self._buy()
+        return self.closure[:, k]
+
+    def members(self, us: np.ndarray) -> np.ndarray:
+        """B* (x) u for each row u of us, each row reduced as a one-vector product is."""
+        if self.closure is not None:
+            return _mat_vec_rows(self.closure, us)
+        return self._fixed_point(us, _mat_vec_rows, False)
+
+    def upper_bound(self, q: np.ndarray) -> np.ndarray:
+        """(q~ B*)~, the largest u with B* (x) u <= q."""
+        if self.closure is not None:
+            return parameter_upper_bound(self.closure, q)
+        return np.negative(self._fixed_point(np.negative(q), _row_step, False))
+
+    def matrix(self) -> np.ndarray:
+        """B* itself: the solve's closure, or one built now and kept.
+
+        Where the closure's own rounding lifts a cycle above zero that the
+        solve's exact potential rules out, B* is read from the iteration
+        instead, column by column.
+        """
+        if self.closure is not None:
+            return self.closure
+        if self._read is None:
+            _, self._read = trace_and_closure(self.b)
+            if self._read is None:
+                eye = np.full((self.n, self.n), BOTTOM)
+                np.fill_diagonal(eye, ONE)
+                self._read = np.ascontiguousarray(self._fixed_point(eye, _mat_vec_rows, False).T)
+        return self._read
+
+
+def _box(star: _Star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
     """The parameter box u_lo <= u <= u_hi at a level, or with none, and its upper envelope q.
 
-    u_lo = max(level_lo, fixed_lo) and u_hi = (q~ B*)~ with q =
-    min(level_hi, fixed_hi), in the arithmetic of parameter_upper_bound; the
-    default, no level, is the identity of max and of min.  In floats
-    u_lo - u_hi is u_lo + (-q) (x) B* bit for bit: its max is the existence
+    u_lo = max(level_lo, fixed_lo) and u_hi = ((-q) (x) B*)~ with q =
+    min(level_hi, fixed_hi); the default, no level, is the identity of max
+    and of min.  u_lo - u_hi is u_lo + (-q) (x) B*: its max is the existence
     condition Phi at the level, and with no level the bounds gap t~ B* s.
+    Once the closure is built this is the arithmetic of parameter_upper_bound.
     """
     q = np.minimum(level_hi, fixed_hi)
-    return np.maximum(level_lo, fixed_lo), np.negative(_vec_mat(np.negative(q), star)), q
+    return np.maximum(level_lo, fixed_lo), np.negative(star.row(np.negative(q))), q
 
 
-def _certify(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray):
-    """(report, B* or None, fixed_lo, fixed_hi) on the client rows cpt."""
-    gauge, star = trace_and_closure(inst.diff_bounds)
-    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
-    if star is None:
-        return FeasibilityReport(False, gauge, False, None), None, fixed_lo, fixed_hi
+def _certify(b: np.ndarray, fixed_lo, fixed_hi, eager: bool):
+    """(B* on demand, the bounds gap); raises _PositiveCycle.
+
+    One product decides both certificates: it converges only without a
+    positive cycle, and its box with no level gives the gap.
+    """
+    star = _Star(b, eager)
     u_lo, u_hi, _ = _box(star, fixed_lo, fixed_hi)
-    gap = float(np.maximum.reduce(u_lo - u_hi))
-    return FeasibilityReport(True, gauge, gap <= 0.0, gap), star, fixed_lo, fixed_hi
+    return star, float(np.maximum.reduce(u_lo - u_hi))
 
 
 def _certificates(inst: ChebyshevInstance):
-    """(report, B* or None, the fixed envelopes as BoundVectors)."""
+    """(report, B* with its closure built or None, the fixed envelopes as BoundVectors)."""
     c = _scale_of(inst)
-    report, star, fixed_lo, fixed_hi = _certify(inst, c, _client_rows(inst, c))
-    return report, star, _without_level(fixed_lo, fixed_hi)
+    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, _client_rows(inst, c))
+    bounds = _without_level(fixed_lo, fixed_hi)
+    try:
+        star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi, eager=True)
+    except _PositiveCycle as cycle:
+        return FeasibilityReport(False, cycle.witness, False, None), None, bounds
+    return FeasibilityReport(True, star.gauge, gap <= 0.0, gap), star, bounds
 
 
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
-    """Evaluate both feasibility certificates (plain or scaled instance)."""
+    """Evaluate both feasibility certificates (plain or scaled instance).
+
+    The closure is built up front, whatever n, because the report gives Tr.
+    """
     _require(inst, ChebyshevInstance, "check_feasibility")
     report, _, _ = _certificates(inst)
     return report
@@ -407,8 +634,8 @@ def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
     return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
 
 
-def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> tuple[float, np.ndarray, np.ndarray]:
-    """(theta, u_lo, u_hi): the root of the existence condition, by Newton's method, and its box.
+def _theta_kernel(cp, absc, w, h, star: _Star, fixed_lo, fixed_hi):
+    """(theta, u_lo, u_hi, q): the root of the existence condition, by Newton's method, and its box.
 
     cp arrives as (m, n) and is held as (n, m) (see the module docstring);
     the copy is free when cp is the .T of the solver's row-major rows.  At
@@ -426,8 +653,11 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> tuple[float, np.n
     largest h_j, which is h_j since b*_ii = 0, evaluated like every pair
     term; so theta is always one float term of the closed form.  The last
     step evaluates Phi at theta, so its box is the optimal box, returned
-    with theta.  Each step costs two O(m n) reductions and one O(n^2)
-    product; memory is O(m n).
+    with theta and its upper envelope q.  Each step costs two O(m n)
+    reductions, the product (-q) (x) B* and, unless it is the last, the
+    column B*[:, k], each a few O(n^2) products of the iteration on B (see
+    _Star); memory is O(m n).  Raises _PositiveCycle if B's closure, built
+    on the way, meets a positive cycle.
     """
     cpt = np.ascontiguousarray(cp.T)
     j = int(h.argmax())
@@ -441,8 +671,9 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> tuple[float, np.n
         k = int(crossing.argmax())
         if not crossing[k] > 0.0:
             break
-        i = int((star[:, k] - q).argmax())
-        b = star[i, k]
+        col = star.column(k)
+        i = int((col - q).argmax())
+        b = col[i]
         if level_hi[i] <= fixed_hi[i]:
             j = int(hi[i].argmin())
             y = b - cpt[i, j]
@@ -459,29 +690,43 @@ def _theta_kernel(cp, absc, w, h, star, fixed_lo, fixed_hi) -> tuple[float, np.n
         if not step > t:
             break
         t = step
-    return float(t), u_lo, u_hi
+    return float(t), u_lo, u_hi, q
 
 
 # How far rounding can cross the parameter box of a feasible instance at its
 # theta, in units of u S (u the unit roundoff, S from _magnitude), to first
-# order.  The box is the last evaluation of Phi, so no axis is crossed by more
-# than the float Phi(theta).  A level term costs 5 (h - t, / w and * |c|
-# together 3, then +/- c p 2) and g + b* 3 more, so each float piece of Phi is
-# within 13 of its exact value.  Newton stops where Phi looks <= 0 (no
-# crossing), on the bounds certificate's own term (<= 0 by that certificate),
-# or where the root of the piece that attains Phi is no larger than theta;
-# that root is within 40 u S of slope times error, so the piece is at most
-# 40 at theta, and its float value at most 40 + 13.
-_BOX_ROUNDINGS = 53
+# order: at most _BOX_ROUNDINGS + _HOP_ROUNDINGS (n - 1).  The box is the last
+# evaluation of Phi, so no axis is crossed by more than the float Phi(theta).
+# Every finite b*_ik is at most 2S, and each path sum that a product of B*
+# rounds, by the iteration or by the closure, has at most n - 1 hops, each
+# rounded within 6 u S: so a product is within E = 6 (n - 1) of exact, either
+# way.  Newton stops where Phi looks <= 0 (no crossing); where the root of its
+# piece, within 49 u S of slope times error, is no larger than theta, so the
+# crossing is at most 49 + 16 (the level terms, 5 each, and the argmax of the
+# column) + 2E; or on the bounds certificate's own term, where the crossing
+# exceeds that certificate's gap (<= 0) by at most 6 + 4E.  CHANGES.md has the
+# derivation.
+_BOX_ROUNDINGS = 65
+_HOP_ROUNDINGS = 24
 _U = float(np.finfo(np.float64).eps) / 2
 
 
-def _magnitude(absc, cpt, w, h, star, fixed_lo, fixed_hi, theta: float) -> float:
-    """S: the largest |c_i p_ji|, |c_i| (|h_j| + |theta|) / w_j, |fixed_lo|, |fixed_hi| or finite |b*_ik|."""
+def _box_slack(n: int) -> float:
+    """The clamp's bound on a crossing of the optimal box at size n, in units of S."""
+    return (_BOX_ROUNDINGS + _HOP_ROUNDINGS * (n - 1)) * _U
+
+
+def _magnitude(absc, cpt, w, h, q, u_hi, fixed_lo, fixed_hi, theta: float) -> float:
+    """S: the largest |c_i p_ji|, |c_i| (|h_j| + |theta|) / w_j, |fixed_lo|, |fixed_hi|, |q| or |u_hi|.
+
+    q and u_hi are those of the box at theta.  Every iterate of the product
+    (-q) (x) B* lies between -q and -u_hi, so S bounds them, and with them
+    every b*_ik that a product picks, within 2S: S needs no entry of B*.
+    """
     amax = np.maximum.reduce
     level = amax(absc) * amax((np.abs(h) + abs(theta)) / w)
-    envelopes = max(amax(np.abs(fixed_lo)), amax(np.abs(fixed_hi)))
-    return float(max(amax(np.abs(cpt), axis=None), level, envelopes, amax(np.abs(star[star > BOTTOM]))))
+    envelopes = max(amax(np.abs(fixed_lo)), amax(np.abs(fixed_hi)), amax(np.abs(q)), amax(np.abs(u_hi)))
+    return float(max(amax(np.abs(cpt), axis=None), level, envelopes))
 
 
 def compute_theta(inst: ChebyshevInstance) -> float:
@@ -510,25 +755,28 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     Infeasible result naming the failed certificate.  theta and the box come
     from the same, last, Newton step.  Once the certificates pass, the box is
     nonempty in exact arithmetic; an axis that rounding crossed, by at most
-    _BOX_ROUNDINGS u S, is closed up to its lower end, so a feasible instance
-    never gets an empty box.  The box lives in scaled coordinates and its
+    _box_slack(n) S, is closed up to its lower end, so a feasible instance
+    never gets an empty box.  B* comes on demand (_Star): the closure is
+    built only where it is cheaper than iterating on B.  The box lives in scaled coordinates and its
     transform divides members by c; an all-ones scale gets no scale in the
     transform.  rotate45 marks an instance that is the rotated image of a
     plane one, so the transform also rotates members back.
     """
     c = _scale_of(inst)
     cpt = _client_rows(inst, c)
-    report, star, fixed_lo, fixed_hi = _certify(inst, c, cpt)
-    if not report.spectral_ok:
-        return Infeasible("spectral", report.cycle_gauge)
-    if not report.bounds_ok:
-        return Infeasible("bounds", report.bounds_gap)
     absc = np.abs(c)
-    theta, u_lo, u_hi = _theta_kernel(cpt.T, absc, inst.weights, inst.addends, star, fixed_lo, fixed_hi)
+    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
+    try:
+        star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi, eager=False)
+        if not gap <= 0.0:
+            return Infeasible("bounds", gap)
+        theta, u_lo, u_hi, q = _theta_kernel(cpt.T, absc, inst.weights, inst.addends, star, fixed_lo, fixed_hi)
+    except _PositiveCycle as cycle:
+        return Infeasible("spectral", cycle.witness)
     gap = u_lo - u_hi
     if np.maximum.reduce(gap) > 0.0:
-        slack = _BOX_ROUNDINGS * _U * _magnitude(absc, cpt, inst.weights, inst.addends, star, fixed_lo, fixed_hi, theta)
-        u_hi = np.where((gap > 0.0) & (gap <= slack), u_lo, u_hi)
+        size = _magnitude(absc, cpt, inst.weights, inst.addends, q, u_hi, fixed_lo, fixed_hi, theta)
+        u_hi = np.where((gap > 0.0) & (gap <= _box_slack(inst.dim) * size), u_lo, u_hi)
     scale = None if np.logical_and.reduce(c == 1.0) else tuple(c.tolist())
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
 

@@ -153,6 +153,15 @@ def _vec_mat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(x[:, None] + a, axis=0)
 
 
+def _mat_vec_rows(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """a (x) x for each row x of xs, each reduced as a one-vector product is.
+
+    Chunked so that the (rows, n, n) temporary stays within 2^20 entries.
+    """
+    rows = max(1, (1 << 20) // a.size)
+    return np.concatenate([_mat_vec(a, xs[r : r + rows]) for r in range(0, max(xs.shape[0], 1), rows)])
+
+
 def mat_vec(a, x) -> np.ndarray:
     """Matrix times column vector: result_i = max_k a[i, k] + x[k]."""
     a = np.asarray(a, dtype=np.float64)

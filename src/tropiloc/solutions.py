@@ -15,9 +15,8 @@ import numpy as np
 from .boxes import SolutionBox, rotate45
 from .chebyshev import _scale_of
 from .errors import DimensionError, DomainError
-from .linear import parameter_upper_bound
 from .rectilinear import TiltedStripInstance
-from .semiring import _mat_vec, mat_vec
+from .semiring import _mat_vec_rows
 from .variants import lookup
 
 OBJECTIVE_TOL = 1e-9
@@ -36,15 +35,6 @@ def _as_batch(x, dim: int) -> np.ndarray:
     if arr.ndim == 2 and arr.shape[1] == dim:
         return arr
     raise DimensionError(f"points of dimension {dim} expected, got shape {arr.shape}")
-
-
-def _mat_vec_rows(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """a (x) x for each row x of xs, each reduced as a one-vector product is.
-
-    Chunked so that the (rows, n, n) temporary stays within 2^20 entries.
-    """
-    rows = max(1, (1 << 20) // a.size)
-    return np.concatenate([_mat_vec(a, xs[r : r + rows]) for r in range(0, max(xs.shape[0], 1), rows)])
 
 
 def _distances(inst, xs: np.ndarray) -> np.ndarray:
@@ -108,15 +98,16 @@ def is_member(box: SolutionBox, inst, x) -> bool:
     x is mapped to internal coordinates y; membership holds iff the largest
     parameter u with generator (x) u <= y, clipped to u_hi, still dominates
     u_lo and reproduces y.  This is a complete test: any witness parameter
-    is below that clipped maximizer, which then also reproduces y.
+    is below that clipped maximizer, which then also reproduces y.  Both
+    products are the box's own, so the test builds no closure.
     """
     xs = _as_batch(x, inst.dim)
     y = box.transform.to_internal(xs[0])
-    u_cap = parameter_upper_bound(box.generator, y)
+    u_cap = box._star.upper_bound(y)
     u_hat = np.minimum(u_cap, box.u_hi)
     if np.any(u_hat < box.u_lo - MEMBERSHIP_ATOL):
         return False
-    replayed = mat_vec(box.generator, u_hat)
+    replayed = box._star.members(u_hat[None, :])[0]
     return bool(np.max(np.abs(replayed - y)) <= MEMBERSHIP_ATOL)
 
 
@@ -131,7 +122,7 @@ def sample(box: SolutionBox, k: int, seed: int = 0) -> np.ndarray:
     gap = box.u_lo - box.u_hi
     if np.logical_or.reduce(gap > MEMBERSHIP_ATOL):
         raise DomainError("cannot sample from an empty box")
-    n = box.generator.shape[0]
+    n = box.u_lo.shape[0]
     us = np.empty((k, n))
     us[0] = box.u_lo
     us[1:2] = box.u_hi  # no row when k = 1
@@ -140,7 +131,7 @@ def sample(box: SolutionBox, k: int, seed: int = 0) -> np.ndarray:
         span = box.u_hi - box.u_lo
         us[2:] = box.u_lo[None, :] + rng.random((k - 2, n)) * span[None, :]
     # The rows of one max-plus product, each reduced as box.member reduces its one row.
-    return box.transform.to_original(_mat_vec_rows(box.generator, us))
+    return box.transform.to_original(box._star.members(us))
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,21 @@
 
 Every float is a dyadic rational, so one power of two D turns all of the
 theta kernel's float inputs into integers, and every term of the closed form
-into a ratio of integers.  theta_exact evaluates each term in a literal loop,
-in exact integer arithmetic, and returns the largest as a Fraction: the
-exact theta of the float inputs, with no rounding anywhere.
+into a ratio of integers.  closure_exact relaxes the float difference bounds
+B to B* in exact integer arithmetic, and theta_exact evaluates each term on
+it in a literal loop and returns the largest as a Fraction: the exact theta
+of the float inputs, with no rounding anywhere, the closure's included.
 
 The bounds are first-order rounding analyses of the solver's float
 evaluation, in units of u S, where u is the unit roundoff and S the largest
 magnitude among the operands (see magnitude); the derivations are in
-CHANGES.md.  THETA_ROUNDINGS bounds |theta - exact theta| times sigma, the
-least slope |c_i| / w_j of a piece of the existence condition Phi.  The
-solver's box is its last evaluation of Phi, at theta, so rounding crosses it
-by at most the float Phi(theta); the solver's own chebyshev._BOX_ROUNDINGS
-bounds that, in the same units.
+CHANGES.md.  THETA_ROUNDINGS + HOP_ROUNDINGS (n - 1) bounds
+|theta - exact theta| times sigma, the least slope |c_i| / w_j of a piece
+of the existence condition Phi: each path sum of B* that the solver rounds,
+by iterating on B or in the closure, has at most n - 1 hops.  The solver's
+box is its last evaluation of Phi, at theta, so rounding crosses it by at
+most the float Phi(theta); the solver's own chebyshev._box_slack bounds
+that, in the same units.
 """
 
 from __future__ import annotations
@@ -24,14 +27,48 @@ from fractions import Fraction
 import numpy as np
 
 U = float(np.finfo(np.float64).eps) / 2
-THETA_ROUNDINGS = 66
+THETA_ROUNDINGS = 75
+HOP_ROUNDINGS = 30
+
+
+def closure_exact(b) -> np.ndarray:
+    """B* = I max B max B^2 max ..., exactly, on the float entries of B.
+
+    A Floyd-Warshall relaxation in integers scaled by one power of two; the
+    result is an object array of Fractions, with -inf for no path.  Raises
+    ValueError on a positive cycle, where B* does not exist.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    finite = [x for x in b.ravel().tolist() if math.isfinite(x)]
+    d = max([x.as_integer_ratio()[1] for x in finite], default=1)
+    rows = [[int(Fraction(x) * d) if math.isfinite(x) else None for x in row] for row in b.tolist()]
+    for i in range(n):
+        rows[i][i] = 0 if rows[i][i] is None else max(rows[i][i], 0)
+    for k in range(n):
+        via = rows[k]
+        for row in rows:
+            first = row[k]
+            if first is None:
+                continue
+            for j, second in enumerate(via):
+                if second is not None and (row[j] is None or first + second > row[j]):
+                    row[j] = first + second
+    if any(rows[i][i] > 0 for i in range(n)):
+        raise ValueError("B has a positive cycle")
+    out = np.empty((n, n), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[i, j] = -math.inf if x is None else Fraction(x, d)
+    return out
 
 
 def theta_exact(cp, absc, w, h, star, fixed_lo, fixed_hi) -> Fraction:
     """max over every term of the closed form, exactly.
 
     Same arguments as the theta kernel: cp = c * p as (m, n), absc = |c|,
-    the weights w, the addends h, the closure B* and the fixed envelopes.
+    the weights w, the addends h, the closure B* (floats, or the Fractions of
+    closure_exact) and the fixed envelopes.
     The terms are, for every finite b = B*[i, k] and points j, l:
         pair:  (|c_i| w_l h_j + |c_k| w_j h_l + w_j w_l (b - cp_ji + cp_lk)) / (|c_i| w_l + |c_k| w_j)
         lower side:  h_j + (w_j / |c_i|) (b - cp_ji + fixed_lo_k)
@@ -73,16 +110,26 @@ def theta_exact(cp, absc, w, h, star, fixed_lo, fixed_hi) -> Fraction:
 
 
 def magnitude(cp, absc, w, h, star, fixed_lo, fixed_hi, theta) -> float:
-    """S: the largest |cp_ji|, |c_i| (|h_j| + |theta|) / w_j, |fixed_lo|, |fixed_hi| or finite |b*_ik|."""
-    finite = np.abs(star[star > -math.inf])
+    """S: the largest |cp_ji|, |c_i| (|h_j| + |theta|) / w_j, |fixed_lo|, |fixed_hi|, |q| or |u_hi|.
+
+    q = min(level_hi, fixed_hi) and u_hi = ((-q) (x) B*)~ are the box's at
+    theta, evaluated here in floats: S is needed to first order only.
+    """
+    cp = np.asarray(cp, dtype=np.float64)
+    b = np.asarray(star, dtype=np.float64)
     level = float(np.max(absc)) * float(np.max((np.abs(h) + abs(theta)) / w))
-    return max(float(np.max(np.abs(cp))), level, float(np.max(np.abs(fixed_lo))), float(np.max(np.abs(fixed_hi))), float(finite.max()))
+    level_hi = np.min(cp.T - absc[:, None] * ((h - theta) / w), axis=1)
+    q = np.minimum(level_hi, fixed_hi)
+    u_hi = -np.max(-q[:, None] + b, axis=0)
+    parts = (cp, fixed_lo, fixed_hi, q, u_hi)
+    return max(level, *(float(np.max(np.abs(p))) for p in parts))
 
 
 def theta_error_bound(cp, absc, w, h, star, fixed_lo, fixed_hi, theta) -> float:
-    """THETA_ROUNDINGS u S / sigma, with sigma = min |c_i| / max w_j."""
+    """(THETA_ROUNDINGS + HOP_ROUNDINGS (n - 1)) u S / sigma, with sigma = min |c_i| / max w_j."""
     sigma = float(np.min(absc)) / float(np.max(w))
-    return THETA_ROUNDINGS * U * magnitude(cp, absc, w, h, star, fixed_lo, fixed_hi, theta) / sigma
+    units = THETA_ROUNDINGS + HOP_ROUNDINGS * (len(absc) - 1)
+    return units * U * magnitude(cp, absc, w, h, star, fixed_lo, fixed_hi, theta) / sigma
 
 
 def theta_error(theta: float, exact: Fraction) -> float:

@@ -36,7 +36,7 @@ from tropiloc import (
     solve_tilted,
     verify,
 )
-from tropiloc.chebyshev import _theta_kernel
+from tropiloc.chebyshev import _Star, _theta_kernel
 from tropiloc.linear import solve_upper
 from tropiloc.semiring import (
     BOTTOM,
@@ -324,8 +324,7 @@ def _time_theta_parts(n: int, seed: int) -> float:
     pts = dyadic(rng, (16, n), limit=2**10)
     w = rng.choice([1.0, 2.0, 4.0], size=16)
     h = dyadic(rng, 16, limit=2**10)
-    gauge, star = trace_and_closure(nonpos_cycle_matrix(rng, n, density=0.4))
-    assert star is not None
+    star = _Star(nonpos_cycle_matrix(rng, n, density=0.4), eager=True)  # the closure, built here
     lo = pts.min(axis=0) - 50.0
     hi = pts.max(axis=0) + 50.0
     unit = np.ones(n)

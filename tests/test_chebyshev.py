@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact import U, magnitude, theta_error, theta_error_bound, theta_exact
+from exact import closure_exact, magnitude, theta_error, theta_error_bound, theta_exact
 from support import (
     B2,
     clipped_variant_instance,
@@ -423,7 +423,7 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
         report, star, bounds = chebyshev._certificates(inst)
         if not report.feasible:
             return False
-        args = (scale * inst.points, np.abs(scale), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+        args = (scale * inst.points, np.abs(scale), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
         loop = theta_reference(*args)
         assert theta_grid(*args) == loop
         assert theta_of(inst) == loop
@@ -472,11 +472,18 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
         assert matches_loop(fields, scale)
 
 
-def _within_exact_bound(theta, args) -> bool:
+def _kernel_theta(args, star) -> float:
+    # The kernel's theta on the oracles' arguments, with B* on demand in place of the matrix.
+    return chebyshev._theta_kernel(*args[:4], star, *args[5:])[0]
+
+
+def _within_exact_bound(theta, args, b) -> bool:
     # theta is the term Newton stops on: one of the float terms the literal
-    # loop maximizes, so never above its float max, and within the derived
-    # rounding bound of the exact theta of the same float inputs.
-    return theta <= theta_reference(*args) and theta_error(theta, theta_exact(*args)) <= theta_error_bound(*args, theta)
+    # loop maximizes on the float closure args[4], so never above its float
+    # max, and within the derived rounding bound of the exact theta of the
+    # float inputs, whose closure of B is exact too.
+    exact = (*args[:4], closure_exact(b), *args[5:])
+    return theta <= theta_reference(*args) and theta_error(theta, theta_exact(*exact)) <= theta_error_bound(*exact, theta)
 
 
 def test_theta_kernel_matches_both_oracles_on_near_ties():
@@ -501,10 +508,10 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
         scale=[0.3],
     )
     report, star, bounds = chebyshev._certificates(pair)
-    args = (0.3 * pair.points, np.array([0.3]), pair.weights, pair.addends, star, bounds.fixed_lo, bounds.fixed_hi)
+    args = (0.3 * pair.points, np.array([0.3]), pair.weights, pair.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
     assert theta_exact(*args) == Fraction(0.001)
     assert theta_reference(*args) == theta_grid(*args) == 0.0010000000000000005
-    assert chebyshev._theta_kernel(*args)[0] == solve_scaled(pair).theta == 0.001
+    assert _kernel_theta(args, star) == solve_scaled(pair).theta == 0.001
     rng = np.random.default_rng(11)
     shapes = ("repeated", "lattice", "single", "diagonal", "side")
     scales = ("plain", "unit", "repeated", "per-axis")
@@ -556,10 +563,10 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
         if not report.feasible:
             continue
         cp = c * inst.points
-        args = (cp, np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-        theta = chebyshev._theta_kernel(*args)[0]
+        args = (cp, np.abs(c), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
+        theta = _kernel_theta(args, star)
         assert theta_reference(*args) == theta_grid(*args), (trial, shape, kind)
-        assert _within_exact_bound(theta, args), (trial, shape, kind)
+        assert _within_exact_bound(theta, args, inst.diff_bounds), (trial, shape, kind)
         checked[shape] += 1
         if shape == "side":
             own = inst.addends[:, None] + (inst.weights[:, None] / np.abs(c)) * (bounds.fixed_lo - cp)
@@ -587,10 +594,10 @@ def test_theta_kernel_ignores_the_layout_of_cp():
         cp = c * inst.points
         wide = np.zeros((2 * inst.m, 3 * inst.dim))
         wide[::2, ::3] = cp
-        rest = (np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-        thetas = [chebyshev._theta_kernel(view, *rest)[0] for view in (cp, np.asfortranarray(cp), wide[::2, ::3])]
+        rest = (np.abs(c), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
+        thetas = [_kernel_theta((view, *rest), star) for view in (cp, np.asfortranarray(cp), wide[::2, ::3])]
         assert len({_bits(theta) for theta in thetas}) == 1, seed
-        assert _within_exact_bound(thetas[0], (cp, *rest)), seed
+        assert _within_exact_bound(thetas[0], (cp, *rest), inst.diff_bounds), seed
         checked += 1
     assert checked >= 40, checked
 
@@ -640,8 +647,8 @@ def test_distinct_tuples_keep_theta():
         report, star, bounds = chebyshev._certificates(inst)
         if not report.feasible:
             continue
-        args = (c * inst.points, np.abs(c), inst.weights, inst.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-        assert _within_exact_bound(chebyshev._theta_kernel(*args)[0], args), trial
+        args = (c * inst.points, np.abs(c), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
+        assert _within_exact_bound(_kernel_theta(args, star), args, inst.diff_bounds), trial
         checked += 1
     assert checked >= 100, checked
 
@@ -679,8 +686,8 @@ def test_certificate_and_box_are_solve_double(variant):
             assert np.all(box.u_lo <= box.u_hi), (seed, f)
             moved = family.u_hi.view(np.int64) != box.u_hi.view(np.int64)
             c = chebyshev._scale_of(core)
-            args = (c * core.points, np.abs(c), core.weights, core.addends, star, bounds.fixed_lo, bounds.fixed_hi)
-            slack = chebyshev._BOX_ROUNDINGS * U * magnitude(*args, box.theta)
+            args = (c * core.points, np.abs(c), core.weights, core.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
+            slack = chebyshev._box_slack(core.dim) * magnitude(*args, box.theta)
             assert np.array_equal(box.u_hi[moved], box.u_lo[moved]), (seed, f)
             assert np.all(box.u_lo[moved] - family.u_hi[moved] <= slack), (seed, f)
             clamped += int(moved.sum())

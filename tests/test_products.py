@@ -1,0 +1,304 @@
+"""B* on demand: the solver's products by iteration on B, and the closure only when it is cheaper.
+
+chebyshev._Star forms x (x) B*, B*[:, k] and B* (x) u by iterating on B and
+builds the closure trace_and_closure(B) up front at n <= 41, or once the
+iteration has cost as much as the closure.  These tests pin what that must
+keep: theta within the derived rounding bound of the exact closed form,
+verdicts and witnesses equal to the closure's, cycles lighter than an ulp
+of the iterates still found, a product count within the budget on the worst
+cases, and no closure built behind a replay.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from exact import closure_exact, theta_error, theta_error_bound, theta_exact
+from tropiloc import (
+    ChebyshevInstance,
+    assemble_bounds,
+    check_feasibility,
+    is_member,
+    random_infeasible,
+    random_instance,
+    sample,
+    solve,
+    verify,
+)
+from tropiloc import chebyshev, cli, emit_instance
+from tropiloc.boxes import SolutionBox, Transform
+from tropiloc.errors import DimensionError
+from tropiloc.linear import Infeasible
+from tropiloc.semiring import BOTTOM, trace_and_closure
+
+
+@pytest.fixture
+def stars(monkeypatch):
+    """Every _Star the solver makes, in order; each counts its products in spent."""
+    made = []
+
+    class Counted(chebyshev._Star):
+        __slots__ = ()
+
+        def __init__(self, b, eager):
+            made.append(self)
+            super().__init__(b, eager)
+
+    monkeypatch.setattr(chebyshev, "_Star", Counted)
+    return made
+
+
+@pytest.fixture
+def iterate(monkeypatch):
+    """Iterate at every n, as the solve does from n = 42 on, so that small instances take that path."""
+    monkeypatch.setattr(chebyshev, "_TYPICAL_PRODUCTS", 0)
+
+
+def _rescaled(inst, f: float):
+    fields = {name: getattr(inst, name) * f for name in ("points", "addends", "box_lo", "box_hi", "diff_bounds")}
+    if inst.caps is not None:
+        fields["caps"] = inst.caps * f
+    return dataclasses.replace(inst, **fields)
+
+
+def test_budget_builds_the_closure_up_front_only_at_n_up_to_41():
+    budgets = [chebyshev._closure_products(n) for n in range(1, 400)]
+    assert all(b <= chebyshev._TYPICAL_PRODUCTS for b in budgets[:41])
+    assert all(b > chebyshev._TYPICAL_PRODUCTS for b in budgets[41:])
+    assert budgets == sorted(budgets)
+
+
+def test_iterated_solves_keep_theta_within_the_exact_bound(stars, iterate):
+    # Iterating on B, the solve buys the closure on the way if the iteration
+    # costs as much.  On both paths theta must stay within the
+    # derived bound of the exact theta of its float inputs, whose closure is
+    # exact too, and the box must stay nonempty; both scales, native and
+    # rescaled by a non-dyadic factor, so that path sums round.
+    checked = iterated = 0
+    for seed in range(36):
+        variant = ("chebyshev", "chebyshev_scaled")[seed % 2]
+        inst = random_instance(variant, 5 + seed % 16, 2 + seed % 5, seed)
+        if seed % 3 == 2:
+            inst = _rescaled(inst, 1e6 + 0.3)
+        stars.clear()
+        box = solve(inst)
+        if isinstance(box, Infeasible):
+            continue
+        iterated += stars[0].closure is None
+        c = chebyshev._scale_of(inst)
+        fixed = assemble_bounds(inst)
+        args = (c * inst.points, np.abs(c), inst.weights, inst.addends, closure_exact(inst.diff_bounds), fixed.fixed_lo, fixed.fixed_hi)
+        assert theta_error(box.theta, theta_exact(*args)) <= theta_error_bound(*args, box.theta), seed
+        assert np.all(box.u_lo <= box.u_hi), seed
+        checked += 1
+    assert checked >= 30, checked
+    assert 6 <= iterated <= checked - 5, (iterated, checked)
+
+
+def _chain(n: int, weight: float, seed: int):
+    inst = random_instance("chebyshev", n, 20, seed)
+    b = np.full((n, n), BOTTOM)
+    b[np.arange(n - 1), np.arange(1, n)] = weight
+    return dataclasses.replace(inst, diff_bounds=b)
+
+
+def _same_verdict(result, inst) -> bool:
+    # The verdict and witness trace_and_closure gives through check_feasibility.
+    report = check_feasibility(inst)
+    if not report.spectral_ok:
+        return isinstance(result, Infeasible) and (result.cause, result.witness) == ("spectral", report.cycle_gauge)
+    if not report.bounds_ok:
+        return isinstance(result, Infeasible) and (result.cause, result.witness) == ("bounds", report.bounds_gap)
+    return not isinstance(result, Infeasible)
+
+
+@pytest.mark.parametrize("weight", [0.001, 1.0])
+def test_a_300_chain_spends_at_most_the_budget(stars, weight):
+    # x_i >= B[i, i+1] + x_{i+1} along a 300-chain: (-q) (x) B* needs 300
+    # products, more than the closure costs, so the solve buys the closure
+    # once the budget is spent.  A weight of 1 crosses the box (the bounds
+    # certificate fails); 0.001 is feasible.
+    inst = _chain(300, weight, 4)
+    stars.clear()
+    result = solve(inst)
+    (star,) = stars
+    assert star.closure is not None
+    assert star.spent == math.ceil(star.budget), star.spent
+    assert _same_verdict(result, inst)
+    assert isinstance(result, Infeasible) == (weight == 1.0)
+
+
+@pytest.mark.parametrize("n", [60, 80, 100])
+def test_a_planted_cycle_spends_at_most_the_budget(stars, n):
+    # A positive cycle never converges: the iteration spends the budget, and
+    # the closure then reports the cycle with its own witness.
+    for seed in range(3):
+        inst = random_infeasible(n, 20, seed, mode="cycle")
+        stars.clear()
+        result = solve(inst)
+        (star,) = stars
+        assert star.spent == math.ceil(star.budget), (n, seed, star.spent)
+        assert _same_verdict(result, inst), (n, seed)
+        assert result.witness == trace_and_closure(inst.diff_bounds)[0]
+
+
+def test_replays_build_no_closure(monkeypatch):
+    # member, sample, is_member and verify use the box's own products: they
+    # must not build the closure that the solve did without, or every checked
+    # call would pay for it after the timed one.  The generator, read later,
+    # is trace_and_closure(B) bit for bit, and reading it changes no member.
+    boxes = []
+    for seed in range(40):
+        inst = random_instance(("chebyshev", "chebyshev_scaled")[seed % 2], 42 + seed % 16, 3 + seed % 7, seed)
+        box = solve(inst)
+        if not isinstance(box, Infeasible) and box._star.closure is None:
+            boxes.append((inst, box))
+    assert len(boxes) >= 15, len(boxes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replay built the closure")
+
+    monkeypatch.setattr(chebyshev, "trace_and_closure", refuse)
+    before = []
+    for inst, box in boxes:
+        members = sample(box, 7, seed=1)
+        assert np.array_equal(box.member(box.u_lo), members[0])
+        assert all(is_member(box, inst, x) for x in members)
+        assert verify(box, inst, 8).passed
+        before.append(members)
+    monkeypatch.undo()
+    for (inst, box), members in zip(boxes, before):
+        assert box.generator.tobytes() == trace_and_closure(inst.diff_bounds)[1].tobytes()
+        assert sample(box, 7, seed=1).tobytes() == members.tobytes()
+
+
+def test_instances_up_to_41_keep_the_closure_path():
+    # At n <= 41 the closure is built up front: the answer is that of the
+    # closure's products, bit for bit, whatever the members are asked.
+    for seed in range(20):
+        inst = random_instance("chebyshev", 1 + 2 * seed + seed % 2, 3, seed)
+        box = solve(inst)
+        if isinstance(box, Infeasible):
+            continue
+        assert box._star.closure is not None
+        star = trace_and_closure(inst.diff_bounds)[1]
+        assert box.generator.tobytes() == star.tobytes()
+        assert box.member(box.u_hi).tobytes() == np.maximum.reduce(star + box.u_hi, axis=1).tobytes()
+
+
+def test_member_checks_its_parameter():
+    inst = ChebyshevInstance(
+        points=[[0.0] * 5], weights=[1.0], addends=[0.0], box_lo=[-1.0] * 5, box_hi=[1.0] * 5,
+        diff_bounds=np.full((5, 5), BOTTOM),
+    )
+    box = solve(inst)
+    with pytest.raises(DimensionError, match="parameter of shape"):
+        box.member(np.zeros(4))
+
+
+def test_iterated_products_are_the_closures_on_exact_data(iterate):
+    # On dyadic data every path sum is exact, so the iteration's products are
+    # the closure's bit for bit, signed zeros included: the closure's zero
+    # diagonal turns a -0.0 parameter into +0.0, and so must the iteration.
+    b = np.full((5, 5), BOTTOM)
+    b[0, 1], b[1, 2], b[3, 0], b[2, 2] = -1.0, 0.5, -0.25, -2.0
+    star = chebyshev._Star(b, eager=False)
+    assert star.closure is None
+    closure = trace_and_closure(b)[1]
+    us = np.array([[-0.0, -0.0, 1.0, -0.0, 2.0], [0.0, -3.0, -0.0, 4.0, -0.0]])
+    want = np.maximum.reduce(closure + us[:, None, :], axis=-1)
+    assert star.members(us).tobytes() == want.tobytes()
+    x = -us[1]
+    assert star.row(x).tobytes() == np.maximum.reduce(x[:, None] + closure, axis=0).tobytes()
+    assert star.closure is None
+    star = chebyshev._Star(b, eager=False)
+    assert star.column(2).tobytes() == closure[:, 2].tobytes()
+    assert star.closure is None
+
+
+def _lighter_cycles(n: int):
+    # Positive cycles lighter than half an ulp of the iterates, which start
+    # at -q with |q| near 1 to 12: a self-loop of 1e-17, and a 2-cycle whose
+    # weight 2^-53 only the exact sum b_01 + b_10 shows.
+    base = random_instance("chebyshev", n, 4, 3)
+    loop = base.diff_bounds.copy()
+    loop[0, 0] = 1e-17
+    pair = np.full((n, n), BOTTOM)
+    pair[0, 1], pair[1, 0] = 1.0, -1.0 + 2.0**-53
+    return [dataclasses.replace(base, diff_bounds=b) for b in (loop, pair)]
+
+
+@pytest.mark.parametrize("n", [5, 48])
+def test_cycles_lighter_than_an_ulp_fail_the_spectral_certificate(tmp_path, capsys, monkeypatch, n):
+    # The iteration's float fixed point absorbs such a cycle, so it is raised
+    # to an exact potential first, which a positive cycle never reaches.
+    # solve, check_feasibility and the command line's solve and check must
+    # all report the closure's Infeasible("spectral"), at n = 48 on the
+    # iteration path and at n = 5 on both.
+    for inst in _lighter_cycles(n):
+        report = check_feasibility(inst)
+        assert not report.spectral_ok and report.cycle_gauge > 0.0
+        path = tmp_path / "cycle.json"
+        path.write_text(emit_instance(inst))
+        for cut in (chebyshev._TYPICAL_PRODUCTS, 0):
+            monkeypatch.setattr(chebyshev, "_TYPICAL_PRODUCTS", cut)
+            assert solve(inst) == Infeasible("spectral", report.cycle_gauge)
+            capsys.readouterr()
+            assert cli.main(["solve", str(path)]) == 2
+            assert "infeasible" in capsys.readouterr().err
+            assert cli.main(["check", str(path)]) == 2
+            assert "spectral certificate: FAILED" in capsys.readouterr().out
+
+
+def test_the_certificate_does_not_take_a_float_fixed_point_for_a_potential(iterate):
+    # The fixed point of -q (x) B* in floats is no potential of the self-loop
+    # instance, and raising it never ends: the budget runs out and the
+    # closure decides.  A feasible instance reaches an exact potential.
+    loop, _ = _lighter_cycles(48)
+    star = chebyshev._Star(loop.diff_bounds, eager=False)
+    z = star._fixed_point(np.full(48, -12.0), chebyshev._row_step, True)
+    assert z is not None
+    assert not star._proves_acyclic(z)
+    assert star.spent == math.ceil(star.budget)
+    feasible = random_instance("chebyshev", 48, 4, 3)
+    star = chebyshev._Star(feasible.diff_bounds, eager=False)
+    star.row(-feasible.box_hi)
+    assert star.acyclic and star.closure is None
+
+
+def test_generator_falls_back_to_the_iteration_where_the_closure_reports_a_cycle(tmp_path, capsys):
+    # The 4-cycle weighs 9 * 2^-56 - 0.6 * 2^-52 < 0 exactly, but the
+    # closure's relaxation rounds 1 - 0.6 * 2^-52 up on its first pivot and
+    # reports a positive cycle.  The solve's exact potential (0, 1, 0, c)
+    # rules one out, so it returns a box, and its generator is read from the
+    # iteration column by column instead of raising.
+    n = 48
+    b = np.full((n, n), BOTTOM)
+    b[0, 1], b[1, 2], b[2, 3], b[3, 0] = 1.0, -1.0, 9 * 2.0**-56, -0.6 * 2.0**-52
+    inst = ChebyshevInstance(
+        points=[[0.0] * n], weights=[1.0], addends=[0.0], box_lo=[-2.0] * n, box_hi=[0.0] * n, diff_bounds=b,
+    )
+    exact = closure_exact(b)
+    assert trace_and_closure(b)[1] is None
+    box = solve(inst)
+    assert not isinstance(box, Infeasible)
+    want = exact.astype(float)
+    assert np.array_equal(np.isfinite(box.generator), np.isfinite(want))
+    assert np.allclose(box.generator, want, rtol=0.0, atol=1e-15)
+    assert np.all(np.diagonal(box.generator) == 0.0)
+    path = tmp_path / "rounded_cycle.json"
+    path.write_text(emit_instance(inst))
+    capsys.readouterr()
+    assert cli.main(["solve", str(path)]) == 0
+    assert '"theta": 1.0' in capsys.readouterr().out
+
+
+def test_a_box_built_by_hand_takes_its_generator_as_a_matrix():
+    g = trace_and_closure(random_instance("chebyshev", 6, 3, 2).diff_bounds)[1]
+    u = np.arange(6.0)
+    box = SolutionBox(1.0, g, u, u + 1.0, Transform(None, False))
+    assert box.generator is box._star.closure and np.array_equal(box.generator, g)
+    assert np.array_equal(box.member(u), np.maximum.reduce(g + u, axis=1))
+    assert "_star" not in repr(box)
