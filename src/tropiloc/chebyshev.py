@@ -24,8 +24,9 @@ products each; the one product t~ (x) B*, once its fixed point is raised
 to an exact potential, proves that B has no positive cycle, so it decides
 both certificates.  The O(n^3) closure is built only where it is cheaper:
 up front at n <= 41, or once the iteration has cost as much as the closure
-would (rent or buy).  check_feasibility
-builds it up front, because its report gives Tr.
+would (rent or buy).  check_feasibility does not iterate: its report is the
+lemma on the closure, Tr(B) from trace_and_closure and the gap of
+s <= (t~ B*)~ from parameter_upper_bound, as in linear.solve_double.
 
 When both pass, the optimum theta has a closed form (a finite max over point
 pairs and closure entries) and the full optimal set is the box
@@ -287,18 +288,19 @@ class FeasibilityReport:
     t~ (x) B* (x) s (bounds certificate: must be <= 0); it is None when the
     spectral certificate already failed, because the closure then diverges.
 
-    check_feasibility builds the closure B* up front, at every n, because
-    Tr needs it.  solve decides the same two certificates from one product
-    t~ (x) B* by iteration on B, and builds the closure only where that is
-    cheaper (see _Star).  A failed spectral certificate always comes from
-    the closure, with the report's witness: the iteration passes it only
-    with an exact potential, so a positive cycle, however light, fails in
-    both.  At n >= 42 the bounds witness can differ from bounds_gap in the
-    last bits, because the iteration adds the same path weights in another
-    order.  Where the closure's rounding lifts a cycle of exact weight <= 0
-    above zero, this report fails, and solve can pass: its certificate is
-    exact, and it takes the closure's verdict only where it cannot prove
-    one.
+    check_feasibility is the two-sided lemma on the closure, at every n:
+    Tr and B* from trace_and_closure, then bounds_gap = max(s - (t~ B*)~)
+    with parameter_upper_bound, the arithmetic of linear.solve_double.
+    solve decides the same two certificates from one product t~ (x) B* by
+    iteration on B, and builds the closure only where that is cheaper (see
+    _Star).  A failed spectral certificate always comes from the closure,
+    with the report's witness: the iteration passes it only with an exact
+    potential, so a positive cycle, however light, fails in both.  At
+    n >= 42 the bounds witness can differ from bounds_gap in the last bits,
+    because the iteration adds the same path weights in another order.
+    Where the closure's rounding lifts a cycle of exact weight <= 0 above
+    zero, this report fails, and solve can pass: its certificate is exact,
+    and it takes the closure's verdict only where it cannot prove one.
     """
 
     spectral_ok: bool
@@ -349,11 +351,6 @@ def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) ->
     return fixed_lo, fixed_hi
 
 
-def _without_level(fixed_lo: np.ndarray, fixed_hi: np.ndarray) -> BoundVectors:
-    n = fixed_lo.shape[0]
-    return BoundVectors(np.full(n, BOTTOM), np.full(n, np.inf), fixed_lo, fixed_hi)
-
-
 def _level_terms(absc, cpt, w, h, t):
     """The lines of the level envelopes at level t, as two (n, m) arrays.
 
@@ -381,7 +378,7 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     cpt = _client_rows(inst, c)
     fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
     if theta is None:
-        return _without_level(fixed_lo, fixed_hi)
+        return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
     lo, hi = _level_terms(np.abs(c), cpt, inst.weights, inst.addends, theta)
     return BoundVectors(np.maximum.reduce(lo, axis=1), np.minimum.reduce(hi, axis=1), fixed_lo, fixed_hi)
 
@@ -428,17 +425,18 @@ def _row_step(b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class _Star:
-    """B*, the closure of a difference-bound matrix B, on demand.
+    """B*, the closure of a difference-bound matrix B, on demand, for the solve and its box.
 
-    The solver needs B* only through products: x (x) B* for the bounds
-    certificate and each Newton step's u_hi, one column B* (x) e_k per Newton
-    step, and B* (x) u for the members.  x (x) B* is the fixed point of
-    z <- max(z, z (x) B) started at x (max-plus Bellman-Ford); B* (x) x that
-    of z <- max(z, B (x) z).  Without a positive cycle the iteration is done
-    after at most n - 1 products that move z and one that confirms.  The
-    first row product, the bounds certificate's, is the spectral certificate
-    too, once its fixed point is raised to an exact potential
-    (_proves_acyclic).
+    check_feasibility never makes one: its report is the lemma on the
+    closure itself.  The solver needs B* only through products: x (x) B*
+    for the bounds certificate and each Newton step's u_hi, one column
+    B* (x) e_k per Newton step, and B* (x) u for the members.  x (x) B* is
+    the fixed point of z <- max(z, z (x) B) started at x (max-plus
+    Bellman-Ford); B* (x) x that of z <- max(z, B (x) z).  Without a
+    positive cycle the iteration is done after at most n - 1 products that
+    move z and one that confirms.  The first row product, the bounds
+    certificate's, is the spectral certificate too, once its fixed point is
+    raised to an exact potential (_proves_acyclic).
 
     Rent or buy: each product of the solve is counted in spent.  The closure
     (trace_and_closure, unchanged) is built once, up front when it costs no
@@ -457,25 +455,24 @@ class _Star:
     the same bits before and after its generator is read.
     """
 
-    __slots__ = ("b", "n", "budget", "spent", "gauge", "closure", "acyclic", "_read")
+    __slots__ = ("b", "n", "budget", "spent", "closure", "acyclic", "_read")
 
-    def __init__(self, b: np.ndarray, eager: bool):
+    def __init__(self, b: np.ndarray):
         self.b = b
         self.n = b.shape[0]
         self.spent = 0
-        self.gauge = None
         self.closure = None
         self.acyclic = False
         self._read = None
         self.budget = _closure_products(self.n)
-        if eager or self.budget <= _TYPICAL_PRODUCTS:
+        if self.budget <= _TYPICAL_PRODUCTS:
             self._buy()
 
     def _buy(self) -> None:
         gauge, star = trace_and_closure(self.b)
         if star is None:
             raise _PositiveCycle(gauge)
-        self.gauge, self.closure = gauge, star
+        self.closure = star
 
     def _fixed_point(self, x: np.ndarray, step, budgeted: bool):
         """The fixed point of z <- max(z, step(B, z)) from x, or None where a budgeted one gives up.
@@ -594,37 +591,32 @@ def _box(star: _Star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
     return np.maximum(level_lo, fixed_lo), np.negative(star.row(np.negative(q))), q
 
 
-def _certify(b: np.ndarray, fixed_lo, fixed_hi, eager: bool):
+def _certify(b: np.ndarray, fixed_lo, fixed_hi):
     """(B* on demand, the bounds gap); raises _PositiveCycle.
 
     One product decides both certificates: it converges only without a
     positive cycle, and its box with no level gives the gap.
     """
-    star = _Star(b, eager)
+    star = _Star(b)
     u_lo, u_hi, _ = _box(star, fixed_lo, fixed_hi)
     return star, float(np.maximum.reduce(u_lo - u_hi))
-
-
-def _certificates(inst: ChebyshevInstance):
-    """(report, B* with its closure built or None, the fixed envelopes as BoundVectors)."""
-    c = _scale_of(inst)
-    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, _client_rows(inst, c))
-    bounds = _without_level(fixed_lo, fixed_hi)
-    try:
-        star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi, eager=True)
-    except _PositiveCycle as cycle:
-        return FeasibilityReport(False, cycle.witness, False, None), None, bounds
-    return FeasibilityReport(True, star.gauge, gap <= 0.0, gap), star, bounds
 
 
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     """Evaluate both feasibility certificates (plain or scaled instance).
 
-    The closure is built up front, whatever n, because the report gives Tr.
+    The lemma on the closure, whatever n: Tr(B) and B* from
+    trace_and_closure, then the gap of s <= (t~ B*)~ from
+    parameter_upper_bound.
     """
     _require(inst, ChebyshevInstance, "check_feasibility")
-    report, _, _ = _certificates(inst)
-    return report
+    c = _scale_of(inst)
+    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, _client_rows(inst, c))
+    gauge, closure = trace_and_closure(inst.diff_bounds)
+    if closure is None:
+        return FeasibilityReport(False, gauge, False, None)
+    gap = float(np.maximum.reduce(fixed_lo - parameter_upper_bound(closure, fixed_hi)))
+    return FeasibilityReport(True, gauge, gap <= 0.0, gap)
 
 
 def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
@@ -634,11 +626,11 @@ def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
     return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
 
 
-def _theta_kernel(cp, absc, w, h, star: _Star, fixed_lo, fixed_hi):
+def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     """(theta, u_lo, u_hi, q): the root of the existence condition, by Newton's method, and its box.
 
-    cp arrives as (m, n) and is held as (n, m) (see the module docstring);
-    the copy is free when cp is the .T of the solver's row-major rows.  At
+    cpt holds the client data c * p as (n, m) rows, as solve_core forms
+    them (see the module docstring); any layout gives the same bits.  At
     level t the parameter box u_lo <= u <= u_hi (_box, on the envelopes of
     _level_terms) is nonempty exactly when
         Phi(t) = max_k ((g (x) B*)_k + C_k) = max_k (u_lo - u_hi)_k <= 0,   where
@@ -659,7 +651,6 @@ def _theta_kernel(cp, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     _Star); memory is O(m n).  Raises _PositiveCycle if B's closure, built
     on the way, meets a positive cycle.
     """
-    cpt = np.ascontiguousarray(cp.T)
     j = int(h.argmax())
     t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)
     while True:
@@ -767,10 +758,10 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     absc = np.abs(c)
     fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
     try:
-        star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi, eager=False)
+        star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi)
         if not gap <= 0.0:
             return Infeasible("bounds", gap)
-        theta, u_lo, u_hi, q = _theta_kernel(cpt.T, absc, inst.weights, inst.addends, star, fixed_lo, fixed_hi)
+        theta, u_lo, u_hi, q = _theta_kernel(cpt, absc, inst.weights, inst.addends, star, fixed_lo, fixed_hi)
     except _PositiveCycle as cycle:
         return Infeasible("spectral", cycle.witness)
     gap = u_lo - u_hi

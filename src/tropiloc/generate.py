@@ -11,9 +11,10 @@ Two builders draw the data in grid units: one for the Chebyshev variants
 (plain, or scaled with c drawn first) and one for the plane variants (the
 vertical strip or the tilted band).  Both hand it to one loop that builds
 the instance, runs the feasibility certificates and, on failure, widens the
-caps, the box and a vertical strip of nonzero width before the next of at
-most 10 tries.  Widening terminates because large enough caps and box
-always admit a point for potential-generated difference bounds.
+caps and the box before the next of at most 10 tries.  Widening terminates
+because large enough caps and box always admit a point for
+potential-generated difference bounds; a strip or band is drawn to hold
+every point, or as a line that growing caps and box reach.
 
 Engineered infeasible instances come in two flavors: caps too tight across
 the widest point pair (bounds certificate fails with a margin of at least
@@ -28,7 +29,7 @@ import numpy as np
 
 from .boxes import rotate45
 from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance
-from .rectilinear import StripInstance, TiltedStripInstance
+from .rectilinear import TiltedStripInstance
 from .semiring import BOTTOM
 from .variants import TABLE, check_feasibility
 
@@ -120,10 +121,8 @@ def _certified(cls, gamma: float, units: dict, **fixed):
 
     units holds the arguments in grid units, scaled by gamma on every try;
     fixed holds the rest (weights, scale, slope).  After a failed try each
-    finite cap becomes cap * 2 + 4 units, the box grows by 4 units on each
-    side, and the ends of a vertical strip of nonzero width move out by 1
-    unit.  A zero-width strip keeps its ends untouched: they may be -0.0,
-    and -0.0 + 0 is +0.0, which would change the emitted instance.
+    finite cap becomes cap * 2 + 4 units and the box grows by 4 units on
+    each side.
     """
     for _ in range(10):
         inst = cls(**fixed, **{k: None if u is None else u * gamma for k, u in units.items()})
@@ -134,9 +133,6 @@ def _certified(cls, gamma: float, units: dict, **fixed):
             units["caps"] = np.where(np.isinf(caps), caps, caps * 2 + 4)
         units["box_lo"] = units["box_lo"] - 4
         units["box_hi"] = units["box_hi"] + 4
-        if cls is StripInstance and units["strip_lo"] != units["strip_hi"]:
-            units["strip_lo"] -= 1
-            units["strip_hi"] += 1
     raise RuntimeError("instance generation failed to reach feasibility")
 
 

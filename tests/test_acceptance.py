@@ -324,11 +324,13 @@ def _time_theta_parts(n: int, seed: int) -> float:
     pts = dyadic(rng, (16, n), limit=2**10)
     w = rng.choice([1.0, 2.0, 4.0], size=16)
     h = dyadic(rng, 16, limit=2**10)
-    star = _Star(nonpos_cycle_matrix(rng, n, density=0.4), eager=True)  # the closure, built here
+    star = _Star(nonpos_cycle_matrix(rng, n, density=0.4))
+    star._buy()  # the closure, built here at every n
     lo = pts.min(axis=0) - 50.0
     hi = pts.max(axis=0) + 50.0
     unit = np.ones(n)
-    return _best_of(lambda: _theta_kernel(pts, unit, w, h, star, lo, hi))
+    rows = np.ascontiguousarray(pts.T)  # the solve's (n, m) client rows
+    return _best_of(lambda: _theta_kernel(rows, unit, w, h, star, lo, hi))
 
 
 def test_c9_theta_scaling():

@@ -6,6 +6,7 @@ solver's layers; a refactor that drops or renames one of those bindings
 would break ``benchmarks/run.py --trace 1`` without any other test noticing.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -33,6 +34,25 @@ def test_span_targets_resolve(spans):
     for module, attr, _, _ in spans.TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is missing"
 
+
+def test_span_only_bindings_are_span_targets(spans):
+    # An import that the library keeps only for the benchmark's spans must
+    # name a binding that spans.TARGETS wraps in that module, so a target
+    # cannot be dropped and leave a stale binding behind.
+    marker = "(bound here only for benchmarks/spans.py)"
+    targets = {(module.__name__, attr) for module, attr, _, _ in spans.TARGETS}
+    stale, marked, markers = [], 0, 0
+    for path in sorted((ROOT / "src" / "tropiloc").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        markers += source.count(marker)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and marker in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                marked += 1
+                names = (alias.asname or alias.name for alias in node.names)
+                stale += [f"{path.stem}.{name}" for name in names if (f"tropiloc.{path.stem}", name) not in targets]
+    assert marked == markers, "the marker must sit on an import"
+    assert not stale, stale
 
 
 def test_traced_small_files_run_completes():

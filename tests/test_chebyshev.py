@@ -29,6 +29,7 @@ from tropiloc import (
     compute_theta_scaled,
     is_member,
     objective_value,
+    random_infeasible,
     random_instance,
     solve,
     solve_particular,
@@ -41,7 +42,7 @@ from tropiloc import chebyshev
 from tropiloc.errors import ContractViolationError, InstanceError
 from tropiloc.generate import VARIANTS
 from tropiloc.linear import Infeasible, solve_double
-from tropiloc.semiring import BOTTOM
+from tropiloc.semiring import BOTTOM, trace_and_closure
 from tropiloc.variants import lookup
 
 
@@ -400,6 +401,15 @@ def test_all_ones_scale_reduces_to_particular():
         assert b.transform.kind == "identity"
 
 
+def _certificates_of(inst):
+    # (check_feasibility's report, the solve's B* on demand or None where the
+    # report fails, the fixed envelopes).  At n <= 41 that B* holds its closure.
+    report = check_feasibility(inst)
+    bounds = assemble_bounds(inst)
+    star = chebyshev._certify(inst.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)[0] if report.feasible else None
+    return report, star, bounds
+
+
 @pytest.mark.parametrize("dyadic_data", [True, False], ids=["dyadic", "non-dyadic"])
 def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
     # theta must equal the literal loop over closure entries and the pair
@@ -420,7 +430,7 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
             scale = np.ones(inst.dim)
         else:
             inst, theta_of, solve_of = ScaledChebyshevInstance(**fields, scale=scale), compute_theta_scaled, solve_scaled
-        report, star, bounds = chebyshev._certificates(inst)
+        report, star, bounds = _certificates_of(inst)
         if not report.feasible:
             return False
         args = (scale * inst.points, np.abs(scale), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
@@ -473,8 +483,9 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
 
 
 def _kernel_theta(args, star) -> float:
-    # The kernel's theta on the oracles' arguments, with B* on demand in place of the matrix.
-    return chebyshev._theta_kernel(*args[:4], star, *args[5:])[0]
+    # The kernel's theta on the oracles' arguments, with cp as the solve's
+    # (n, m) client rows and B* on demand in place of the matrix.
+    return chebyshev._theta_kernel(np.ascontiguousarray(args[0].T), *args[1:4], star, *args[5:])[0]
 
 
 def _within_exact_bound(theta, args, b) -> bool:
@@ -507,7 +518,7 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
         diff_bounds=[[BOTTOM]],
         scale=[0.3],
     )
-    report, star, bounds = chebyshev._certificates(pair)
+    report, star, bounds = _certificates_of(pair)
     args = (0.3 * pair.points, np.array([0.3]), pair.weights, pair.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
     assert theta_exact(*args) == Fraction(0.001)
     assert theta_reference(*args) == theta_grid(*args) == 0.0010000000000000005
@@ -559,7 +570,7 @@ def test_theta_kernel_matches_both_oracles_on_near_ties():
             else:
                 c = rng.permutation([0.3, -7.1, 2.0, -0.7])[:n]
             inst = ScaledChebyshevInstance(**fields, scale=c)
-        report, star, bounds = chebyshev._certificates(inst)
+        report, star, bounds = _certificates_of(inst)
         if not report.feasible:
             continue
         cp = c * inst.points
@@ -580,24 +591,27 @@ def _bits(x) -> bytes:
 
 
 def test_theta_kernel_ignores_the_layout_of_cp():
-    # The kernel takes cp as (m, n) and holds it as (n, m); C-ordered,
-    # F-ordered and strided views of the same values give the same bits,
-    # within the rounding bound of the exact theta.
+    # The kernel takes the client rows c * p as (n, m); C-ordered, F-ordered
+    # and strided views of the same values give the same bits, within the
+    # rounding bound of the exact theta.
     checked = 0
     for seed in range(60):
         variant = VARIANTS[seed % 2]
         inst = random_instance(variant, 2 + seed % 3, 2 + seed % 30, seed)
-        report, star, bounds = chebyshev._certificates(inst)
+        report, star, bounds = _certificates_of(inst)
         if not report.feasible:
             continue
         c = chebyshev._scale_of(inst)
         cp = c * inst.points
-        wide = np.zeros((2 * inst.m, 3 * inst.dim))
-        wide[::2, ::3] = cp
-        rest = (np.abs(c), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
-        thetas = [_kernel_theta((view, *rest), star) for view in (cp, np.asfortranarray(cp), wide[::2, ::3])]
+        rows = np.ascontiguousarray(cp.T)
+        wide = np.zeros((3 * inst.dim, 2 * inst.m))
+        wide[::3, ::2] = rows
+        rest = (np.abs(c), inst.weights, inst.addends)
+        ends = (bounds.fixed_lo, bounds.fixed_hi)
+        views = (rows, np.asfortranarray(rows), wide[::3, ::2])
+        thetas = [chebyshev._theta_kernel(view, *rest, star, *ends)[0] for view in views]
         assert len({_bits(theta) for theta in thetas}) == 1, seed
-        assert _within_exact_bound(thetas[0], (cp, *rest), inst.diff_bounds), seed
+        assert _within_exact_bound(thetas[0], (cp, *rest, star.closure, *ends), inst.diff_bounds), seed
         checked += 1
     assert checked >= 40, checked
 
@@ -644,7 +658,7 @@ def test_distinct_tuples_keep_theta():
         inst = ScaledChebyshevInstance(
             points=pts, weights=w, addends=h, box_lo=np.full(n, -3.0), box_hi=np.full(n, 3.0), diff_bounds=b, scale=c
         )
-        report, star, bounds = chebyshev._certificates(inst)
+        report, star, bounds = _certificates_of(inst)
         if not report.feasible:
             continue
         args = (c * inst.points, np.abs(c), inst.weights, inst.addends, star.closure, bounds.fixed_lo, bounds.fixed_hi)
@@ -655,11 +669,11 @@ def test_distinct_tuples_keep_theta():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_certificate_and_box_are_solve_double(variant):
-    # The bounds certificate is solve_double on the envelopes with no level,
-    # and the optimal box is solve_double on them at level theta, u_lo and
-    # u_hi bit for bit, except where rounding crossed the box: those axes are
-    # closed up to u_lo, and only within the solver's derived bound.  Rescaled
-    # copies make rounding cross some boxes.
+    # The solve's bounds certificate is solve_double on the envelopes with no
+    # level, and the optimal box is solve_double on them at level theta, u_lo
+    # and u_hi bit for bit, except where rounding crossed the box: those axes
+    # are closed up to u_lo, and only within the solver's derived bound.
+    # Rescaled copies make rounding cross some boxes.
     verdicts = set()
     clamped = 0
     for seed in range(24):
@@ -670,13 +684,14 @@ def test_certificate_and_box_are_solve_double(variant):
         for f in (1.0, 1e6 + 0.3, 1e9 + 0.3):
             scaled = _rescaled(inst, f)
             core = lookup(scaled).reduce(scaled)
-            report, star, bounds = chebyshev._certificates(core)
+            bounds = assemble_bounds(core)
+            star, gap = chebyshev._certify(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
             family = solve_double(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
-            verdicts.add(report.feasible)
-            if not report.feasible:
-                assert (family.cause, _bits(family.witness)) == ("bounds", _bits(report.bounds_gap))
+            verdicts.add(gap <= 0.0)
+            if not gap <= 0.0:
+                assert (family.cause, _bits(family.witness)) == ("bounds", _bits(gap))
                 continue
-            assert _bits(np.max(family.u_lo - family.u_hi)) == _bits(report.bounds_gap)
+            assert _bits(np.max(family.u_lo - family.u_hi)) == _bits(gap)
             box = solve(scaled)
             level = assemble_bounds(core, box.theta)
             assert _bits(box.u_lo) == _bits(np.maximum(level.level_lo, level.fixed_lo)), (seed, f)
@@ -693,6 +708,54 @@ def test_certificate_and_box_are_solve_double(variant):
             clamped += int(moved.sum())
     assert verdicts == {True, False}
     assert clamped > 0
+
+
+def test_check_feasibility_is_the_lemma_on_the_closure(monkeypatch):
+    # The report is Tr(B) and the two-sided lemma on the closure, never the
+    # solve's B* on demand: with _Star refused, every report equals
+    # trace_and_closure and solve_double on the same envelopes, bit for bit.
+    # The spectral side is the gauge, the witness where it fails; the bounds
+    # side is the family's max(u_lo - u_hi), or Infeasible("bounds")'s
+    # witness.  Feasible, bounds-infeasible and cycle instances of every
+    # variant, on both sides of the solve's up-front cut (n <= 41).
+    def refuse(*args):
+        raise AssertionError("check_feasibility made the solve's B* on demand")
+
+    monkeypatch.setattr(chebyshev, "_Star", refuse)
+    seen = set()
+    for seed in range(4):
+        for variant in VARIANTS:
+            for n in (2,) if variant.startswith("rectilinear") else (2, 5, 41, 42, 60):
+                inst = random_instance(variant, n, 2 + seed % 5, seed)
+                tight = dataclasses.replace(inst, caps=np.full(inst.m, 0.05))
+                cases = [inst, tight]
+                if variant == "chebyshev":
+                    cases += [random_infeasible(n, 3 + seed, seed, mode) for mode in ("caps", "cycle")]
+                for case in cases:
+                    core = lookup(case).reduce(case)
+                    bounds = assemble_bounds(core)
+                    gauge = trace_and_closure(core.diff_bounds)[0]
+                    family = solve_double(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
+                    report = check_feasibility(case)
+                    assert _bits(report.cycle_gauge) == _bits(gauge), (variant, n, seed)
+                    if family == Infeasible("spectral", gauge):
+                        assert (report.spectral_ok, report.bounds_ok, report.bounds_gap) == (False, False, None)
+                        kind = "spectral"
+                    elif isinstance(family, Infeasible):
+                        assert family.cause == "bounds"
+                        assert report.spectral_ok and not report.bounds_ok
+                        assert _bits(report.bounds_gap) == _bits(family.witness), (variant, n, seed)
+                        kind = "bounds"
+                    else:
+                        assert report.feasible
+                        assert _bits(report.bounds_gap) == _bits(np.max(family.u_lo - family.u_hi)), (variant, n, seed)
+                        kind = "feasible"
+                    seen.add((variant, n, kind))
+    for n in (2, 5, 41, 42, 60):
+        assert {("chebyshev", n, kind) for kind in ("spectral", "bounds", "feasible")} <= seen, n
+        assert ("chebyshev_scaled", n, "bounds") in seen and ("chebyshev_scaled", n, "feasible") in seen, n
+    for variant in ("rectilinear_strip", "rectilinear_tilted"):
+        assert (variant, 2, "bounds") in seen and (variant, 2, "feasible") in seen, variant
 
 
 def _rescaled(inst, f: float):

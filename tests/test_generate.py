@@ -196,12 +196,12 @@ def test_zero_width_strip_ends_keep_their_sign():
     assert zero_ends == {8: "-0.0", 23: "-0.0", 62: "0.0", 75: "0.0"}
 
 
-def test_widening_moves_only_strips_of_nonzero_width():
+def test_widening_moves_caps_and_box_and_keeps_the_strip():
     # No random_instance seed widens a plane instance, so drive the loop with
     # a box 5 units outside a 1-unit cap: one widening (caps 1 -> 6, box out
-    # by 4) makes it feasible.  The ends of a strip of nonzero width move out
-    # by one unit; a zero-width strip keeps its ends, sign bit included.
-    for ends, widened in (((-1.0, 1.0), (-0.4, 0.4)), ((-0.0, -0.0), (-0.0, -0.0))):
+    # by 4) makes it feasible.  Strips, of nonzero width or none, keep their
+    # ends, sign bit included.
+    for ends in ((-1.0, 1.0), (-0.0, -0.0)):
         units = dict(
             points=np.zeros((1, 2)),
             addends=np.zeros(1),
@@ -214,5 +214,6 @@ def test_widening_moves_only_strips_of_nonzero_width():
         inst = _certified(StripInstance, 0.2, units, weights=np.ones(1))
         assert inst.caps.tolist() == [6.0 * 0.2]
         assert inst.box_lo.tolist() == [1.0 * 0.2] * 2 and inst.box_hi.tolist() == [10.0 * 0.2] * 2
-        assert (inst.strip_lo, inst.strip_hi) == widened
-        assert np.signbit([inst.strip_lo, inst.strip_hi]).tolist() == np.signbit(widened).tolist()
+        kept = (ends[0] * 0.2, ends[1] * 0.2)
+        assert (inst.strip_lo, inst.strip_hi) == kept
+        assert np.signbit([inst.strip_lo, inst.strip_hi]).tolist() == np.signbit(kept).tolist()

@@ -42,9 +42,9 @@ def stars(monkeypatch):
     class Counted(chebyshev._Star):
         __slots__ = ()
 
-        def __init__(self, b, eager):
+        def __init__(self, b):
             made.append(self)
-            super().__init__(b, eager)
+            super().__init__(b)
 
     monkeypatch.setattr(chebyshev, "_Star", Counted)
     return made
@@ -204,7 +204,7 @@ def test_iterated_products_are_the_closures_on_exact_data(iterate):
     # diagonal turns a -0.0 parameter into +0.0, and so must the iteration.
     b = np.full((5, 5), BOTTOM)
     b[0, 1], b[1, 2], b[3, 0], b[2, 2] = -1.0, 0.5, -0.25, -2.0
-    star = chebyshev._Star(b, eager=False)
+    star = chebyshev._Star(b)
     assert star.closure is None
     closure = trace_and_closure(b)[1]
     us = np.array([[-0.0, -0.0, 1.0, -0.0, 2.0], [0.0, -3.0, -0.0, 4.0, -0.0]])
@@ -213,7 +213,7 @@ def test_iterated_products_are_the_closures_on_exact_data(iterate):
     x = -us[1]
     assert star.row(x).tobytes() == np.maximum.reduce(x[:, None] + closure, axis=0).tobytes()
     assert star.closure is None
-    star = chebyshev._Star(b, eager=False)
+    star = chebyshev._Star(b)
     assert star.column(2).tobytes() == closure[:, 2].tobytes()
     assert star.closure is None
 
@@ -257,13 +257,13 @@ def test_the_certificate_does_not_take_a_float_fixed_point_for_a_potential(itera
     # instance, and raising it never ends: the budget runs out and the
     # closure decides.  A feasible instance reaches an exact potential.
     loop, _ = _lighter_cycles(48)
-    star = chebyshev._Star(loop.diff_bounds, eager=False)
+    star = chebyshev._Star(loop.diff_bounds)
     z = star._fixed_point(np.full(48, -12.0), chebyshev._row_step, True)
     assert z is not None
     assert not star._proves_acyclic(z)
     assert star.spent == math.ceil(star.budget)
     feasible = random_instance("chebyshev", 48, 4, 3)
-    star = chebyshev._Star(feasible.diff_bounds, eager=False)
+    star = chebyshev._Star(feasible.diff_bounds)
     star.row(-feasible.box_hi)
     assert star.acyclic and star.closure is None
 
