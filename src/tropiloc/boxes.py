@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .linear import parameter_upper_bound
 from .semiring import _mat_vec_rows
 
 
@@ -80,7 +79,7 @@ class Transform:
 
 
 class _Closure:
-    """A B* given as a matrix, with the products a box takes of it."""
+    """A B* given as a matrix, with the two things a box takes of it: members and matrix."""
 
     __slots__ = ("closure",)
 
@@ -92,9 +91,6 @@ class _Closure:
 
     def members(self, us: np.ndarray) -> np.ndarray:
         return _mat_vec_rows(self.closure, us)
-
-    def upper_bound(self, q: np.ndarray) -> np.ndarray:
-        return parameter_upper_bound(self.closure, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +104,12 @@ class SolutionBox:
     The generator is the closure B* of the instance's difference bounds.  The
     solver forms its products without it where that is cheaper (see
     chebyshev._Star), so ``generator`` is built on first read and kept.
-    member, sample, is_member and verify use the box's own products and
-    never build it: they take the closure if the solve built one, else the
-    same iteration on B as the solve.  The second field is that B* on
-    demand (chebyshev._Star); a box built by hand may pass B* there as a
-    matrix, positionally, and its products are then those of the matrix.
+    member, sample, is_member and verify use only the box's own product
+    B* (x) u and never build it: they take the closure if the solve built
+    one, else the same iteration on B as the solve.  The second field is
+    that B* on demand (chebyshev._Star); a box built by hand may pass B*
+    there as a matrix, positionally, and its products are then those of the
+    matrix.
     """
 
     theta: float

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .semiring import BOTTOM, _vec_mat, is_regular, mat_vec, trace_and_closure
 
 
@@ -62,13 +62,15 @@ class Infeasible:
 def solve_upper(a, d) -> np.ndarray:
     """Largest x with ``A x <= d``; every solution is componentwise below it.
 
-    Requires A without all-bottom columns and regular d.  The bound is
+    Requires a nonempty A without all-bottom columns and regular d.  The bound is
     x_j = min_i (d_i - a_ij), written tropically as ``(d~ A)~``.
     """
     a = np.asarray(a, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     if a.ndim != 2 or d.ndim != 1 or a.shape[0] != d.shape[0]:
         raise DomainError(f"incompatible shapes {a.shape} and {d.shape}")
+    if a.size == 0:
+        raise DimensionError("matrix must be nonempty")
     dead = ~np.any(a > BOTTOM, axis=0)
     if dead.any():
         raise DomainError(f"column {int(np.argmax(dead))} of A has no finite entry")

@@ -26,15 +26,12 @@ CONSTRAINT_SLACK = 1e-12
 MEMBERSHIP_ATOL = 1e-9
 
 
-def _as_batch(x, dim: int) -> np.ndarray:
+def _as_point(x, dim: int) -> np.ndarray:
+    """x as one (1, dim) row; a point has shape (dim,) or (1, dim), and more rows are not a point."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise DimensionError(f"point of dimension {dim} expected, got shape {arr.shape}")
-        return arr[None, :]
-    if arr.ndim == 2 and arr.shape[1] == dim:
-        return arr
-    raise DimensionError(f"points of dimension {dim} expected, got shape {arr.shape}")
+    if arr.shape not in ((dim,), (1, dim)):
+        raise DimensionError(f"point of dimension {dim} expected, got shape {arr.shape}")
+    return arr.reshape(1, dim)
 
 
 def _distances(inst, xs: np.ndarray) -> np.ndarray:
@@ -51,12 +48,23 @@ def objective_batch(inst, xs: np.ndarray) -> np.ndarray:
 
 def objective_value(inst, x) -> float:
     """max_j ( w_j * d(x, p_j) + h_j ) with the instance's metric."""
-    xs = _as_batch(x, inst.dim)
+    xs = _as_point(x, inst.dim)
     return float(objective_batch(inst, xs)[0])
 
 
 def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
-    """Largest constraint violation at each row of xs; <= 0 means feasible."""
+    """Largest constraint violation at each row of xs; <= 0 means feasible.
+
+    The box is finite, so a row with an infinite coordinate violates it by
+    +inf, and a row with a nan coordinate is nan.  Such rows skip the other
+    terms, where inf - inf (a cap or a bound against the infinite distance)
+    and 0 * inf (a flat band) would make nan.
+    """
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        worst = np.where(np.isnan(xs).any(axis=1), np.nan, np.inf)
+        worst[finite] = violation_batch(inst, xs[finite])
+        return worst
     n_pts = xs.shape[0]
     worst = np.full(n_pts, -np.inf)
     if inst.caps is not None:
@@ -79,35 +87,34 @@ def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
     worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
     # max over finite B[i, k] of B[i, k] + y_k - y_i, with y = c x, is
     # max_i (B (x) y)_i - y_i: subtracting y_i rounds monotonically, so the
-    # max commutes with it bit for bit, and bottom entries stay bottom.  An
-    # infinite y makes bottom + inf = nan there; fmax keeps the box terms'
-    # inf for such a point, and a nan point is nan in every term.
+    # max commutes with it bit for bit, and bottom entries stay bottom.  A y
+    # that overflows to inf makes bottom + inf = nan there; fmax keeps the
+    # box terms' inf for such a point.
     coords = xs * _scale_of(inst)[None, :]
     return np.fmax(worst, np.max(_mat_vec_rows(inst.diff_bounds, coords) - coords, axis=1))
 
 
 def constraint_violation(inst, x) -> float:
     """Largest violation across all constraints at x; <= 0 means feasible."""
-    xs = _as_batch(x, inst.dim)
+    xs = _as_point(x, inst.dim)
     return float(violation_batch(inst, xs)[0])
 
 
 def is_member(box: SolutionBox, inst, x) -> bool:
     """Whether x belongs to the solved optimal set.
 
-    x is mapped to internal coordinates y; membership holds iff the largest
-    parameter u with generator (x) u <= y, clipped to u_hi, still dominates
-    u_lo and reproduces y.  This is a complete test: any witness parameter
-    is below that clipped maximizer, which then also reproduces y.  Both
-    products are the box's own, so the test builds no closure.
+    x is mapped to internal coordinates y.  Every member is its own
+    parameter: B* is idempotent with a zero diagonal, so a member y has
+    B* (x) y = y and u_lo <= y <= u_hi.  Membership therefore holds iff
+    u = min(y, u_hi) still dominates u_lo and reproduces y; a y that passes
+    is the member of u.  Both comparisons allow MEMBERSHIP_ATOL.  The test
+    takes one of the box's own products and builds no closure.
     """
-    xs = _as_batch(x, inst.dim)
-    y = box.transform.to_internal(xs[0])
-    u_cap = box._star.upper_bound(y)
-    u_hat = np.minimum(u_cap, box.u_hi)
-    if np.any(u_hat < box.u_lo - MEMBERSHIP_ATOL):
+    y = box.transform.to_internal(_as_point(x, inst.dim)[0])
+    u = np.minimum(y, box.u_hi)
+    if np.any(u < box.u_lo - MEMBERSHIP_ATOL):
         return False
-    replayed = box._star.members(u_hat[None, :])[0]
+    replayed = box._star.members(u[None, :])[0]
     return bool(np.max(np.abs(replayed - y)) <= MEMBERSHIP_ATOL)
 
 

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion and leaves no temporary files."""
+"""Every script in demos/ runs to completion with warnings as errors and leaves no temporary files."""
 
 import os
 import subprocess
@@ -22,7 +22,7 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ, TMPDIR=str(scratch))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert list(scratch.iterdir()) == []

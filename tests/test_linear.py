@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import dyadic, dyadic_with_bottom
-from tropiloc.errors import DomainError
+from tropiloc.errors import DimensionError, DomainError
 from tropiloc.linear import (
     Infeasible,
     ParametricFamily,
@@ -35,6 +35,9 @@ def test_upper_guards():
         solve_upper(np.array([[0.0], [1.0]]), np.array([1.0, B]))
     with pytest.raises(DomainError):
         solve_upper(np.array([[0.0]]), np.array([[1.0]]))
+    # Empty operands raise DimensionError, as in solve_double and solve_fixed_point.
+    with pytest.raises(DimensionError, match="must be nonempty"):
+        solve_upper(np.zeros((0, 0)), np.zeros(0))
 
 
 def _upper_case(seed):

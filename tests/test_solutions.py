@@ -12,6 +12,7 @@ from support import (
 )
 from tropiloc import (
     ScaledChebyshevInstance,
+    StripInstance,
     Transform,
     constraint_violation,
     is_member,
@@ -26,8 +27,12 @@ from tropiloc import (
     verify,
 )
 from tropiloc.errors import DimensionError, DomainError
-from tropiloc.semiring import BOTTOM
-from tropiloc.solutions import objective_batch, violation_batch
+from tropiloc.linear import Infeasible, parameter_upper_bound
+from tropiloc.semiring import BOTTOM, mat_vec, trace_and_closure
+from tropiloc.solutions import MEMBERSHIP_ATOL, objective_batch, violation_batch
+from tropiloc.variants import lookup
+
+VARIANTS = ("chebyshev", "chebyshev_scaled", "rectilinear_strip", "rectilinear_tilted")
 
 
 def test_objective_values_two_point():
@@ -76,8 +81,7 @@ def test_constraint_violation_diff_bounds():
     assert constraint_violation(inst, [5.0, 1.0]) <= 0.0
     assert constraint_violation(inst, [2.0, 1.0]) == 2.0  # short by 2
     # a point at infinity is outside the box by inf, though bottom + inf is nan
-    with np.errstate(invalid="ignore"):
-        assert constraint_violation(inst, [np.inf, 0.0]) == np.inf
+    assert constraint_violation(inst, [np.inf, 0.0]) == np.inf
 
 
 def test_constraint_violation_strip_band():
@@ -259,3 +263,92 @@ def test_violation_batch_replays_bounds_bit_for_bit():
                 cases += 1
                 bottom += not np.isfinite(inst.diff_bounds).any()
     assert cases == 240 and 0 < bottom < cases
+
+
+def _rescaled(inst, magnitude: float):
+    # Every length times one factor that maps the largest datum to magnitude.
+    lengths = ["points", "addends", "box_lo", "box_hi"] + (["caps"] if inst.caps is not None else [])
+    lengths += ["strip_lo", "strip_hi"] if isinstance(inst, StripInstance) else ["diff_bounds"]
+    data = np.concatenate([np.ravel(getattr(inst, name)) for name in lengths])
+    f = magnitude / np.max(np.abs(data[np.isfinite(data)]))
+    return dataclasses.replace(inst, **{name: getattr(inst, name) * f for name in lengths})
+
+
+def _upper_bound_rule(box, inst, x) -> bool:
+    # Membership by the largest parameter below y, (y~ B*)~, clipped to u_hi:
+    # it must still dominate u_lo and reproduce y.
+    star = trace_and_closure(lookup(inst).reduce(inst).diff_bounds)[1]
+    y = box.transform.to_internal(x)
+    u = np.minimum(parameter_upper_bound(star, y), box.u_hi)
+    return bool(np.all(u >= box.u_lo - MEMBERSHIP_ATOL)) and bool(np.max(np.abs(mat_vec(star, u) - y)) <= MEMBERSHIP_ATOL)
+
+
+def test_is_member_is_the_upper_bound_rule():
+    # Every member is its own parameter, so is_member clips y itself instead
+    # of its largest parameter; both rules give the same answers on members,
+    # on members moved by less and by more than the tolerance, and on n >= 42
+    # where the box's products iterate on B.
+    answers = {True: 0, False: 0}
+    wide = 0
+    for variant in VARIANTS:
+        for seed in range(0, 42, 3):
+            n = 2 if variant.startswith("rect") else 1 + seed % 5 + (45 if seed % 7 == 0 else 0)
+            for magnitude in (1.0, 1.37):
+                inst = _rescaled(random_instance(variant, n, 2 + seed % 9, seed), magnitude)
+                box = solve(inst)
+                if isinstance(box, Infeasible):
+                    continue
+                wide += box._star.closure is None
+                members = sample(box, 6, seed)
+                rng = np.random.default_rng(seed)
+                points = list(members)
+                for s in (1e-12, 1e-6, 0.1):
+                    points += [x + rng.normal(size=x.shape) * s * max(1.0, np.max(np.abs(x))) for x in members[:3]]
+                for x in points:
+                    got = is_member(box, inst, x)
+                    assert got == _upper_bound_rule(box, inst, x), (variant, seed, magnitude, x)
+                    answers[got] += 1
+    assert wide >= 4 and min(answers.values()) >= 200, (wide, answers)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_infinite_coordinates_violate_by_inf(variant):
+    # The box is finite, so a point with an infinite coordinate violates it
+    # by +inf, whatever inf - inf (an infinite cap against the infinite
+    # distance) or 0 * inf (a flat band) would make of the other terms; a nan
+    # point is nan, finite rows keep their bits, and nothing warns.
+    for seed in range(30):
+        inst = random_instance(variant, 2 if variant.startswith("rect") else 1 + seed % 5, 4, seed)
+        box = solve(inst)
+        finite = inst.points + 0.5
+        far = []
+        for i in range(inst.dim):
+            for inf in (np.inf, -np.inf):
+                x = inst.points[0].copy()
+                x[i] = inf
+                far.append(x)
+                assert constraint_violation(inst, x) == np.inf
+                assert isinstance(box, Infeasible) or not is_member(box, inst, x)
+        nan = np.full(inst.dim, np.nan)
+        got = violation_batch(inst, np.vstack([finite[:1], *far, nan, finite[1:]]))
+        assert np.all(got[1:-len(finite)] == np.inf)
+        assert np.isnan(got[-len(finite)])
+        want = violation_batch(inst, finite)
+        assert np.concatenate([got[:1], got[-len(finite) + 1:]]).tobytes() == want.tobytes()
+
+
+def test_a_point_is_one_row():
+    # A single row of shape (1, n) is a point; two rows are not, where
+    # objective_value and constraint_violation answered for the first row
+    # and is_member accepted a far point behind a member.
+    inst = two_point_instance()
+    box = solve_particular(inst)
+    member = box.vertex_lo
+    far = np.array([50.0, -50.0])
+    for fn in (objective_value, constraint_violation):
+        assert fn(inst, member[None, :]) == fn(inst, member)
+        with pytest.raises(DimensionError, match=r"point of dimension 2 expected, got shape \(2, 2\)"):
+            fn(inst, [member, far])
+    assert is_member(box, inst, member[None, :])
+    with pytest.raises(DimensionError, match=r"point of dimension 2 expected, got shape \(2, 2\)"):
+        is_member(box, inst, [member, far])
