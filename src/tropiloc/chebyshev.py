@@ -19,8 +19,10 @@ decided by two exact certificates:
             objective level, and it is read off that box.
 
 The solver needs the closure B* only through products with vectors, and
-_Star forms them by iterating on B (max-plus Bellman-Ford), a few O(n^2)
-products each; the one product t~ (x) B*, once its fixed point is raised
+_Star forms them by iterating on B (max-plus Bellman-Ford), a few products
+on B each.  A product's step folds in only the entries that moved in the
+step before, so it costs O(|moved| n), and O(n^2) only where half of them
+moved; the one product t~ (x) B*, once its fixed point is raised
 to an exact potential, proves that B has no positive cycle, so it decides
 both certificates.  The O(n^3) closure is built only where it is cheaper:
 up front at n <= 41, or once the iteration has cost as much as the closure
@@ -42,9 +44,10 @@ is one term of the closed form, so Newton's method finds theta from below in
 a few steps.  Each step evaluates Phi once, as the parameter box at its level:
 the level envelopes (one formula, shared with assemble_bounds), then u_lo and
 u_hi, whose largest crossing u_lo - u_hi is Phi.  That costs two O(m n)
-reductions, the product for u_hi and one column of B*, each a few O(n^2)
-products on B: O((m n + d n^2) steps) in all, where d, the products per
-product with B*, is at most the hop depth of B's longest paths plus one.
+reductions, the product for u_hi and one column of B* (none where Newton
+asks for a column again), each a few products on B of at most O(n^2):
+O((m n + d n^2) steps) in all, where d, the products per product with B*,
+is at most the hop depth of B's longest paths plus one.
 The products a solve spends before it builds the closure cost at most
 about as much as the closure.  Memory is O(m n).  theta is the term Newton
 stops on, within a derived rounding bound of the exact closed form, and the
@@ -87,7 +90,7 @@ import numpy as np
 from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
 from .linear import Infeasible, parameter_upper_bound
-from .semiring import BOTTOM, ONE, _mat_vec, _mat_vec_rows, _vec_mat, identity, trace_and_closure
+from .semiring import BOTTOM, ONE, _mat_vec_rows, _vec_mat, identity, trace_and_closure
 
 
 def _as_float_array(value, shape_hint: str) -> np.ndarray:
@@ -402,14 +405,17 @@ class _PositiveCycle(Exception):
 # reduction, the max, the loop's bookkeeping) and 2n^2 + 3n element
 # operations, each worth _PRODUCT_ELEMENT of the closure's: its reduction
 # runs across the rows of a fresh temporary, where a pivot's max runs along
-# them in place.  The closure costs _closure_products(n) products.
+# them in place.  The closure costs _closure_products(n) products.  A step
+# over the entries that moved costs less and still counts as one product,
+# so the budget overstates what a sparse step costs.
 _CALL_COST = 1000
 _PRODUCT_ELEMENT = 2
 # What a solve typically spends iterating: over random_instance data at n = 5
 # to 60 a feasible solve took 19 products at the median and 27 at the upper
 # quartile, passes of _proves_acyclic included, and timed against the
-# closure path the iteration first wins between n = 40 and 45.  A closure
-# that costs no more is built up front: n <= 41.
+# closure path the iteration first wins between n = 40 and 45 (measured with
+# a full product at every step and no column kept).  A closure that costs
+# no more is built up front: n <= 41.
 _TYPICAL_PRODUCTS = 25
 
 
@@ -418,10 +424,6 @@ def _closure_products(n: int) -> float:
     closure = (6 * n + 9) * _CALL_COST + 2 * n**3 + 3 * n * n
     product = 9 * _CALL_COST + _PRODUCT_ELEMENT * (2 * n * n + 3 * n)
     return closure / product
-
-
-def _row_step(b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return _vec_mat(z, b)
 
 
 class _Star:
@@ -434,9 +436,12 @@ class _Star:
     the fixed point of z <- max(z, z (x) B) started at x (max-plus
     Bellman-Ford); B* (x) x that of z <- max(z, B (x) z).  Without a
     positive cycle the iteration is done after at most n - 1 products that
-    move z and one that confirms.  The first row product, the bounds
-    certificate's, is the spectral certificate too, once its fixed point is
-    raised to an exact potential (_proves_acyclic).
+    move z and one that confirms.  Each step is label-correcting: it folds
+    in only the entries that moved in the step before, at a cost of
+    O(|moved| n) rather than O(n^2), and gives the full product's bits
+    (_fixed_point).  The first row product, the bounds certificate's, is
+    the spectral certificate too, once its fixed point is raised to an
+    exact potential (_proves_acyclic).
 
     Rent or buy: each product of the solve is counted in spent.  The closure
     (trace_and_closure, unchanged) is built once, up front when it costs no
@@ -445,6 +450,8 @@ class _Star:
     not reached an exact potential: a positive cycle does neither, and the
     closure then exits early with its witness (raised as _PositiveCycle).
     A solve thus costs at most about twice what the closure alone would.
+    Each column the iteration forms is kept, and one served again spends
+    nothing.
     The budget is at most 0.61 n products (the maximum is at n = 42), so
     from n = 42 on it binds before an iteration's cap of n products; the
     cap binds first only at n <= 2, where the iteration runs only if
@@ -454,12 +461,13 @@ class _Star:
     The box sees only members and matrix, as it sees those of a matrix
     (boxes._Closure).  members replays a solved box: it never builds the
     closure and spends nothing, taking the closure if the solve built one,
-    else the same iteration, at most n products.  matrix builds B* for the
+    else the same iteration, at most n products, whose steps fold in the
+    entries that moved for any member of the stack.  matrix builds B* for the
     box's generator on first read and keeps it apart, so a box's members are
     the same bits before and after its generator is read.
     """
 
-    __slots__ = ("b", "n", "budget", "spent", "closure", "acyclic", "_read")
+    __slots__ = ("b", "n", "budget", "spent", "closure", "acyclic", "_read", "_columns")
 
     def __init__(self, b: np.ndarray):
         self.b = b
@@ -468,6 +476,7 @@ class _Star:
         self.closure = None
         self.acyclic = False
         self._read = None
+        self._columns = {}
         self.budget = _closure_products(self.n)
         if self.budget <= _TYPICAL_PRODUCTS:
             self._buy()
@@ -478,21 +487,43 @@ class _Star:
             raise _PositiveCycle(gauge)
         self.closure = star
 
-    def _fixed_point(self, x: np.ndarray, step, budgeted: bool):
-        """The fixed point of z <- max(z, step(B, z)) from x, or None where a budgeted one gives up.
+    def _fixed_point(self, x: np.ndarray, rows: bool, budgeted: bool):
+        """The fixed point of z <- max(z, z (x) B) (rows) or max(z, B (x) z) from x, or None if a budgeted one gives up.
 
-        z starts at x + 0, the product with B*'s zero diagonal, which turns a
-        -0.0 into +0.0 as the closure's products do.
+        For rows x is one vector; otherwise it is a stack of vectors in rows,
+        each reduced as a one-vector product is.  z starts at x + 0, the
+        product with B*'s zero diagonal, which turns a -0.0 into +0.0 as the
+        closure's products do.
+
+        Each step is label-correcting: it folds in only the entries of z that
+        moved in the step before (of any vector of a stack), live, and all of
+        them in the first step.  An entry that did not move had its sums
+        z_i + b_ik compared against targets that have only grown since, so
+        they move nothing: every iterate, every moved set and every stop is
+        that of the full product, bit for bit, and each step counts as one
+        product.  A gathered step costs about 2 |live| n element operations
+        (the gather, then the add) against n^2 for the full product, which a
+        step takes where 2 |live| >= n.
         """
+        b = self.b
         z = x + ONE
+        live = slice(None)
         for _ in range(self.n):
             if budgeted:
                 if self.spent >= self.budget:
                     return None
                 self.spent += 1
-            y = step(self.b, z)
-            if not np.logical_or.reduce(y > z, axis=None):
+            if rows:
+                y = np.maximum.reduce(z[live, None] + b[live], axis=0)
+                moved = y > z
+            else:
+                y = _mat_vec_rows(b[:, live], z[:, live])
+                moved = np.logical_or.reduce(y > z, axis=0)
+            live = moved.nonzero()[0]
+            if not live.size:
                 return z
+            if 2 * live.size >= self.n:
+                live = slice(None)
             z = np.maximum(z, y)
         return None if budgeted else z
 
@@ -519,21 +550,21 @@ class _Star:
             self.spent += 1
             wr = w[rows]
             s = wr[:, None] + self.b[rows]
-            hit = np.flatnonzero(s >= w)
+            hit = (s >= w).ravel().nonzero()[0]
             r, k = np.divmod(hit, self.n)
             a, b, s = wr[r], self.b[rows[r], k], s.ravel()[hit]
             t = s - a
             up = np.where((a - (s - t)) + (b - t) > 0.0, np.nextafter(s, np.inf), s)
             raised = w.copy()
             np.maximum.at(raised, k, up)
-            rows = np.flatnonzero(raised > w)
+            rows = (raised > w).nonzero()[0]
             w = raised
         return True
 
     def row(self, x: np.ndarray) -> np.ndarray:
         """x (x) B* for a finite x; raises _PositiveCycle."""
         if self.closure is None:
-            z = self._fixed_point(x, _row_step, True)
+            z = self._fixed_point(x, True, True)
             if z is not None and (self.acyclic or self._proves_acyclic(z)):
                 self.acyclic = True
                 return z
@@ -541,14 +572,20 @@ class _Star:
         return _vec_mat(x, self.closure)
 
     def column(self, k: int) -> np.ndarray:
-        """B*[:, k], as B* (x) e_k; raises _PositiveCycle."""
+        """B*[:, k], as B* (x) e_k; raises _PositiveCycle.
+
+        Each column the iteration forms is kept: Newton often asks for the
+        same k on consecutive steps, and a column served again spends nothing.
+        """
         if self.closure is None:
-            e = np.empty(self.n)
-            e.fill(BOTTOM)
-            e[k] = ONE
-            z = self._fixed_point(e, _mat_vec, True)
+            if k not in self._columns:
+                e = np.empty((1, self.n))
+                e.fill(BOTTOM)
+                e[0, k] = ONE
+                self._columns[k] = self._fixed_point(e, False, True)
+            z = self._columns[k]
             if z is not None:
-                return z
+                return z[0]
             self._buy()
         return self.closure[:, k]
 
@@ -556,7 +593,7 @@ class _Star:
         """B* (x) u for each row u of us, each row reduced as a one-vector product is."""
         if self.closure is not None:
             return _mat_vec_rows(self.closure, us)
-        return self._fixed_point(us, _mat_vec_rows, False)
+        return self._fixed_point(us, False, False)
 
     def matrix(self) -> np.ndarray:
         """B* itself: the solve's closure, or one built now and kept.
@@ -643,9 +680,9 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     step evaluates Phi at theta, so its box is the optimal box, returned
     with theta and its upper envelope q.  Each step costs two O(m n)
     reductions, the product (-q) (x) B* and, unless it is the last, the
-    column B*[:, k], each a few O(n^2) products of the iteration on B (see
-    _Star); memory is O(m n).  Raises _PositiveCycle if B's closure, built
-    on the way, meets a positive cycle.
+    column B*[:, k], each a few products of the iteration on B of at most
+    O(n^2) each (see _Star); memory is O(m n).  Raises _PositiveCycle if
+    B's closure, built on the way, meets a positive cycle.
     """
     j = int(h.argmax())
     t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)

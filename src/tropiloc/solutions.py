@@ -87,11 +87,13 @@ def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
     worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
     # max over finite B[i, k] of B[i, k] + y_k - y_i, with y = c x, is
     # max_i (B (x) y)_i - y_i: subtracting y_i rounds monotonically, so the
-    # max commutes with it bit for bit, and bottom entries stay bottom.  A y
-    # that overflows to inf makes bottom + inf = nan there; fmax keeps the
-    # box terms' inf for such a point.
-    coords = xs * _scale_of(inst)[None, :]
-    return np.fmax(worst, np.max(_mat_vec_rows(inst.diff_bounds, coords) - coords, axis=1))
+    # max commutes with it bit for bit, and bottom entries stay bottom.  A
+    # finite x whose y overflows to inf makes bottom + inf (or inf - inf) =
+    # nan there, quietly; fmax keeps the box terms' inf for such a point, and
+    # the other rows keep their bits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = xs * _scale_of(inst)[None, :]
+        return np.fmax(worst, np.max(_mat_vec_rows(inst.diff_bounds, coords) - coords, axis=1))
 
 
 def constraint_violation(inst, x) -> float:

@@ -59,6 +59,26 @@ def closure_reference(a):
     return gauge, d
 
 
+def fixed_point_reference(b, x, rows, budget=None):
+    """(z, products): chebyshev._Star's iteration with the full product at every step.
+
+    z <- max(z, z (x) B) for rows, else z <- max(z, B (x) z), from x + 0, one
+    vector x, at most n products.  With a budget, z is None where the
+    iteration gives up: on reaching budget products, or after n products
+    that all moved z.  Without one, z is the last iterate.
+    """
+    z = x + 0.0
+    n = b.shape[0]
+    for spent in range(n):
+        if budget is not None and spent >= budget:
+            return None, spent
+        y = np.max(z[:, None] + b, axis=0) if rows else np.max(b + z[None, :], axis=1)
+        if not np.any(y > z):
+            return z, spent + 1
+        z = np.maximum(z, y)
+    return (z if budget is None else None), n
+
+
 def theta_reference(cp, absc, w, h, star, fixed_lo, fixed_hi):
     """Closed-form theta as the literal loop over closure entries (i, k).
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from exact import closure_exact, theta_error, theta_error_bound, theta_exact
+from support import fixed_point_reference
 from tropiloc import (
     ChebyshevInstance,
     assemble_bounds,
@@ -218,6 +219,87 @@ def test_iterated_products_are_the_closures_on_exact_data(iterate):
     assert star.closure is None
 
 
+def _frontier_matrices():
+    # Random B at n = 42 to 80 and densities 0.1, 0.45 and 1, one from a
+    # non-dyadic potential (no positive cycle, sums that round) and one of
+    # plain normal entries (positive cycles at the higher densities); the
+    # chain B[i, i+1], whose products move one entry a step; planted cycles.
+    rng = np.random.default_rng(20)
+    for n, density in ((42, 0.1), (57, 0.45), (80, 1.0), (61, 0.1), (70, 0.45), (45, 1.0)):
+        phi = rng.normal(size=n) * 10.0
+        potential = phi[:, None] - phi[None, :] - rng.exponential(0.3, size=(n, n))
+        for b in (potential, rng.normal(size=(n, n)) - 1.0):
+            b[rng.random((n, n)) >= density] = BOTTOM
+            yield b
+    yield _chain(60, 0.001, 4).diff_bounds
+    for seed in range(2):
+        yield random_infeasible(48 + 20 * seed, 5, seed, mode="cycle").diff_bounds
+
+
+def _starts(rng, n: int):
+    # (rows, x): row products from vectors with bottom entries, one of them
+    # with a single finite entry, and columns from unit vectors and the same.
+    spread = rng.normal(size=n) * 10.0
+    spread[rng.random(n) < 0.3] = BOTTOM
+    single = np.full(n, BOTTOM)
+    single[n // 3] = 1.5
+    units = []
+    for k in (0, n // 2, n - 1):
+        e = np.full(n, BOTTOM)
+        e[k] = 0.0
+        units.append((False, e))
+    return [(True, spread), (True, single), (False, spread), (False, single)] + units
+
+
+def test_frontier_products_are_the_full_products():
+    # Each step of _Star folds in only the entries that moved in the step
+    # before.  Every product must still be that of the full product at every
+    # step, bit for bit, with the same products spent and the same stop:
+    # budgeted (the solve's row products and columns), unbudgeted and on
+    # stacks (members).
+    rng = np.random.default_rng(7)
+    gave_up = converged = 0
+    for b in _frontier_matrices():
+        n = b.shape[0]
+        starts = _starts(rng, n)
+        for rows, x in starts:
+            star = chebyshev._Star(b)
+            assert star.closure is None
+            got = star._fixed_point(x if rows else x[None], rows, True)
+            want, spent = fixed_point_reference(b, x, rows, star.budget)
+            assert star.spent == spent
+            assert (got is None) == (want is None)
+            if want is None:
+                gave_up += 1
+            else:
+                assert (got if rows else got[0]).tobytes() == want.tobytes()
+                converged += 1
+            got = star._fixed_point(x if rows else x[None], rows, False)
+            assert (got if rows else got[0]).tobytes() == fixed_point_reference(b, x, rows)[0].tobytes()
+        us = np.array([x for rows, x in starts if not rows])
+        want = np.array([fixed_point_reference(b, u, False)[0] for u in us])
+        assert chebyshev._Star(b).members(us).tobytes() == want.tobytes()
+    assert gave_up >= 40 and converged >= 40, (gave_up, converged)
+
+
+def test_a_repeated_column_is_served_from_the_memo():
+    # Newton often asks for the same column on consecutive steps: the first
+    # request spends what the full-product iteration spends, and a repeat
+    # returns the same bits and spends nothing.
+    for b in list(_frontier_matrices())[::2][:6]:
+        n = b.shape[0]
+        star = chebyshev._Star(b)
+        for k in (1, 1, n - 2, 1, n - 2):
+            e = np.full(n, BOTTOM)
+            e[k] = 0.0
+            want, spent = fixed_point_reference(b, e, False)
+            fresh = k not in star._columns
+            before = star.spent
+            assert star.column(k).tobytes() == want.tobytes()
+            assert star.spent - before == (spent if fresh else 0)
+        assert star.closure is None and len(star._columns) == 2
+
+
 def _lighter_cycles(n: int):
     # Positive cycles lighter than half an ulp of the iterates, which start
     # at -q with |q| near 1 to 12: a self-loop of 1e-17, and a 2-cycle whose
@@ -258,7 +340,7 @@ def test_the_certificate_does_not_take_a_float_fixed_point_for_a_potential(itera
     # closure decides.  A feasible instance reaches an exact potential.
     loop, _ = _lighter_cycles(48)
     star = chebyshev._Star(loop.diff_bounds)
-    z = star._fixed_point(np.full(48, -12.0), chebyshev._row_step, True)
+    z = star._fixed_point(np.full(48, -12.0), True, True)
     assert z is not None
     assert not star._proves_acyclic(z)
     assert star.spent == math.ceil(star.budget)

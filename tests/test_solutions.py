@@ -311,6 +311,22 @@ def test_is_member_is_the_upper_bound_rule():
     assert wide >= 4 and min(answers.values()) >= 200, (wide, answers)
 
 
+def test_finite_points_whose_scaled_coordinates_overflow_do_not_warn():
+    # c x can overflow to inf for a finite x, and B (x) y - y then meets
+    # bottom + inf or inf - inf.  The violation is the box term's, or inf
+    # where the bounds term itself passes the largest float, without a
+    # warning, and the other rows of the batch keep their bits.
+    assert constraint_violation(random_instance("chebyshev_scaled", 2, 3, 0), [1.7e308, 0.0]) == 1.7e308
+    far = np.array([[1.7e308, 0.0], [0.0, -1.7e308], [1.79e308, -1.79e308]])
+    for variant in ("chebyshev", "chebyshev_scaled"):
+        for seed in range(3):
+            inst = random_instance(variant, 2, 3, seed)
+            near = inst.points + 0.5
+            got = violation_batch(inst, np.vstack([far, near]))
+            assert np.all(got[: len(far)] >= 1.7e308), (variant, seed)
+            assert got[len(far):].tobytes() == violation_batch(inst, near).tobytes()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_infinite_coordinates_violate_by_inf(variant):
     # The box is finite, so a point with an infinite coordinate violates it

@@ -81,14 +81,25 @@ def test_solve_enters_no_numpy_python_wrappers():
     # np.vstack, ...) cost up to a few microseconds each.  The solve path and
     # the sampling of its answers call the ufunc reductions and C-level
     # methods those wrappers forward to, so no frame of the wrappers' modules
-    # runs.
+    # runs.  From n = 42 on a solve iterates on B, and a wrapper there runs
+    # once per step: so also a feasible solve that never builds the closure,
+    # a planted positive cycle and a chain x_i >= 0.001 + x_{i+1}, whose
+    # product needs more steps than the closure costs, so the solve buys it.
     modules = ("core._methods", "core.fromnumeric", "core.numeric", "core.shape_base")
     wrappers = {m.__file__ for name, m in list(sys.modules.items()) if name.startswith("numpy.") and name.endswith(modules)}
     assert len(wrappers) >= len(modules)  # numpy 2 may also hold the numpy.core shims
     cases = [random_instance(v.name, 2 if v.rotate45 else 3, 6, seed) for v in TABLE for seed in range(4)]
     cases += [random_infeasible(3, 6, 1, mode) for mode in ("caps", "cycle")]
+    chain = np.full((60, 60), BOTTOM)
+    chain[np.arange(59), np.arange(1, 60)] = 0.001
+    cases += [
+        random_instance("chebyshev", 48, 6, 1),
+        random_infeasible(60, 6, 1, mode="cycle"),
+        dataclasses.replace(random_instance("chebyshev", 60, 6, 2), diff_bounds=chain),
+    ]
     results = [solve(inst) for inst in cases]
-    assert sum(isinstance(r, Infeasible) for r in results) == 2
+    assert sum(isinstance(r, Infeasible) for r in results) == 3
+    assert results[-3]._star.closure is None and results[-1]._star.closure is not None
     calls = [lambda inst=inst: solve(inst) for inst in cases]
     # sample and objective_batch replay the feasible answers, as `tropiloc solve` does
     calls += [
@@ -98,8 +109,10 @@ def test_solve_enters_no_numpy_python_wrappers():
     ]
     frames = _python_frames(calls)
     entered = {function for file, function in frames}
-    # the clamp, the certificates, theta and the sampling all ran
+    # the clamp, the certificates, theta and the sampling all ran, and so did
+    # the iteration's products, its potential, its columns and its members
     assert {"_magnitude", "_certify", "_theta_kernel", "trace_and_closure", "_distances"} <= entered
+    assert {"_fixed_point", "_proves_acyclic", "column", "_buy", "members"} <= entered
     assert sorted(f"{file}:{function}" for file, function in frames if file in wrappers) == []
 
 
