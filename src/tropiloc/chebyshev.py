@@ -26,9 +26,12 @@ moved; the one product t~ (x) B*, once its fixed point is raised
 to an exact potential, proves that B has no positive cycle, so it decides
 both certificates.  The O(n^3) closure is built only where it is cheaper:
 up front at n <= 41, or once the iteration has cost as much as the closure
-would (rent or buy).  check_feasibility does not iterate: its report is the
-lemma on the closure, Tr(B) from trace_and_closure and the gap of
-s <= (t~ B*)~ from parameter_upper_bound, as in linear.solve_double.
+would (rent or buy), or at once where that product finds a cycle of
+positive exact weight among the predecessors of its steps, since a
+positive cycle never lets it converge.  check_feasibility does not
+iterate: its report is the lemma on the closure, Tr(B) from
+trace_and_closure and the gap of s <= (t~ B*)~ from parameter_upper_bound,
+as in linear.solve_double.
 
 When both pass, the optimum theta has a closed form (a finite max over point
 pairs and closure entries) and the full optimal set is the box
@@ -83,6 +86,7 @@ both; ``solve_particular`` and ``solve_scaled`` are its typed entry points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,9 +411,17 @@ class _PositiveCycle(Exception):
 # runs across the rows of a fresh temporary, where a pivot's max runs along
 # them in place.  The closure costs _closure_products(n) products.  A step
 # over the entries that moved costs less and still counts as one product,
-# so the budget overstates what a sparse step costs.
+# so the budget overstates what a sparse step costs.  A positive cycle never
+# lets the iteration converge, so the certificate's product looks for one in
+# the predecessors of its steps, at doubling step counts from the cost of a
+# check, _check_products(n), and buys the closure as soon as it finds one.
+# A check makes 9 calls and 3n^2 + 3n element operations at most, each worth
+# _PRODUCT_ELEMENT, as a product's, and walks up to n entries in Python, each
+# step worth _WALK_STEP (about 170 ns measured, against 1 ns an element):
+# 2 products at every n.
 _CALL_COST = 1000
 _PRODUCT_ELEMENT = 2
+_WALK_STEP = 200
 # What a solve typically spends iterating: over random_instance data at n = 5
 # to 60 a feasible solve took 19 products at the median and 27 at the upper
 # quartile, passes of _proves_acyclic included, and timed against the
@@ -419,11 +431,20 @@ _PRODUCT_ELEMENT = 2
 _TYPICAL_PRODUCTS = 25
 
 
+def _product_cost(n: int) -> int:
+    """One product of the iteration at size n, in element operations."""
+    return 9 * _CALL_COST + _PRODUCT_ELEMENT * (2 * n * n + 3 * n)
+
+
 def _closure_products(n: int) -> float:
     """The cost of trace_and_closure at size n, counted in products of the iteration."""
-    closure = (6 * n + 9) * _CALL_COST + 2 * n**3 + 3 * n * n
-    product = 9 * _CALL_COST + _PRODUCT_ELEMENT * (2 * n * n + 3 * n)
-    return closure / product
+    return ((6 * n + 9) * _CALL_COST + 2 * n**3 + 3 * n * n) / _product_cost(n)
+
+
+def _check_products(n: int) -> int:
+    """The cost of one cycle check (_positive_cycle) at size n, in whole products of the iteration."""
+    check = 9 * _CALL_COST + _PRODUCT_ELEMENT * (3 * n * n + 3 * n) + _WALK_STEP * n
+    return math.ceil(check / _product_cost(n))
 
 
 class _Star:
@@ -447,7 +468,9 @@ class _Star:
     (trace_and_closure, unchanged) is built once, up front when it costs no
     more than _TYPICAL_PRODUCTS, else once spent reaches budget, its cost in
     products, or once an iteration has not converged within n products or
-    not reached an exact potential: a positive cycle does neither, and the
+    not reached an exact potential.  A positive cycle does neither, but the
+    certificate's product catches it in the predecessors of its steps
+    (_positive_cycle, a few products in), and buys the closure at once; the
     closure then exits early with its witness (raised as _PositiveCycle).
     A solve thus costs at most about twice what the closure alone would.
     Each column the iteration forms is kept, and one served again spends
@@ -487,7 +510,7 @@ class _Star:
             raise _PositiveCycle(gauge)
         self.closure = star
 
-    def _fixed_point(self, x: np.ndarray, rows: bool, budgeted: bool):
+    def _fixed_point(self, x: np.ndarray, rows: bool, budgeted: bool, cycles: bool = False):
         """The fixed point of z <- max(z, z (x) B) (rows) or max(z, B (x) z) from x, or None if a budgeted one gives up.
 
         For rows x is one vector; otherwise it is a stack of vectors in rows,
@@ -504,11 +527,24 @@ class _Star:
         product.  A gathered step costs about 2 |live| n element operations
         (the gather, then the add) against n^2 for the full product, which a
         step takes where 2 |live| >= n.
+
+        With cycles (the certificate's row product), the steps c + 1,
+        2c + 1, 4c + 1, ..., where c = _check_products(n) is what a check
+        costs, check the predecessors of their own step and the one before
+        for a positive cycle (_positive_cycle).  One found gives up at once,
+        so row buys the closure, which reports the cycle, without spending
+        the budget first.  A check reads the iterates and changes none, and
+        it is not counted in spent: a product that finds no cycle returns
+        the same bits with the same spent, so every later rent-or-buy
+        decision is the same.  Checks come at doubling step counts, each
+        once the steps have cost as much as a check, so they cost at most
+        as much as the steps.
         """
         b = self.b
         z = x + ONE
         live = slice(None)
-        for _ in range(self.n):
+        check = _check_products(self.n) if cycles else self.n + 1
+        for step in range(1, self.n + 1):
             if budgeted:
                 if self.spent >= self.budget:
                     return None
@@ -519,13 +555,61 @@ class _Star:
             else:
                 y = _mat_vec_rows(b[:, live], z[:, live])
                 moved = np.logical_or.reduce(y > z, axis=0)
-            live = moved.nonzero()[0]
-            if not live.size:
+            new = moved.nonzero()[0]
+            if not new.size:
                 return z
-            if 2 * live.size >= self.n:
-                live = slice(None)
+            if step == check:
+                before = moved
+            elif step == check + 1:
+                check *= 2
+                if self._positive_cycle(before, z, moved) is not None:
+                    return None
+            live = slice(None) if 2 * new.size >= self.n else new
             z = np.maximum(z, y)
         return None if budgeted else z
+
+    def _positive_cycle(self, before: np.ndarray, z: np.ndarray, moved: np.ndarray) -> list[int] | None:
+        """A cycle of B of exact weight > 0 that the predecessors of two steps close, or None.
+
+        z is the iterate a step started from, moved the entries it raised
+        and before those the step before raised, both as masks.  The
+        predecessor of each of them is the row i that wins its max of
+        z_i + b_ik.  For an entry that moved, that is the row that raised
+        it; one that moved only the step before was raised to a sum of its
+        winner then, and where the winner is the same, its sum is still
+        z_k: the edge is tight.  Around a cycle of such edges the sums
+        telescope: the cycle weighs at least what its entries rose in this
+        step, > 0 up to the rounding of the sums.  So it is only a
+        candidate; math.fsum, correctly rounded, gives the exact sign of
+        its weight, and a weight <= 0, or one whose partial sums overflow,
+        proves nothing.  Two steps close a positive 2-cycle whose ends move
+        on alternate steps.  The cycle is returned as k_0, k_1, ..., each
+        entry's predecessor after it: its edges are b[k_1, k_0],
+        b[k_2, k_1], ..., b[k_0, k_last].  For the v entries that moved in
+        the two steps it costs 3 n v element operations, at most 3 n^2, 9
+        calls and a walk over the v entries in Python.
+        """
+        ks = (moved | before).nonzero()[0]
+        pred = dict(zip(ks.tolist(), (self.b.T[ks] + z).argmax(axis=1).tolist()))
+        walked = {}
+        for start in pred:
+            k = start
+            while k in pred and k not in walked:
+                walked[k] = start
+                k = pred[k]
+            if walked.get(k) != start:
+                continue
+            cycle = [k]
+            i = pred[k]
+            while i != k:
+                cycle.append(i)
+                i = pred[i]
+            try:
+                if math.fsum(self.b[[pred[c] for c in cycle], cycle].tolist()) > 0.0:
+                    return cycle
+            except OverflowError:
+                pass
+        return None
 
     def _proves_acyclic(self, z: np.ndarray) -> bool:
         """Whether B has no positive cycle, shown by raising z to an exact potential.
@@ -536,35 +620,37 @@ class _Star:
         cycle is positive.  z need not be one: a sum that rounds to z_k can
         exceed it by half an ulp of z_k, and a lighter positive cycle
         (b_00 = 1e-17 beside z_0 near 1) hides there.  So the iteration goes
-        on from z in arithmetic rounded up, over the rows that moved: every
-        sum that reaches w_k is read back exactly (TwoSum) and, where it
-        exceeds w_k, raised to the next float.  It ends at an exact potential,
-        or on the budget, since a positive cycle keeps raising; each pass
-        counts as one product.  The product itself keeps z.
+        on from z in arithmetic rounded up, over the rows that moved (all of
+        B in the first pass, with no gather): every sum that reaches w_k is
+        read back exactly (TwoSum) and, where it exceeds w_k, raised to the
+        next float.  It ends at an exact potential, or on the budget, since a
+        positive cycle keeps raising; each pass counts as one product.  The
+        product itself keeps z.
         """
         w = z
-        rows = np.arange(self.n)
-        while rows.size:
+        wr, br = w, self.b
+        while True:
             if self.spent >= self.budget:
                 return False
             self.spent += 1
-            wr = w[rows]
-            s = wr[:, None] + self.b[rows]
+            s = wr[:, None] + br
             hit = (s >= w).ravel().nonzero()[0]
             r, k = np.divmod(hit, self.n)
-            a, b, s = wr[r], self.b[rows[r], k], s.ravel()[hit]
+            a, b, s = wr[r], br[r, k], s.ravel()[hit]
             t = s - a
             up = np.where((a - (s - t)) + (b - t) > 0.0, np.nextafter(s, np.inf), s)
             raised = w.copy()
             np.maximum.at(raised, k, up)
             rows = (raised > w).nonzero()[0]
+            if not rows.size:
+                return True
             w = raised
-        return True
+            wr, br = w[rows], self.b[rows]
 
     def row(self, x: np.ndarray) -> np.ndarray:
         """x (x) B* for a finite x; raises _PositiveCycle."""
         if self.closure is None:
-            z = self._fixed_point(x, True, True)
+            z = self._fixed_point(x, True, True, not self.acyclic)
             if z is not None and (self.acyclic or self._proves_acyclic(z)):
                 self.acyclic = True
                 return z

@@ -63,6 +63,15 @@ def closure_exact(b) -> np.ndarray:
     return out
 
 
+def cycle_weight(b, cycle) -> Fraction:
+    """The exact weight of the cycle k_0, k_1, ... of B, each entry's predecessor after it.
+
+    Its edges are b[k_1, k_0], b[k_2, k_1], ..., b[k_0, k_last], as
+    chebyshev._Star._positive_cycle returns a cycle.
+    """
+    return sum(Fraction(float(b[cycle[(j + 1) % len(cycle)], k])) for j, k in enumerate(cycle))
+
+
 def theta_exact(cp, absc, w, h, star, fixed_lo, fixed_hi) -> Fraction:
     """max over every term of the closed form, exactly.
 

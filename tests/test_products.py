@@ -6,16 +6,19 @@ iteration has cost as much as the closure.  These tests pin what that must
 keep: theta within the derived rounding bound of the exact closed form,
 verdicts and witnesses equal to the closure's, cycles lighter than an ulp
 of the iterates still found, a product count within the budget on the worst
-cases, and no closure built behind a replay.
+cases, planted positive cycles caught by the iteration far below it and
+only cycles of positive exact weight caught, and no closure built behind a
+replay.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exact import closure_exact, theta_error, theta_error_bound, theta_exact
+from exact import closure_exact, cycle_weight, theta_error, theta_error_bound, theta_exact
 from support import fixed_point_reference
 from tropiloc import (
     ChebyshevInstance,
@@ -133,16 +136,128 @@ def test_a_300_chain_spends_at_most_the_budget(stars, weight):
 
 @pytest.mark.parametrize("n", [60, 80, 100])
 def test_a_planted_cycle_spends_at_most_the_budget(stars, n):
-    # A positive cycle never converges: the iteration spends the budget, and
-    # the closure then reports the cycle with its own witness.
+    # A positive cycle never converges, but the certificate's product finds
+    # it among the predecessors of its steps at its first checks, far below
+    # the budget, and the closure then reports the cycle with its own witness.
     for seed in range(3):
         inst = random_infeasible(n, 20, seed, mode="cycle")
         stars.clear()
         result = solve(inst)
         (star,) = stars
-        assert star.spent == math.ceil(star.budget), (n, seed, star.spent)
+        assert star.spent <= 2 * chebyshev._check_products(n) + 1 < star.budget / 4, (n, seed, star.spent)
         assert _same_verdict(result, inst), (n, seed)
         assert result.witness == trace_and_closure(inst.diff_bounds)[0]
+
+
+@pytest.fixture
+def early_buys(monkeypatch):
+    """(B, cycle) of every cycle a check of the certificate's product proved positive."""
+    found = []
+    check = chebyshev._Star._positive_cycle
+
+    def spy(self, before, z, moved):
+        cycle = check(self, before, z, moved)
+        if cycle is not None:
+            found.append((self.b, cycle))
+        return cycle
+
+    monkeypatch.setattr(chebyshev._Star, "_positive_cycle", spy)
+    return found
+
+
+def _unchecked(monkeypatch, inst):
+    # The solve with no cycle check: its first check would come after step n.
+    with monkeypatch.context() as patch:
+        patch.setattr(chebyshev, "_check_products", lambda n: n)
+        return _bits(solve(inst))
+
+
+def _bits(result):
+    if isinstance(result, Infeasible):
+        return result.cause, float(result.witness).hex()
+    return float(result.theta).hex(), result.u_lo.tobytes(), result.u_hi.tobytes(), result._star.spent
+
+
+def _light_cycle(n: int):
+    # x_i >= x_{i+1} along a chain that x_{n-1} >= 0.001 + x_0 closes: one
+    # positive cycle of n edges and weight 0.001.
+    inst = _chain(n, 0.0, 5)
+    b = inst.diff_bounds.copy()
+    b[n - 1, 0] = 1e-3
+    return dataclasses.replace(inst, diff_bounds=b)
+
+
+def _rounded_cycle():
+    # The 4-cycle of exact weight 9 * 2^-56 - 0.6 * 2^-52 < 0 at n = 48, which
+    # the closure's relaxation rounds positive.
+    n = 48
+    b = np.full((n, n), BOTTOM)
+    b[0, 1], b[1, 2], b[2, 3], b[3, 0] = 1.0, -1.0, 9 * 2.0**-56, -0.6 * 2.0**-52
+    return ChebyshevInstance(
+        points=[[0.0] * n], weights=[1.0], addends=[0.0], box_lo=[-2.0] * n, box_hi=[0.0] * n, diff_bounds=b,
+    )
+
+
+def _zero_cycle(n: int):
+    # A 3-cycle of exact weight 0.317 + 0.321 - 0.638 = 0 whose sums round
+    # up on every pass from x_0 = 1.755: the iteration never converges and
+    # spends the budget, and the closure finds no positive cycle.
+    b = np.full((n, n), BOTTOM)
+    b[0, 1], b[1, 2], b[2, 0] = 0.317, 0.321, -0.638
+    hi = np.full(n, 10.0)
+    hi[0] = -1.755
+    return ChebyshevInstance(
+        points=[[0.0] * n], weights=[1.0], addends=[0.0], box_lo=[-10.0] * n, box_hi=hi, diff_bounds=b,
+    )
+
+
+def test_the_iteration_buys_early_only_on_a_cycle_of_positive_exact_weight(monkeypatch, early_buys):
+    # A check changes nothing but the time, unless it proves a positive
+    # cycle: every solve keeps the verdict, witness, theta, box and products
+    # spent of the solve with no check.  Planted cycles buy the closure
+    # early; cycles of exact weight <= 0 that rounding lifts (the 4-cycle,
+    # which the closure reports, and the zero cycle, whose iteration never
+    # converges) never do; a long light cycle and the chains x_i >=
+    # w + x_{i+1} keep their answers whether or not a check finds anything.
+    # The random instances pass a check that finds nothing and spend just
+    # under their budgets: counted in spent, it would make them buy the
+    # closure, and their boxes would change bits.
+    assert sum(map(Fraction, (0.317, 0.321, -0.638))) == 0
+    never = [_rounded_cycle(), _zero_cycle(48), _zero_cycle(100)]
+    others = [_light_cycle(n) for n in (60, 150, 300)] + [_chain(300, w, 4) for w in (0.001, 1.0)]
+    others += [random_instance("chebyshev_scaled", 42 + s % 80, 3 + s % 7, s) for s in (19, 31, 83, 85)]
+    planted = [random_infeasible(n, 20, seed, mode="cycle") for n, seed in ((60, 0), (100, 1), (200, 2), (300, 3))]
+    for inst in never + others + planted + _lighter_cycles(48):
+        before = len(early_buys)
+        assert _bits(solve(inst)) == _unchecked(monkeypatch, inst)
+        if inst in never:
+            assert len(early_buys) == before
+        if inst in planted:
+            assert len(early_buys) == before + 1
+        assert _same_verdict(solve(inst), inst) or inst is never[0]
+    for b, cycle in early_buys:
+        assert cycle_weight(b, cycle) > 0, cycle
+
+
+def test_a_candidate_cycle_proves_only_a_positive_exact_weight(iterate):
+    # Each entry of the cycle 0 -> 1 -> ... has one finite predecessor, so
+    # every candidate is the whole cycle; only a positive exact weight makes
+    # it a proof, however its float sums round: a positive one lighter than
+    # an ulp of its edges, not one of weight 0, nor the rounded 4-cycle of
+    # weight < 0, nor one whose partial sums overflow.
+    def candidate(edges):
+        n = 6
+        b = np.full((n, n), BOTTOM)
+        for i, w in enumerate(edges):
+            b[i, (i + 1) % len(edges)] = w
+        moved = np.arange(n) < len(edges)
+        return chebyshev._Star(b)._positive_cycle(np.zeros(n, dtype=bool), np.zeros(n), moved), b
+
+    cycle, b = candidate([1.0, -1.0 + 2.0**-53])
+    assert sorted(cycle) == [0, 1] and cycle_weight(b, cycle) == Fraction(2.0**-53)
+    assert candidate([0.1, 0.1, -0.2])[0] is None
+    assert candidate([1.0, -1.0, 9 * 2.0**-56, -0.6 * 2.0**-52])[0] is None
+    assert candidate([1.7e308, 1.7e308])[0] is None
 
 
 def test_replays_build_no_closure(monkeypatch):

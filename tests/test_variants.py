@@ -83,8 +83,10 @@ def test_solve_enters_no_numpy_python_wrappers():
     # methods those wrappers forward to, so no frame of the wrappers' modules
     # runs.  From n = 42 on a solve iterates on B, and a wrapper there runs
     # once per step: so also a feasible solve that never builds the closure,
-    # a planted positive cycle and a chain x_i >= 0.001 + x_{i+1}, whose
-    # product needs more steps than the closure costs, so the solve buys it.
+    # a planted positive cycle, which the certificate's product finds among
+    # the predecessors of its steps, and a chain x_i >= 0.001 + x_{i+1},
+    # whose product needs more steps than the closure costs, so the solve
+    # buys it.
     modules = ("core._methods", "core.fromnumeric", "core.numeric", "core.shape_base")
     wrappers = {m.__file__ for name, m in list(sys.modules.items()) if name.startswith("numpy.") and name.endswith(modules)}
     assert len(wrappers) >= len(modules)  # numpy 2 may also hold the numpy.core shims
@@ -114,6 +116,9 @@ def test_solve_enters_no_numpy_python_wrappers():
     assert {"_magnitude", "_certify", "_theta_kernel", "trace_and_closure", "_distances"} <= entered
     assert {"_fixed_point", "_proves_acyclic", "column", "_buy", "members"} <= entered
     assert sorted(f"{file}:{function}" for file, function in frames if file in wrappers) == []
+    # the planted cycle is caught by a check, before any exact potential is tried
+    cycle = {function for file, function in _python_frames([lambda: solve(cases[-2])])}
+    assert {"_positive_cycle", "_buy", "trace_and_closure"} <= cycle and "_proves_acyclic" not in cycle
 
 
 def test_table_order():
