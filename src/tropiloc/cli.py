@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .generate import VARIANTS, random_instance
-from .io import _emit_with_svg, emit_instance, emit_solution, parse_instance
+from .io import _emit_with_svg, _json_text, emit_instance, emit_solution, parse_instance
 from .linear import Infeasible
 from .oracle import grid_minimize
 from .rectilinear import solve_strip, solve_tilted  # noqa: F401  (bound here only for benchmarks/spans.py)
@@ -103,7 +102,7 @@ def _cmd_oracle(args) -> int:
         "grid_step": result.grid_step,
         "evaluated": result.evaluated,
     }
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     return 0 if result.feasible else 2
 
 

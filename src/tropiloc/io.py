@@ -16,7 +16,16 @@ coordinates (x1+x2, x2-x1).  "rectilinear_tilted" adds a scalar "c"
 
 null is the only encoding of an absent bound; every number must be a finite
 real, so non-finite JSON tokens and numbers beyond the float range (1e400,
-10**400) are rejected.  Emission writes floats with repr, so
+10**400) are rejected.
+
+A document is validated once, at the boundary.  Each field is read in bulk,
+one type scan and one array, and the instance constructor checks the
+values.  Only a document that fails, or that the scan cannot vouch for, is
+read again entry by entry, for a message that names its first fault.
+
+One writer emits every JSON document: instances, solutions and the CLI's
+oracle report.  It gives the bytes of json.dumps(doc, indent=2,
+allow_nan=False) from float.__repr__ and str.join, so
 parse(emit(parse(doc))) reproduces every numeric field bit for bit.
 
 The SVG sketch of a plane instance draws its constraint region as the core
@@ -29,6 +38,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -125,8 +136,8 @@ def _strip_bounds(doc: dict) -> tuple[float, float]:
     return _real(value["a"], "strip.a"), _real(value["b"], "strip.b")
 
 
-def instance_from_document(doc):
-    """Build a typed instance from an already-decoded JSON document."""
+def _header(doc) -> tuple[str, int, int]:
+    """The variant, n and m of a document whose keys all belong to its variant."""
     if not isinstance(doc, dict):
         raise InstanceError("top-level JSON value must be an object")
     variant = doc.get("variant")
@@ -140,6 +151,22 @@ def instance_from_document(doc):
     m = _size(doc, "m")
     if variant.startswith("rectilinear") and n != 2:
         raise InstanceError(f"variant '{variant}' requires n = 2, got n = {n}")
+    return variant, n, m
+
+
+def _construct(variant: str, shared: dict, bounds, c, strip):
+    if variant == "chebyshev":
+        return ChebyshevInstance(**shared, diff_bounds=bounds)
+    if variant == "chebyshev_scaled":
+        return ScaledChebyshevInstance(**shared, diff_bounds=bounds, scale=c)
+    a, b = strip
+    if variant == "rectilinear_strip":
+        return StripInstance(**shared, strip_lo=a, strip_hi=b)
+    return TiltedStripInstance(**shared, strip_lo=a, strip_hi=b, slope=c)
+
+
+def _per_entry(doc: dict, variant: str, n: int, m: int):
+    """Check every entry on its own, and report the first fault with its place."""
     shared = dict(
         points=_matrix(doc, "points", m, n, "m", "n", allow_null=False),
         weights=_vector(doc, "weights", m, "m"),
@@ -148,20 +175,104 @@ def instance_from_document(doc):
         box_lo=_vector(doc, "lower", n, "n"),
         box_hi=_vector(doc, "upper", n, "n"),
     )
-    if variant == "chebyshev":
-        return ChebyshevInstance(**shared, diff_bounds=_matrix(doc, "B", n, n, "n", "n", allow_null=True))
-    if variant == "chebyshev_scaled":
-        return ScaledChebyshevInstance(
-            **shared,
-            diff_bounds=_matrix(doc, "B", n, n, "n", "n", allow_null=True),
-            scale=_vector(doc, "c", n, "n"),
-        )
-    a, b = _strip_bounds(doc)
-    if variant == "rectilinear_strip":
-        return StripInstance(**shared, strip_lo=a, strip_hi=b)
-    if "c" not in doc:
-        raise InstanceError("missing required field 'c'")
-    return TiltedStripInstance(**shared, strip_lo=a, strip_hi=b, slope=_real(doc["c"], "c"))
+    bounds = c = strip = None
+    if variant.startswith("chebyshev"):
+        bounds = _matrix(doc, "B", n, n, "n", "n", allow_null=True)
+        if variant == "chebyshev_scaled":
+            c = _vector(doc, "c", n, "n")
+    else:
+        strip = _strip_bounds(doc)
+        if variant == "rectilinear_tilted":
+            if "c" not in doc:
+                raise InstanceError("missing required field 'c'")
+            c = _real(doc["c"], "c")
+    return _construct(variant, shared, bounds, c, strip)
+
+
+class _Doubt(Exception):
+    """The bulk scan cannot vouch for a field; the per-entry path decides."""
+
+
+_REAL_TYPES = {float, int}
+_REAL_OR_NULL_TYPES = {float, int, type(None)}
+
+
+def _bulk_real(value):
+    # The constructor checks that it is finite; an int beyond the float range
+    # raises OverflowError there.
+    if type(value) is not float and type(value) is not int:
+        raise _Doubt
+    return value
+
+
+def _bulk_array(value, length: int, null_as: float | None = None, row_length: int | None = None) -> np.ndarray:
+    """A list of length reals, or of length rows of row_length reals, as one array.
+
+    One type scan, one np.array.  Where null_as is given, a JSON null entry
+    reads as that infinity, which the constructor accepts; so any other
+    non-finite entry (the JSON parser reads 1e400 as inf) is doubted here.
+    """
+    if type(value) is not list or len(value) != length:
+        raise _Doubt
+    entries = value
+    if row_length is not None:
+        if set(map(type, value)) != {list} or set(map(len, value)) != {row_length}:
+            raise _Doubt
+        entries = chain.from_iterable(value)
+    kinds = set(map(type, entries))
+    if not kinds <= (_REAL_TYPES if null_as is None else _REAL_OR_NULL_TYPES):
+        raise _Doubt
+    out = np.array(value, dtype=np.float64)  # a null reads as nan
+    if null_as is not None:
+        nulls = 0
+        if type(None) in kinds:
+            nulls = value.count(None) if row_length is None else sum(map(list.count, value, repeat(None)))
+        bad = ~np.isfinite(out)
+        if np.count_nonzero(bad) != nulls:
+            raise _Doubt
+        if nulls:
+            out[bad] = null_as
+    return out
+
+
+def _bulk(doc: dict, variant: str, n: int, m: int):
+    """The instance from one type scan and one array per field; only its constructor checks values."""
+    caps = doc.get("caps")
+    shared = dict(
+        points=_bulk_array(doc.get("points"), m, row_length=n),
+        weights=_bulk_array(doc.get("weights"), m),
+        addends=_bulk_array(doc.get("addends"), m),
+        caps=None if caps is None else _bulk_array(caps, m, null_as=math.inf),
+        box_lo=_bulk_array(doc.get("lower"), n),
+        box_hi=_bulk_array(doc.get("upper"), n),
+    )
+    bounds = c = strip = None
+    if variant.startswith("chebyshev"):
+        bounds = _bulk_array(doc.get("B"), n, null_as=BOTTOM, row_length=n)
+        if variant == "chebyshev_scaled":
+            c = _bulk_array(doc.get("c"), n)
+    else:
+        strip = doc.get("strip")
+        if type(strip) is not dict or strip.keys() != {"a", "b"}:
+            raise _Doubt
+        strip = _bulk_real(strip["a"]), _bulk_real(strip["b"])
+        if variant == "rectilinear_tilted":
+            c = _bulk_real(doc.get("c"))
+    return _construct(variant, shared, bounds, c, strip)
+
+
+def instance_from_document(doc):
+    """Build a typed instance from an already-decoded JSON document.
+
+    A valid document is read in bulk and checked once, by the constructor.
+    Anything the bulk scan doubts, and any error, reruns the per-entry path,
+    which gives the first fault in the document's field order.
+    """
+    variant, n, m = _header(doc)
+    try:
+        return _bulk(doc, variant, n, m)
+    except (_Doubt, InstanceError, OverflowError):
+        return _per_entry(doc, variant, n, m)
 
 
 def parse_instance(text) -> ChebyshevInstance | StripInstance:
@@ -188,6 +299,70 @@ def _bounds_to_rows(bounds: np.ndarray) -> list:
     return [[None if v == BOTTOM else v for v in row] for row in bounds.tolist()]
 
 
+_OUT_OF_RANGE = "Out of range float values are not JSON compliant: "
+
+
+def _float_text(value) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(_OUT_OF_RANGE + repr(value))
+
+
+def _scalar_text(value) -> str:
+    # json's order of tests, so a bool is true or false and not an int
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _text(value, pad: str) -> str:
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = "," + inner
+        if isinstance(value[0], (list, tuple, dict)):
+            body = sep.join([_text(v, inner) for v in value])
+        else:
+            try:  # the common leaf: a row of floats, some of them null
+                body = sep.join(["null" if v is None else float.__repr__(v) for v in value])
+            except TypeError:
+                body = sep.join([_text(v, inner) for v in value])
+            else:  # only a non-finite float writes inf or nan: raise json's error on the first
+                if "inf" in body or "nan" in body:
+                    for v in value:
+                        if v is not None:
+                            _float_text(v)
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(key) + ": " + _text(v, inner) for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _scalar_text(value)
+
+
+def _json_text(doc) -> str:
+    """The text of json.dumps(doc, indent=2, allow_nan=False), and its errors.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writer builds the same bytes from float.__repr__ and str.join.  Keys
+    must be strings.
+    """
+    return _text(doc, "\n")
+
+
 def emit_instance(inst) -> str:
     """Serialize an instance back to its JSON document form."""
     variant = variant_of(inst)
@@ -212,7 +387,7 @@ def emit_instance(inst) -> str:
         doc["strip"] = {"a": inst.strip_lo, "b": inst.strip_hi}
         if variant == "rectilinear_tilted":
             doc["c"] = inst.slope
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def emit_solution(box: SolutionBox, inst, fmt: str = "json", *, samples: int = 5, seed: int = 0) -> bytes:
@@ -245,7 +420,7 @@ def _render(box: SolutionBox, inst, fmt: str, members: np.ndarray) -> bytes:
             "members": members.tolist(),
             "objectives": objectives.tolist(),
         }
-        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode("utf-8")
+        return (_json_text(doc) + "\n").encode("utf-8")
     if fmt == "csv":
         n = members.shape[1]
         lines = [",".join([f"x{i + 1}" for i in range(n)] + ["objective"])]

@@ -1,10 +1,12 @@
-"""Shared test data builders.
+"""Shared test data builders, and a recorder of the Python frames calls enter.
 
 Random numeric data is dyadic (integer / 8, magnitudes well under 2**20) so
 every float addition in the code under test is exact and equality checks are
 meaningful.  The frozen example instances were each confirmed against the
 grid oracle before their values were pinned in the tests.
 """
+
+import sys
 
 import numpy as np
 
@@ -220,3 +222,20 @@ def tilted_line_instance():
         strip_hi=0.0,
         slope=2.0,
     )
+
+
+def python_frames(calls) -> set[tuple[str, str]]:
+    # (file, function) of every Python frame entered while calls run.
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.setprofile(None)
+    return seen

@@ -1,14 +1,16 @@
 """JSON instance documents and JSON/CSV/SVG solution serialization."""
 
 import json
+import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import tilted_line_instance, two_point_instance, wide_strip_instance
+from support import python_frames, tilted_line_instance, two_point_instance, wide_strip_instance
 from tropiloc import (
     ChebyshevInstance,
     ScaledChebyshevInstance,
@@ -21,9 +23,11 @@ from tropiloc import (
     solve,
     solve_strip,
 )
+from tropiloc import cli
+from tropiloc import io as tio
 from tropiloc.errors import InstanceError, UnsupportedFormatError
 from tropiloc.generate import VARIANTS
-from tropiloc.io import _clip, instance_from_document, variant_of
+from tropiloc.io import _clip, _json_text, instance_from_document, variant_of
 from tropiloc.semiring import BOTTOM
 from tropiloc.solutions import sample, violation_batch
 
@@ -189,6 +193,207 @@ def test_strip_field_validation():
     doc["strip"] = {"a": 0.0, "b": 1.0}
     with pytest.raises(InstanceError, match="unexpected field 'strip'"):
         instance_from_document(doc)
+
+
+_FIELDS = ("points", "weights", "addends", "caps", "box_lo", "box_hi", "diff_bounds", "scale", "strip_lo", "strip_hi", "slope")
+
+
+def _bits(inst) -> dict:
+    """Every field of an instance as exact bits: array bytes, or a float's packed double."""
+    out = {"type": type(inst)}
+    for name in _FIELDS:
+        value = getattr(inst, name, "absent")
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            value = (type(value), struct.pack("<d", value))
+        out[name] = value
+    return out
+
+
+def _per_entry(doc):
+    return tio._per_entry(doc, *tio._header(doc))
+
+
+def _valid_documents():
+    docs = []
+    for variant in VARIANTS:
+        for n, m, seed in ((1, 1, 0), (3, 4, 1), (6, 9, 2)):
+            n = 2 if variant.startswith("rectilinear") else n
+            docs.append(json.loads(emit_instance(random_instance(variant, n, m, seed))))
+    # ints, signed zeros, subnormals, the float extremes and null entries
+    edge = {
+        "variant": "chebyshev",
+        "n": 2,
+        "m": 3,
+        "points": [[0, -0.0], [5e-324, -1.7e308], [1.7e308, 2**70]],
+        "weights": [1, 2.5e-308, 1e300],
+        "addends": [-0.0, -5e-324, 10**20],
+        "caps": [None, 3, 1e-320],
+        "lower": [-1.7e308, -0.0],
+        "upper": [1.7e308, 0],
+        "B": [[None, -1.7e308], [7, None]],
+    }
+    docs += [edge, {**edge, "caps": None}, {**edge, "caps": [None, None, None], "B": [[None, None], [None, None]]}]
+    docs.append({**edge, "variant": "chebyshev_scaled", "points": [[0, -0.0], [5e-324, -1.7e307], [1.7e307, 2**70]], "c": [-1, 5e-324]})
+    plane = {key: edge[key] for key in ("n", "m", "points", "weights", "addends", "caps", "lower", "upper")}
+    docs.append({**plane, "variant": "rectilinear_strip", "strip": {"b": 2, "a": -0.0}})
+    docs.append({**plane, "variant": "rectilinear_tilted", "strip": {"a": -1, "b": 1.5}, "c": 3})
+    return docs
+
+
+def test_bulk_parse_matches_per_entry_bits():
+    # The bulk read of a valid document gives the per-entry path's arrays and
+    # floats bit for bit, ints, signed zeros and subnormals included.
+    docs = _valid_documents()
+    assert {doc["variant"] for doc in docs} == set(VARIANTS)
+    for doc in docs:
+        fast = tio._bulk(doc, *tio._header(doc))
+        assert _bits(fast) == _bits(_per_entry(doc)), doc
+        assert _bits(instance_from_document(doc)) == _bits(fast)
+
+
+def _mutants(doc):
+    """(place, token, JSON text) for every token put into a field, a row and an entry of doc."""
+    targets = []
+    for key in ("points", "weights", "addends", "caps", "lower", "upper", "B", "c", "strip"):
+        if key in doc:
+            targets.append([key])
+    last = doc["m"] - 1
+    targets += [["points", last], ["points", last, 1], ["weights", last], ["addends", 0], ["lower", 1], ["upper", 0]]
+    if isinstance(doc.get("caps"), list):
+        targets.append(["caps", last])
+    if "B" in doc:
+        targets += [["B", 1], ["B", 1, 0], ["B", 0, 0]]
+    if isinstance(doc.get("c"), list):
+        targets.append(["c", 1])
+    if "strip" in doc:
+        targets += [["strip", "a"], ["strip", "b"]]
+    for where in targets:
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        old = target[where[-1]]
+        wrong = json.dumps([1.0] * (len(old) + 1 if isinstance(old, list) else 2))
+        tokens = ['"s"', "true", "null", "1e400", "-1e400", str(10**400), "[]", wrong, "[[1.0]]", "0", "-1.0", "[0.0, 1.0]"]
+        for token in tokens:
+            target[where[-1]] = "@TOKEN@"
+            yield where, token[:12], json.dumps(doc).replace('"@TOKEN@"', token)
+            target[where[-1]] = old
+
+
+def _outcome(build, doc):
+    try:
+        return _bits(build(doc))
+    except InstanceError as exc:
+        return str(exc)
+
+
+def test_bulk_parse_falls_back_to_per_entry_messages():
+    # On every mutant the parse gives the per-entry path's message, or both
+    # accept it with the same bits: the bulk read never accepts what the
+    # per-entry path rejects.  Each row is a document of one variant.
+    rejected = accepted = 0
+    for variant in VARIANTS:
+        n = 2 if variant.startswith("rectilinear") else 3
+        base = json.loads(emit_instance(random_instance(variant, n, 4, 7)))
+        base["caps"] = base.get("caps") or [2.0, None, 3.0, 4.0]
+        for where, token, text in _mutants(base):
+            doc = json.loads(text)
+            expected = _outcome(_per_entry, doc)
+            assert _outcome(instance_from_document, doc) == expected, (where, token)
+            if isinstance(expected, str):
+                rejected += 1
+                with pytest.raises((InstanceError, OverflowError, tio._Doubt)):
+                    tio._bulk(doc, *tio._header(doc))
+            else:
+                accepted += 1
+    assert rejected > 500 and accepted > 50, (rejected, accepted)
+
+
+def _solution_doc(theta=np.float64(2.5), member=-0.0, objective=2.5):
+    return {
+        "theta": theta,
+        "transform": {"kind": "identity", "coeffs": []},
+        "generator": [[None, -0.0], [5e-324, None]],
+        "u_lo": [-1.7e308, 2.2250738585072014e-308 / 4],
+        "u_hi": [1.7e308, 0.0],
+        "members": [[1.0, member]],
+        "objectives": [objective],
+    }
+
+
+def test_writer_matches_json_dumps():
+    docs = [_solution_doc(), _solution_doc(theta=3), _solution_doc(theta=-1.7e308, member=5e-324)]
+    docs.append({"a": [], "b": {}, "c": (1.5, None, True, False, "é\n"), "d": [[], [[]], [{}]], "e": [1, 2.0, None, "x"]})
+    docs += [[], {}, 0.1, None, "tropiloc", [[1.0, None], [None, 2.0]]]
+    docs += [json.loads(emit_instance(random_instance(v, 2, 3, 1))) for v in VARIANTS]
+    for doc in docs:
+        assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_emitted_json_is_json_dumps(variant):
+    # The solution and instance documents of every variant, from a one-member
+    # sample up, as json.dumps(indent=2) writes them.
+    for seed in range(8):
+        n = 2 if variant.startswith("rectilinear") else 1 + seed % 4
+        inst = random_instance(variant, n, 1 + 3 * seed, seed)
+        text = emit_instance(inst)
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+        box = solve(inst)
+        payload = emit_solution(box, inst, "json", samples=1 + seed, seed=seed).decode()
+        assert payload == json.dumps(json.loads(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _raised(write, doc):
+    with pytest.raises((ValueError, TypeError)) as info:
+        write(doc)
+    return type(info.value), str(info.value)
+
+
+def test_writer_rejects_what_json_dumps_rejects():
+    # A non-finite theta, member or objective raises json.dumps's ValueError,
+    # with its message, and so does the first bad value of a document.
+    dumps = lambda doc: json.dumps(doc, indent=2, allow_nan=False)  # noqa: E731
+    bad = [math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan)]
+    docs = [_solution_doc(theta=v) for v in bad]
+    docs += [_solution_doc(member=v) for v in bad] + [_solution_doc(objective=v) for v in bad]
+    docs += [_solution_doc(member=math.inf, objective=math.nan), [None, 1.0, -math.inf, math.nan], [np.float64(1.0), np.array([1.0])]]
+    docs += [{"x": np.int64(1)}, [1.0, object()]]
+    for doc in docs:
+        expected = _raised(dumps, doc)
+        assert _raised(_json_text, doc) == expected
+    assert _raised(_json_text, _solution_doc(theta=math.inf))[1].startswith("Out of range float values are not JSON compliant")
+
+
+def test_valid_documents_are_read_in_bulk_and_written_by_io(tmp_path, capsysbinary):
+    # A valid document is checked once: the per-entry checker io._real never
+    # runs.  JSON goes out through io's writer: json.dumps with indent set
+    # would run the pure-Python encoder (_make_iterencode and its
+    # _iterencode), and no frame of json.encoder runs.
+    encoder = json.encoder.__file__
+    probe = python_frames([lambda: json.dumps(_solution_doc(), indent=2)])
+    assert {"_make_iterencode", "_iterencode"} <= {function for file, function in probe if file == encoder}
+    docs = _valid_documents()
+    paths = []
+    for k, variant in enumerate(VARIANTS):
+        path = tmp_path / f"{variant}.json"
+        path.write_text(emit_instance(random_instance(variant, 2 if variant.startswith("rectilinear") else 3, 5, k)))
+        paths.append(str(path))
+    texts = [json.dumps(doc) for doc in docs]
+    parsed = python_frames([lambda text=text: parse_instance(text) for text in texts])
+    assert {"_bulk", "_bulk_array", "_construct"} <= {function for file, function in parsed}
+    assert "_real" not in {function for file, function in parsed if file == tio.__file__}
+    calls = [lambda path=path: cli.main(["solve", path]) for path in paths]
+    calls += [lambda path=path: cli.main(["solve", path, "--samples", "1"]) for path in paths]
+    calls += [lambda doc=doc: emit_instance(instance_from_document(doc)) for doc in docs]
+    calls.append(lambda: cli.main(["oracle", paths[-1], "--lo", "-4", "-4", "--hi", "4", "4", "--step", "1"]))
+    frames = python_frames(calls)
+    assert {"_text", "_json_text", "emit_solution", "emit_instance", "_cmd_oracle"} <= {function for file, function in frames}
+    assert sorted(function for file, function in frames if file == encoder) == []
+    assert "_real" not in {function for file, function in frames if file == tio.__file__}
+    capsysbinary.readouterr()
 
 
 def test_roundtrip_is_bit_stable():

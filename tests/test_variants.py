@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from support import python_frames
 from tropiloc import (
     cli,
     emit_instance,
@@ -58,23 +59,6 @@ def _same_result(a, b):
     )
 
 
-def _python_frames(calls) -> set[tuple[str, str]]:
-    # (file, function) of every Python frame entered while calls run.
-    seen = set()
-
-    def hook(frame, event, arg):
-        if event == "call":
-            seen.add((frame.f_code.co_filename, frame.f_code.co_name))
-
-    sys.setprofile(hook)
-    try:
-        for call in calls:
-            call()
-    finally:
-        sys.setprofile(None)
-    return seen
-
-
 def test_solve_enters_no_numpy_python_wrappers():
     # A small solve is bound by fixed per-call costs, and numpy's Python-level
     # wrappers (ndarray.max/.any, np.max, np.argmax, np.diagonal, np.full,
@@ -109,7 +93,7 @@ def test_solve_enters_no_numpy_python_wrappers():
         for inst, box in zip(cases, results)
         if not isinstance(box, Infeasible)
     ]
-    frames = _python_frames(calls)
+    frames = python_frames(calls)
     entered = {function for file, function in frames}
     # the clamp, the certificates, theta and the sampling all ran, and so did
     # the iteration's products, its potential, its columns and its members
@@ -117,7 +101,7 @@ def test_solve_enters_no_numpy_python_wrappers():
     assert {"_fixed_point", "_proves_acyclic", "column", "_buy", "members"} <= entered
     assert sorted(f"{file}:{function}" for file, function in frames if file in wrappers) == []
     # the planted cycle is caught by a check, before any exact potential is tried
-    cycle = {function for file, function in _python_frames([lambda: solve(cases[-2])])}
+    cycle = {function for file, function in python_frames([lambda: solve(cases[-2])])}
     assert {"_positive_cycle", "_buy", "trace_and_closure"} <= cycle and "_proves_acyclic" not in cycle
 
 
