@@ -100,7 +100,7 @@ from .semiring import BOTTOM, ONE, _mat_vec_rows, _vec_mat, identity, trace_and_
 def _as_float_array(value, shape_hint: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond the float range overflows
         raise InstanceError(f"{shape_hint} must be numeric: {exc}") from None
     return arr
 

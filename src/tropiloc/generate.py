@@ -31,7 +31,7 @@ from .boxes import rotate45
 from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance
 from .rectilinear import TiltedStripInstance
 from .semiring import BOTTOM
-from .variants import TABLE, check_feasibility
+from .variants import BY_NAME, TABLE, check_feasibility
 
 VARIANTS = tuple(v.name for v in TABLE)
 
@@ -109,7 +109,7 @@ def random_instance(variant: str, n: int, m: int, seed: int, *, extent: int = 12
         raise ValueError("n and m must be positive")
     if extent < 2:
         raise ValueError(f"extent must be at least 2, got {extent}")
-    entry = TABLE[VARIANTS.index(variant)]
+    entry = BY_NAME[variant]
     if entry.rotate45 and n != 2:
         raise ValueError(f"{variant} instances live in the plane (n = 2), got n = {n}")
     build = _random_plane if entry.rotate45 else _random_chebyshev

@@ -18,10 +18,15 @@ null is the only encoding of an absent bound; every number must be a finite
 real, so non-finite JSON tokens and numbers beyond the float range (1e400,
 10**400) are rejected.
 
-A document is validated once, at the boundary.  Each field is read in bulk,
-one type scan and one array, and the instance constructor checks the
-values.  Only a document that fails, or that the scan cannot vouch for, is
-read again entry by entry, for a message that names its first fault.
+The schema lives in one record, _SCHEMA: each variant's fields in document
+order, each with its reader and writer.  The instance class and the n = 2
+rule of the plane variants come from the variant table.
+
+A document is validated once, at the boundary.  One reader has two modes.
+In bulk mode each field is read with one type scan and one array, and the
+instance constructor checks the values.  Only a document that fails, or
+that the scan cannot vouch for, is read again in per-entry mode, for a
+message that names its first fault in document order.
 
 One writer emits every JSON document: instances, solutions and the CLI's
 oracle report.  It gives the bytes of json.dumps(doc, indent=2,
@@ -38,30 +43,27 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
 from .boxes import SolutionBox
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, assemble_bounds
+from .chebyshev import ChebyshevInstance, assemble_bounds
 from .errors import InstanceError, UnsupportedFormatError
-from .rectilinear import StripInstance, TiltedStripInstance
+from .rectilinear import StripInstance
 from .semiring import BOTTOM
 from .solutions import objective_batch, sample
-from .variants import lookup
-
-_COMMON = {"variant", "n", "m", "points", "weights", "addends", "caps", "lower", "upper"}
-_VARIANT_KEYS = {
-    "chebyshev": _COMMON | {"B"},
-    "chebyshev_scaled": _COMMON | {"B", "c"},
-    "rectilinear_strip": _COMMON | {"strip"},
-    "rectilinear_tilted": _COMMON | {"strip", "c"},
-}
+from .variants import BY_NAME, lookup
 
 
 def _reject_constant(token: str):
     raise InstanceError(f"non-finite JSON token {token} is not allowed; use null for absent bounds")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _real(value, where: str) -> float:
@@ -76,121 +78,21 @@ def _real(value, where: str) -> float:
     return out
 
 
-def _size(doc: dict, key: str) -> int:
+def _required(doc: dict, key: str):
     if key not in doc:
         raise InstanceError(f"missing required field '{key}'")
-    value = doc[key]
+    return doc[key]
+
+
+def _size(doc: dict, key: str) -> int:
+    value = _required(doc, key)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InstanceError(f"'{key}' must be a positive integer")
     return value
 
 
-def _vector(doc: dict, key: str, length: int, count_name: str) -> np.ndarray:
-    if key not in doc:
-        raise InstanceError(f"missing required field '{key}'")
-    value = doc[key]
-    if not isinstance(value, list):
-        raise InstanceError(f"'{key}' must be a list of {length} numbers")
-    if len(value) != length:
-        raise InstanceError(f"'{key}' has {len(value)} entries but {count_name} = {length}")
-    return np.array([_real(v, f"{key}[{i}]") for i, v in enumerate(value)], dtype=np.float64)
-
-
-def _matrix(doc: dict, key: str, rows: int, cols: int, row_name: str, col_name: str, *, allow_null: bool) -> np.ndarray:
-    if key not in doc:
-        raise InstanceError(f"missing required field '{key}'")
-    value = doc[key]
-    if not isinstance(value, list) or len(value) != rows:
-        raise InstanceError(f"'{key}' must be a list of {rows} rows ({row_name} = {rows})")
-    out = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InstanceError(f"{key}[{i}] must be a list of {cols} numbers ({col_name} = {cols})")
-        out.append([BOTTOM if v is None and allow_null else _real(v, f"{key}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(out, dtype=np.float64)
-
-
-def _caps(doc: dict, m: int) -> np.ndarray | None:
-    if "caps" not in doc or doc["caps"] is None:
-        return None
-    value = doc["caps"]
-    if not isinstance(value, list) or len(value) != m:
-        raise InstanceError(f"'caps' must be a list of {m} entries (m = {m})")
-    out = np.empty(m, dtype=np.float64)
-    for j, v in enumerate(value):
-        out[j] = np.inf if v is None else _real(v, f"caps[{j}]")
-    return out
-
-
-def _strip_bounds(doc: dict) -> tuple[float, float]:
-    if "strip" not in doc:
-        raise InstanceError("missing required field 'strip'")
-    value = doc["strip"]
-    if not isinstance(value, dict):
-        raise InstanceError("'strip' must be an object with fields 'a' and 'b'")
-    extra = set(value) - {"a", "b"}
-    if extra:
-        raise InstanceError(f"unexpected field {sorted(extra)[0]!r} inside 'strip'")
-    if "a" not in value or "b" not in value:
-        raise InstanceError("'strip' must carry both 'a' and 'b'")
-    return _real(value["a"], "strip.a"), _real(value["b"], "strip.b")
-
-
-def _header(doc) -> tuple[str, int, int]:
-    """The variant, n and m of a document whose keys all belong to its variant."""
-    if not isinstance(doc, dict):
-        raise InstanceError("top-level JSON value must be an object")
-    variant = doc.get("variant")
-    if variant not in _VARIANT_KEYS:
-        known = ", ".join(sorted(_VARIANT_KEYS))
-        raise InstanceError(f"'variant' must be one of {known}; got {variant!r}")
-    for key in doc:
-        if key not in _VARIANT_KEYS[variant]:
-            raise InstanceError(f"unexpected field {key!r} for variant '{variant}'")
-    n = _size(doc, "n")
-    m = _size(doc, "m")
-    if variant.startswith("rectilinear") and n != 2:
-        raise InstanceError(f"variant '{variant}' requires n = 2, got n = {n}")
-    return variant, n, m
-
-
-def _construct(variant: str, shared: dict, bounds, c, strip):
-    if variant == "chebyshev":
-        return ChebyshevInstance(**shared, diff_bounds=bounds)
-    if variant == "chebyshev_scaled":
-        return ScaledChebyshevInstance(**shared, diff_bounds=bounds, scale=c)
-    a, b = strip
-    if variant == "rectilinear_strip":
-        return StripInstance(**shared, strip_lo=a, strip_hi=b)
-    return TiltedStripInstance(**shared, strip_lo=a, strip_hi=b, slope=c)
-
-
-def _per_entry(doc: dict, variant: str, n: int, m: int):
-    """Check every entry on its own, and report the first fault with its place."""
-    shared = dict(
-        points=_matrix(doc, "points", m, n, "m", "n", allow_null=False),
-        weights=_vector(doc, "weights", m, "m"),
-        addends=_vector(doc, "addends", m, "m"),
-        caps=_caps(doc, m),
-        box_lo=_vector(doc, "lower", n, "n"),
-        box_hi=_vector(doc, "upper", n, "n"),
-    )
-    bounds = c = strip = None
-    if variant.startswith("chebyshev"):
-        bounds = _matrix(doc, "B", n, n, "n", "n", allow_null=True)
-        if variant == "chebyshev_scaled":
-            c = _vector(doc, "c", n, "n")
-    else:
-        strip = _strip_bounds(doc)
-        if variant == "rectilinear_tilted":
-            if "c" not in doc:
-                raise InstanceError("missing required field 'c'")
-            c = _real(doc["c"], "c")
-    return _construct(variant, shared, bounds, c, strip)
-
-
 class _Doubt(Exception):
-    """The bulk scan cannot vouch for a field; the per-entry path decides."""
+    """The bulk scan cannot vouch for a field; the per-entry mode decides."""
 
 
 _REAL_TYPES = {float, int}
@@ -198,8 +100,7 @@ _REAL_OR_NULL_TYPES = {float, int, type(None)}
 
 
 def _bulk_real(value):
-    # The constructor checks that it is finite; an int beyond the float range
-    # raises OverflowError there.
+    # The constructor checks that it is finite, an int beyond the float range too.
     if type(value) is not float and type(value) is not int:
         raise _Doubt
     return value
@@ -235,44 +136,165 @@ def _bulk_array(value, length: int, null_as: float | None = None, row_length: in
     return out
 
 
-def _bulk(doc: dict, variant: str, n: int, m: int):
-    """The instance from one type scan and one array per field; only its constructor checks values."""
-    caps = doc.get("caps")
-    shared = dict(
-        points=_bulk_array(doc.get("points"), m, row_length=n),
-        weights=_bulk_array(doc.get("weights"), m),
-        addends=_bulk_array(doc.get("addends"), m),
-        caps=None if caps is None else _bulk_array(caps, m, null_as=math.inf),
-        box_lo=_bulk_array(doc.get("lower"), n),
-        box_hi=_bulk_array(doc.get("upper"), n),
-    )
-    bounds = c = strip = None
-    if variant.startswith("chebyshev"):
-        bounds = _bulk_array(doc.get("B"), n, null_as=BOTTOM, row_length=n)
-        if variant == "chebyshev_scaled":
-            c = _bulk_array(doc.get("c"), n)
-    else:
-        strip = doc.get("strip")
-        if type(strip) is not dict or strip.keys() != {"a", "b"}:
+class _Field(NamedTuple):
+    """One field of an instance document after its header (variant, n, m).
+
+    attrs are the instance fields, and the constructor's keywords, that it
+    fills: read(doc, field, sizes, bulk) gives their values, and
+    write(*values) gives them back as the field's JSON value.  An array has
+    size entries (or rows), "m" or "n", and a row has n entries; a JSON null
+    entry in it stands for null, and its writer turns null back into None.
+    """
+
+    key: str
+    attrs: tuple[str, ...]
+    read: Callable
+    write: Callable
+    size: str = ""
+    null: float | None = None
+
+
+def _rows(doc: dict, f: _Field, sizes: dict, bulk: bool) -> tuple:
+    """size rows of n reals each: the points, or B with a null for no bound."""
+    rows, cols = sizes[f.size], sizes["n"]
+    if bulk:
+        return (_bulk_array(doc.get(f.key), rows, f.null, cols),)
+    value = _required(doc, f.key)
+    if not isinstance(value, list) or len(value) != rows:
+        raise InstanceError(f"'{f.key}' must be a list of {rows} rows ({f.size} = {rows})")
+    out = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise InstanceError(f"{f.key}[{i}] must be a list of {cols} numbers (n = {cols})")
+        out.append([f.null if v is None and f.null is not None else _real(v, f"{f.key}[{i}][{j}]") for j, v in enumerate(row)])
+    return (np.array(out, dtype=np.float64),)
+
+
+def _vector(doc: dict, f: _Field, sizes: dict, bulk: bool) -> tuple:
+    """size reals: weights, addends, the box ends or the scale c."""
+    length = sizes[f.size]
+    if bulk:
+        return (_bulk_array(doc.get(f.key), length),)
+    value = _required(doc, f.key)
+    if not isinstance(value, list):
+        raise InstanceError(f"'{f.key}' must be a list of {length} numbers")
+    if len(value) != length:
+        raise InstanceError(f"'{f.key}' has {len(value)} entries but {f.size} = {length}")
+    return (np.array([_real(v, f"{f.key}[{i}]") for i, v in enumerate(value)], dtype=np.float64),)
+
+
+def _caps(doc: dict, f: _Field, sizes: dict, bulk: bool) -> tuple:
+    """Optional: m reals, a null entry for no cap; absent or null, no caps."""
+    value = doc.get(f.key)
+    m = sizes[f.size]
+    if value is None:
+        return (None,)
+    if bulk:
+        return (_bulk_array(value, m, f.null),)
+    if not isinstance(value, list) or len(value) != m:
+        raise InstanceError(f"'{f.key}' must be a list of {m} entries ({f.size} = {m})")
+    return (np.array([f.null if v is None else _real(v, f"{f.key}[{j}]") for j, v in enumerate(value)], dtype=np.float64),)
+
+
+def _strip(doc: dict, f: _Field, sizes: dict, bulk: bool) -> tuple:
+    """The object {"a": .., "b": ..}: the strip's two ends."""
+    value = _required(doc, f.key)
+    if bulk:
+        if type(value) is not dict or value.keys() != {"a", "b"}:
             raise _Doubt
-        strip = _bulk_real(strip["a"]), _bulk_real(strip["b"])
-        if variant == "rectilinear_tilted":
-            c = _bulk_real(doc.get("c"))
-    return _construct(variant, shared, bounds, c, strip)
+        return _bulk_real(value["a"]), _bulk_real(value["b"])
+    if not isinstance(value, dict):
+        raise InstanceError("'strip' must be an object with fields 'a' and 'b'")
+    extra = set(value) - {"a", "b"}
+    if extra:
+        raise InstanceError(f"unexpected field {sorted(extra)[0]!r} inside 'strip'")
+    if "a" not in value or "b" not in value:
+        raise InstanceError("'strip' must carry both 'a' and 'b'")
+    return _real(value["a"], "strip.a"), _real(value["b"], "strip.b")
+
+
+def _scalar(doc: dict, f: _Field, sizes: dict, bulk: bool) -> tuple:
+    """One real: the tilted band's slope c."""
+    value = _required(doc, f.key)
+    return (_bulk_real(value) if bulk else _real(value, f.key),)
+
+
+def _bounds_to_rows(bounds: np.ndarray) -> list:
+    # tolist() first: comparing Python floats costs a fraction of numpy scalars.
+    return [[None if v == BOTTOM else v for v in row] for row in bounds.tolist()]
+
+
+def _caps_to_list(caps: np.ndarray) -> list:
+    return [None if v == math.inf else v for v in caps.tolist()]
+
+
+_B = _Field("B", ("diff_bounds",), _rows, _bounds_to_rows, "n", BOTTOM)
+_STRIP = _Field("strip", ("strip_lo", "strip_hi"), _strip, lambda lo, hi: {"a": lo, "b": hi})
+_SHARED = (
+    _Field("points", ("points",), _rows, np.ndarray.tolist, "m"),
+    _Field("weights", ("weights",), _vector, np.ndarray.tolist, "m"),
+    _Field("addends", ("addends",), _vector, np.ndarray.tolist, "m"),
+    _Field("caps", ("caps",), _caps, _caps_to_list, "m", math.inf),
+    _Field("lower", ("box_lo",), _vector, np.ndarray.tolist, "n"),
+    _Field("upper", ("box_hi",), _vector, np.ndarray.tolist, "n"),
+)
+# Every variant's fields, in document order: the shared ones, then its own.
+_SCHEMA = {
+    "chebyshev": _SHARED + (_B,),
+    "chebyshev_scaled": _SHARED + (_B, _Field("c", ("scale",), _vector, np.ndarray.tolist, "n")),
+    "rectilinear_strip": _SHARED + (_STRIP,),
+    "rectilinear_tilted": _SHARED + (_STRIP, _Field("c", ("slope",), _scalar, lambda slope: slope)),
+}
+_ATTRS = {variant: [a for f in fields for a in f.attrs] for variant, fields in _SCHEMA.items()}
+_KEYS = {variant: {"variant", "n", "m", *(f.key for f in fields)} for variant, fields in _SCHEMA.items()}
+
+
+def _header(doc) -> tuple[str, int, int]:
+    """The variant, n and m of a document whose keys all belong to its variant."""
+    if not isinstance(doc, dict):
+        raise InstanceError("top-level JSON value must be an object")
+    variant = doc.get("variant")
+    if not isinstance(variant, str) or variant not in _SCHEMA:
+        known = ", ".join(sorted(_SCHEMA))
+        raise InstanceError(f"'variant' must be one of {known}; got {variant!r}")
+    keys = _KEYS[variant]
+    for key in doc:
+        if key not in keys:
+            raise InstanceError(f"unexpected field {key!r} for variant '{variant}'")
+    n = _size(doc, "n")
+    m = _size(doc, "m")
+    if BY_NAME[variant].rotate45 and n != 2:
+        raise InstanceError(f"variant '{variant}' requires n = 2, got n = {n}")
+    return variant, n, m
+
+
+def _read(doc: dict, variant: str, n: int, m: int, bulk: bool):
+    """The instance of a document whose header _header has checked.
+
+    In bulk mode each field is one type scan and one array, only the
+    constructor checks values, and a field the scan cannot vouch for raises
+    _Doubt.  In per-entry mode every entry is checked on its own, and the
+    first fault in document order is reported with its place.
+    """
+    sizes = {"m": m, "n": n}
+    values = []
+    for f in _SCHEMA[variant]:
+        values += f.read(doc, f, sizes, bulk)
+    return BY_NAME[variant].instance(**dict(zip(_ATTRS[variant], values)))
 
 
 def instance_from_document(doc):
     """Build a typed instance from an already-decoded JSON document.
 
     A valid document is read in bulk and checked once, by the constructor.
-    Anything the bulk scan doubts, and any error, reruns the per-entry path,
-    which gives the first fault in the document's field order.
+    Anything the bulk scan doubts, and any error, reads it again entry by
+    entry, which gives the first fault in the document's field order.
     """
     variant, n, m = _header(doc)
     try:
-        return _bulk(doc, variant, n, m)
+        return _read(doc, variant, n, m, bulk=True)
     except (_Doubt, InstanceError, OverflowError):
-        return _per_entry(doc, variant, n, m)
+        return _read(doc, variant, n, m, bulk=False)
 
 
 def parse_instance(text) -> ChebyshevInstance | StripInstance:
@@ -283,8 +305,10 @@ def parse_instance(text) -> ChebyshevInstance | StripInstance:
         except UnicodeDecodeError as exc:
             raise InstanceError(f"instance document is not UTF-8: {exc}") from None
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        # json.loads(text, parse_constant=...) builds a decoder on every call;
+        # it still takes a byte order mark or non-text input, for its errors.
+        doc = _DECODER.decode(text) if type(text) is str and text[:1] != "\ufeff" else json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
         raise InstanceError(f"not valid JSON: {exc}") from None
     return instance_from_document(doc)
 
@@ -292,11 +316,6 @@ def parse_instance(text) -> ChebyshevInstance | StripInstance:
 def variant_of(inst) -> str:
     """The schema tag for an instance object (most specific type wins)."""
     return lookup(inst).name
-
-
-def _bounds_to_rows(bounds: np.ndarray) -> list:
-    # tolist() first: comparing Python floats costs a fraction of numpy scalars.
-    return [[None if v == BOTTOM else v for v in row] for row in bounds.tolist()]
 
 
 _OUT_OF_RANGE = "Out of range float values are not JSON compliant: "
@@ -366,27 +385,11 @@ def _json_text(doc) -> str:
 def emit_instance(inst) -> str:
     """Serialize an instance back to its JSON document form."""
     variant = variant_of(inst)
-    doc = {
-        "variant": variant,
-        "n": inst.dim,
-        "m": inst.m,
-        "points": inst.points.tolist(),
-        "weights": inst.weights.tolist(),
-        "addends": inst.addends.tolist(),
-    }
-    if inst.caps is not None:
-        doc["caps"] = [None if v == math.inf else v for v in inst.caps.tolist()]
-    doc["lower"] = inst.box_lo.tolist()
-    doc["upper"] = inst.box_hi.tolist()
-    if variant == "chebyshev":
-        doc["B"] = _bounds_to_rows(inst.diff_bounds)
-    elif variant == "chebyshev_scaled":
-        doc["B"] = _bounds_to_rows(inst.diff_bounds)
-        doc["c"] = inst.scale.tolist()
-    else:
-        doc["strip"] = {"a": inst.strip_lo, "b": inst.strip_hi}
-        if variant == "rectilinear_tilted":
-            doc["c"] = inst.slope
+    doc = {"variant": variant, "n": inst.dim, "m": inst.m}
+    for f in _SCHEMA[variant]:
+        values = [getattr(inst, attr) for attr in f.attrs]
+        if values[0] is not None:  # absent caps stay absent
+            doc[f.key] = f.write(*values)
     return _json_text(doc) + "\n"
 
 

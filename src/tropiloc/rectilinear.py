@@ -36,9 +36,12 @@ from .semiring import BOTTOM
 
 def _finite_real(value, name: str) -> float:
     # Python and numpy reals pass; bool (an int subclass) and None do not.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise InstanceError(f"{name} must be a finite real")
-    return float(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise InstanceError(f"{name} must be a finite real")
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -42,6 +42,7 @@ TABLE = (
     Variant("rectilinear_tilted", TiltedStripInstance, tilted_to_scaled, True),
 )
 
+BY_NAME = {v.name: v for v in TABLE}
 _BY_CLASS = {v.instance: v for v in TABLE}
 
 
@@ -64,4 +65,4 @@ def check_feasibility(inst: AnyInstance) -> FeasibilityReport:
     return _check_core(lookup(inst).reduce(inst))
 
 
-__all__ = ["Variant", "TABLE", "lookup", "solve", "check_feasibility"]
+__all__ = ["Variant", "TABLE", "BY_NAME", "lookup", "solve", "check_feasibility"]

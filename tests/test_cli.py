@@ -197,6 +197,28 @@ def test_numbers_beyond_float_range_exit_one(tmp_path, capsys, where, token, mes
     assert re.search(message, captured.err)
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"variant": ["x"]}', r"'variant' must be one of .*; got \['x'\]"),
+        ('{"variant": {}}', r"'variant' must be one of .*; got \{\}"),
+        ("[" * 100000, r"not valid JSON: maximum recursion depth exceeded"),
+    ],
+    ids=["list_variant", "object_variant", "deep_nesting"],
+)
+def test_malformed_documents_exit_one(tmp_path, capsys, command, text, message):
+    # An unhashable variant and JSON nested beyond the recursion limit are
+    # parse errors, not tracebacks.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert re.search(message, captured.err)
+
+
 def test_svg_for_high_dimension_fails_cleanly(tmp_path, capsys):
     from tropiloc import random_instance
 

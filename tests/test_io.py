@@ -1,5 +1,6 @@
 """JSON instance documents and JSON/CSV/SVG solution serialization."""
 
+import dataclasses
 import json
 import math
 import re
@@ -30,6 +31,7 @@ from tropiloc.generate import VARIANTS
 from tropiloc.io import _clip, _json_text, instance_from_document, variant_of
 from tropiloc.semiring import BOTTOM
 from tropiloc.solutions import sample, violation_batch
+from tropiloc.variants import TABLE
 
 
 def _minimal_doc():
@@ -195,6 +197,26 @@ def test_strip_field_validation():
         instance_from_document(doc)
 
 
+def test_each_variant_has_its_own_fields():
+    # The schema, pinned: the shared fields, then B; B, c; strip; strip, c.
+    # Every variant rejects each key of another, and the plane variants
+    # reject n = 3.  io's record names exactly the variants of the table.
+    shared = ["variant", "n", "m", "points", "weights", "addends", "caps", "lower", "upper"]
+    own = {"chebyshev": ["B"], "chebyshev_scaled": ["B", "c"], "rectilinear_strip": ["strip"], "rectilinear_tilted": ["strip", "c"]}
+    assert list(tio._SCHEMA) == [v.name for v in TABLE] == list(own)
+    for variant, keys in own.items():
+        n = 2 if variant.startswith("rectilinear") else 3
+        inst = random_instance(variant, n, 4, 1)
+        doc = json.loads(emit_instance(dataclasses.replace(inst, caps=np.full(4, 9.0))))
+        assert list(doc) == shared + keys
+        for key in {"B", "c", "strip"} - set(keys):
+            with pytest.raises(InstanceError, match=rf"^unexpected field '{key}' for variant '{variant}'$"):
+                instance_from_document({**doc, key: doc.get(key, 1.0)})
+        if variant.startswith("rectilinear"):
+            with pytest.raises(InstanceError, match=rf"^variant '{variant}' requires n = 2, got n = 3$"):
+                instance_from_document({**doc, "n": 3})
+
+
 _FIELDS = ("points", "weights", "addends", "caps", "box_lo", "box_hi", "diff_bounds", "scale", "strip_lo", "strip_hi", "slope")
 
 
@@ -212,7 +234,11 @@ def _bits(inst) -> dict:
 
 
 def _per_entry(doc):
-    return tio._per_entry(doc, *tio._header(doc))
+    return tio._read(doc, *tio._header(doc), bulk=False)
+
+
+def _bulk(doc):
+    return tio._read(doc, *tio._header(doc), bulk=True)
 
 
 def _valid_documents():
@@ -243,12 +269,12 @@ def _valid_documents():
 
 
 def test_bulk_parse_matches_per_entry_bits():
-    # The bulk read of a valid document gives the per-entry path's arrays and
+    # The bulk read of a valid document gives the per-entry mode's arrays and
     # floats bit for bit, ints, signed zeros and subnormals included.
     docs = _valid_documents()
     assert {doc["variant"] for doc in docs} == set(VARIANTS)
     for doc in docs:
-        fast = tio._bulk(doc, *tio._header(doc))
+        fast = _bulk(doc)
         assert _bits(fast) == _bits(_per_entry(doc)), doc
         assert _bits(instance_from_document(doc)) == _bits(fast)
 
@@ -290,9 +316,9 @@ def _outcome(build, doc):
 
 
 def test_bulk_parse_falls_back_to_per_entry_messages():
-    # On every mutant the parse gives the per-entry path's message, or both
+    # On every mutant the parse gives the per-entry mode's message, or both
     # accept it with the same bits: the bulk read never accepts what the
-    # per-entry path rejects.  Each row is a document of one variant.
+    # per-entry mode rejects.  Each row is a document of one variant.
     rejected = accepted = 0
     for variant in VARIANTS:
         n = 2 if variant.startswith("rectilinear") else 3
@@ -305,7 +331,7 @@ def test_bulk_parse_falls_back_to_per_entry_messages():
             if isinstance(expected, str):
                 rejected += 1
                 with pytest.raises((InstanceError, OverflowError, tio._Doubt)):
-                    tio._bulk(doc, *tio._header(doc))
+                    _bulk(doc)
             else:
                 accepted += 1
     assert rejected > 500 and accepted > 50, (rejected, accepted)
@@ -383,7 +409,7 @@ def test_valid_documents_are_read_in_bulk_and_written_by_io(tmp_path, capsysbina
         paths.append(str(path))
     texts = [json.dumps(doc) for doc in docs]
     parsed = python_frames([lambda text=text: parse_instance(text) for text in texts])
-    assert {"_bulk", "_bulk_array", "_construct"} <= {function for file, function in parsed}
+    assert {"_read", "_bulk_array"} <= {function for file, function in parsed}
     assert "_real" not in {function for file, function in parsed if file == tio.__file__}
     calls = [lambda path=path: cli.main(["solve", path]) for path in paths]
     calls += [lambda path=path: cli.main(["solve", path, "--samples", "1"]) for path in paths]

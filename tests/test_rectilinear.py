@@ -13,6 +13,7 @@ from support import (
     wide_strip_instance,
 )
 from tropiloc import (
+    ScaledChebyshevInstance,
     StripInstance,
     TiltedStripInstance,
     check_feasibility,
@@ -155,6 +156,25 @@ def test_reductions_reject_overflow_with_the_constructor_messages():
         for call in (strip_to_chebyshev, solve):
             with pytest.raises(InstanceError, match=r"^B\[0\]\[1\] must be real or absent$"):
                 call(wide)
+
+
+def test_constructors_reject_ints_beyond_the_float_range():
+    # 10**400 in any array field or strip end or slope is an InstanceError,
+    # as every other bad value is, and not float()'s OverflowError.
+    plane = dict(points=[[0.0, 0.0]], weights=[1.0], addends=[0.0], caps=[4.0], box_lo=[-8.0, -8.0], box_hi=[8.0, 8.0])
+    huge = 10**400
+    arrays = dict(points=[[0.0, huge]], weights=[huge], addends=[-huge], caps=[huge], box_lo=[-huge, 0.0], box_hi=[huge, 0.0])
+    arrays.update(diff_bounds=[[BOTTOM, huge], [BOTTOM, BOTTOM]], scale=[1.0, huge])
+    hints = dict(box_lo="lower", box_hi="upper", diff_bounds="B", scale="c")
+    for name, value in arrays.items():
+        fields = {**plane, "diff_bounds": [[BOTTOM] * 2] * 2, "scale": [1.0, 1.0], name: value}
+        with pytest.raises(InstanceError, match=rf"^{hints.get(name, name)} must be numeric: int too large"):
+            ScaledChebyshevInstance(**fields)
+    for name, label in (("strip_lo", "a"), ("strip_hi", "b"), ("slope", "c")):
+        for value in (huge, -huge):
+            fields = {**plane, "strip_lo": -1.0, "strip_hi": 1.0, "slope": 2.0, name: value}
+            with pytest.raises(InstanceError, match=rf"^{label} must be a finite real$"):
+                TiltedStripInstance(**fields)
 
 
 def test_degenerate_strip_pinned_solution():
