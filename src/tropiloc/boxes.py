@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DimensionError
 from .semiring import _mat_vec_rows
 
+# unrotate45 halves a row first from this entry size on (a quarter of the float range).
+_HALVE_FROM = 2.0**1022
+
 
 def rotate45(x: np.ndarray) -> np.ndarray:
     """(x1, x2) -> (x1 + x2, x2 - x1), for one point of shape (2,) or rows of shape (N, 2)."""
@@ -30,9 +33,20 @@ def rotate45(x: np.ndarray) -> np.ndarray:
 
 
 def unrotate45(y: np.ndarray) -> np.ndarray:
-    """Inverse of rotate45, exact on the rational grid: (y1, y2) -> ((y1 - y2)/2, (y1 + y2)/2)."""
+    """Inverse of rotate45, exact on the rational grid: (y1, y2) -> ((y1 - y2)/2, (y1 + y2)/2).
+
+    A sum or difference overflows only on a row with an entry of 2**1022 or
+    more.  Such rows are halved first, which is exact there (an entry too
+    small to halve exactly is lost in the rounding either way), so they give
+    the same bits and a finite result where the plain formula overflows.
+    Every other row, subnormals included, takes the plain formula.
+    """
     y1, y2 = y.T
-    return np.array([(y1 - y2) / 2.0, (y1 + y2) / 2.0]).T
+    half = 1.0
+    if np.maximum.reduce(np.abs(y), axis=None) >= _HALVE_FROM:
+        half = np.where(np.maximum(np.abs(y1), np.abs(y2)) >= _HALVE_FROM, 0.5, 1.0)
+        y1, y2 = y1 * half, y2 * half
+    return (np.array([y1 - y2, y1 + y2]) / (2.0 * half)).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -93,28 +93,51 @@ import numpy as np
 
 from .boxes import SolutionBox, Transform
 from .errors import ContractViolationError, InstanceError
-from .linear import Infeasible, parameter_upper_bound
+from .linear import Infeasible, _gap, parameter_upper_bound
 from .semiring import BOTTOM, ONE, _mat_vec_rows, _vec_mat, identity, trace_and_closure
 
 
 def _as_float_array(value, shape_hint: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # an int beyond the float range overflows
         raise InstanceError(f"{shape_hint} must be numeric: {exc}") from None
-    return arr
 
 
-def _store(inst, name: str, arr: np.ndarray, sized: bool, shape_error: str, bad: np.ndarray, label: str, must: str):
-    """Check an array field's shape, then its entries, then store it frozen.
+# Each array field's label in messages, the rule its entries must meet, and
+# the mask of the entries that meet it (a nan never does).
+_RULES = {
+    "points": ("points", "finite", np.isfinite),
+    "weights": ("weights", "a positive real", lambda w: np.isfinite(w) & (w > 0)),
+    "addends": ("addends", "finite", np.isfinite),
+    "caps": ("caps", "a positive real (or +inf)", lambda d: d > 0),
+    "box_lo": ("lower", "finite", np.isfinite),
+    "box_hi": ("upper", "finite", np.isfinite),
+    "diff_bounds": ("B", "real or absent", lambda b: b < np.inf),
+    "scale": ("c", "a finite nonzero real", lambda c: np.isfinite(c) & (c != 0)),
+}
 
-    sized says whether arr has the right shape; bad marks its faulty entries,
-    and the first of them is reported as "label[i]... must be <must>".
+
+def _field(inst, name: str, shape: tuple | None, arr: np.ndarray | None = None) -> np.ndarray:
+    """Convert inst's array field name to floats, check its shape, then its entries, and store it frozen.
+
+    The label, the entry rule and its mask come from _RULES, and the first
+    entry that breaks the rule is reported as "label[i]... must be <rule>".
+    shape is the shape the field must have; another is reported as "label
+    must have length k" or "label must be kxk".  Points and the box ends
+    have shape rules of their own: the caller converts and checks them, and
+    passes the array with no shape.  A message is formatted only where its
+    check fails.
     """
-    if not sized:
-        raise InstanceError(shape_error)
-    _reject(bad, label, must)
+    label, must, ok = _RULES[name]
+    if arr is None:
+        arr = _as_float_array(getattr(inst, name), label)
+        if arr.shape != shape:
+            want = f"have length {shape[0]}" if len(shape) == 1 else f"be {shape[0]}x{shape[1]}"
+            raise InstanceError(f"{label} must {want}, got shape {arr.shape}")
+    _check_entries(ok(arr), label, must)
     _freeze(inst, name, np.ascontiguousarray(arr))
+    return arr
 
 
 def _freeze(inst, name: str, arr: np.ndarray) -> None:
@@ -122,10 +145,10 @@ def _freeze(inst, name: str, arr: np.ndarray) -> None:
     object.__setattr__(inst, name, arr)
 
 
-def _reject(bad: np.ndarray, label: str, must: str) -> None:
+def _check_entries(ok: np.ndarray, label: str, must: str) -> None:
     # One reduction on the common path; the offender is located on failure only.
-    if np.logical_or.reduce(bad, axis=None):
-        index = "".join(f"[{k}]" for k in np.argwhere(bad)[0])
+    if not np.logical_and.reduce(ok, axis=None):
+        index = "".join(f"[{k}]" for k in np.argwhere(~ok)[0])
         raise InstanceError(f"{label}{index} must be {must}")
 
 
@@ -133,36 +156,32 @@ def _check_scaled_products(inst) -> None:
     # The solver works on c * p and c * box, so they must not overflow.
     with np.errstate(over="ignore"):
         for label, value in (("points", inst.points), ("lower", inst.box_lo), ("upper", inst.box_hi)):
-            _reject(~np.isfinite(inst.scale * value), f"c * {label}", "finite")
+            _check_entries(np.isfinite(inst.scale * value), f"c * {label}", "finite")
 
 
-def _bad_points(pts: np.ndarray) -> np.ndarray:
-    return ~np.isfinite(pts)
+def _trusted(cls, *, points: np.ndarray, ends: tuple[float, float], **checked):
+    """A cls instance on the frozen arrays of a plane instance that was checked.
 
-
-def _bad_bounds(b: np.ndarray) -> np.ndarray:
-    return np.isnan(b) | (b == np.inf)
-
-
-def _trusted(cls, *, points: np.ndarray, diff_bounds: np.ndarray, **checked):
-    """A cls instance on the frozen arrays of an instance that was checked.
-
-    For the plane reductions.  __post_init__ does not run; only points and
-    diff_bounds, which a reduction computes in the right shapes, and the
-    scaled products are checked, with the constructor's messages, because
-    the rotation, the doubled strip ends and the tilted scale can overflow.
-    points and diff_bounds must be fresh arrays: they are frozen in the
-    layout they come in, with no copy.  The rotation's points are the
+    For the plane reductions.  __post_init__ does not run: the fields in
+    checked are the plane instance's own, and only what the reduction makes,
+    which can overflow, is checked, in this order and with the constructor's
+    messages.  The rotated points must be finite.  The strip ends, doubled,
+    are the two floats ends = (2a, -2b), B[0][1] and B[1][0] of the 2x2 B
+    built here; each must be finite, since an end doubled to -inf would read
+    as no bound and drop its side.  For a tilted strip the scaled products
+    are checked last.  points must be a fresh array: it is frozen in the
+    layout it comes in, with no copy.  The rotation's points are the
     F-ordered transpose of a (2, m) array, which _client_rows transposes
     straight back to C order.
     """
     inst = object.__new__(cls)
-    for name, value in checked.items():
-        object.__setattr__(inst, name, value)
-    _reject(_bad_points(points), "points", "finite")
-    _reject(_bad_bounds(diff_bounds), "B", "real or absent")
+    vars(inst).update(checked)
+    _check_entries(np.isfinite(points), "points", "finite")
+    for index, end in zip(("[0][1]", "[1][0]"), ends):
+        if not math.isfinite(end):
+            raise InstanceError(f"B{index} must be real or absent")
     _freeze(inst, "points", points)
-    _freeze(inst, "diff_bounds", diff_bounds)
+    _freeze(inst, "diff_bounds", np.array([[BOTTOM, ends[0]], [ends[1], BOTTOM]]))
     if "scale" in checked:
         _check_scaled_products(inst)
     return inst
@@ -188,30 +207,28 @@ class _Instance:
     box_hi: np.ndarray
     caps: np.ndarray | None = None
 
+    # The plane variants' points have this many columns; None allows any.
+    _COLUMNS = None
+
     def __post_init__(self):
         pts = _as_float_array(self.points, "points")
-        sized = pts.ndim == 2 and pts.shape[0] >= 1 and pts.shape[1] >= 1
-        error = f"points must be a nonempty 2-D array, got shape {pts.shape}"
-        _store(self, "points", pts, sized, error, _bad_points(pts), "points", "finite")
-        m, n = pts.shape
-        w = _as_float_array(self.weights, "weights")
-        error = f"weights must have length {m}, got shape {w.shape}"
-        _store(self, "weights", w, w.shape == (m,), error, ~(np.isfinite(w) & (w > 0)), "weights", "a positive real")
-        h = _as_float_array(self.addends, "addends")
-        error = f"addends must have length {m}, got shape {h.shape}"
-        _store(self, "addends", h, h.shape == (m,), error, ~np.isfinite(h), "addends", "finite")
+        if self._COLUMNS is not None and (pts.ndim != 2 or pts.shape[1] != self._COLUMNS):
+            raise InstanceError(f"points must be an (m, {self._COLUMNS}) array, got shape {pts.shape}")
+        if pts.ndim != 2 or not pts.size:
+            raise InstanceError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
+        m, n = _field(self, "points", None, pts).shape
+        _field(self, "weights", (m,))
+        _field(self, "addends", (m,))
         if self.caps is not None:
-            d = _as_float_array(self.caps, "caps")
-            error = f"caps must have length {m}, got shape {d.shape}"
-            _store(self, "caps", d, d.shape == (m,), error, np.isnan(d) | (d <= 0), "caps", "a positive real (or +inf)")
+            _field(self, "caps", (m,))
         # Both ends are converted, and their lengths checked together, before
         # any entry: a wrong length is reported ahead of a bad entry in either.
         lo = _as_float_array(self.box_lo, "lower")
         hi = _as_float_array(self.box_hi, "upper")
-        sized = lo.shape == (n,) and hi.shape == (n,)
-        error = f"lower/upper box bounds must have length {n}"
-        _store(self, "box_lo", lo, sized, error, ~np.isfinite(lo), "lower", "finite")
-        _store(self, "box_hi", hi, sized, error, ~np.isfinite(hi), "upper", "finite")
+        if lo.shape != (n,) or hi.shape != (n,):
+            raise InstanceError(f"lower/upper box bounds must have length {n}")
+        _field(self, "box_lo", None, lo)
+        _field(self, "box_hi", None, hi)
         crossed = lo > hi
         if np.logical_or.reduce(crossed):
             i = int(crossed.argmax())
@@ -238,10 +255,7 @@ class ChebyshevInstance(_Instance):
 
     def __post_init__(self):
         super().__post_init__()
-        n = self.dim
-        b = _as_float_array(self.diff_bounds, "B")
-        error = f"B must be {n}x{n}, got shape {b.shape}"
-        _store(self, "diff_bounds", b, b.shape == (n, n), error, _bad_bounds(b), "B", "real or absent")
+        _field(self, "diff_bounds", (self.dim, self.dim))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -260,10 +274,7 @@ class ScaledChebyshevInstance(ChebyshevInstance):
         super().__post_init__()
         if self.scale is None:
             raise InstanceError("c is required for the scaled variant")
-        n = self.dim
-        c = _as_float_array(self.scale, "c")
-        error = f"c must have length {n}, got shape {c.shape}"
-        _store(self, "scale", c, c.shape == (n,), error, ~np.isfinite(c) | (c == 0), "c", "a finite nonzero real")
+        _field(self, "scale", (self.dim,))
         _check_scaled_products(self)
 
 
@@ -414,14 +425,11 @@ class _PositiveCycle(Exception):
 # so the budget overstates what a sparse step costs.  A positive cycle never
 # lets the iteration converge, so the certificate's product looks for one in
 # the predecessors of its steps, at doubling step counts from the cost of a
-# check, _check_products(n), and buys the closure as soon as it finds one.
-# A check makes 9 calls and 3n^2 + 3n element operations at most, each worth
-# _PRODUCT_ELEMENT, as a product's, and walks up to n entries in Python, each
-# step worth _WALK_STEP (about 170 ns measured, against 1 ns an element):
-# 2 products at every n.
+# check, _CHECK_PRODUCTS, and buys the closure as soon as it finds one.
 _CALL_COST = 1000
 _PRODUCT_ELEMENT = 2
-_WALK_STEP = 200
+# A check (_positive_cycle): 9 calls, 3n^2 + 3n element operations and an n-step walk, over 1 product and under 2 at any n.
+_CHECK_PRODUCTS = 2
 # What a solve typically spends iterating: over random_instance data at n = 5
 # to 60 a feasible solve took 19 products at the median and 27 at the upper
 # quartile, passes of _proves_acyclic included, and timed against the
@@ -431,20 +439,10 @@ _WALK_STEP = 200
 _TYPICAL_PRODUCTS = 25
 
 
-def _product_cost(n: int) -> int:
-    """One product of the iteration at size n, in element operations."""
-    return 9 * _CALL_COST + _PRODUCT_ELEMENT * (2 * n * n + 3 * n)
-
-
 def _closure_products(n: int) -> float:
     """The cost of trace_and_closure at size n, counted in products of the iteration."""
-    return ((6 * n + 9) * _CALL_COST + 2 * n**3 + 3 * n * n) / _product_cost(n)
-
-
-def _check_products(n: int) -> int:
-    """The cost of one cycle check (_positive_cycle) at size n, in whole products of the iteration."""
-    check = 9 * _CALL_COST + _PRODUCT_ELEMENT * (3 * n * n + 3 * n) + _WALK_STEP * n
-    return math.ceil(check / _product_cost(n))
+    product = 9 * _CALL_COST + _PRODUCT_ELEMENT * (2 * n * n + 3 * n)
+    return ((6 * n + 9) * _CALL_COST + 2 * n**3 + 3 * n * n) / product
 
 
 class _Star:
@@ -529,7 +527,7 @@ class _Star:
         step takes where 2 |live| >= n.
 
         With cycles (the certificate's row product), the steps c + 1,
-        2c + 1, 4c + 1, ..., where c = _check_products(n) is what a check
+        2c + 1, 4c + 1, ..., where c = _CHECK_PRODUCTS is what a check
         costs, check the predecessors of their own step and the one before
         for a positive cycle (_positive_cycle).  One found gives up at once,
         so row buys the closure, which reports the cycle, without spending
@@ -543,7 +541,7 @@ class _Star:
         b = self.b
         z = x + ONE
         live = slice(None)
-        check = _check_products(self.n) if cycles else self.n + 1
+        check = _CHECK_PRODUCTS if cycles else self.n + 1
         for step in range(1, self.n + 1):
             if budgeted:
                 if self.spent >= self.budget:
@@ -697,28 +695,16 @@ class _Star:
         return self._read
 
 
-def _box(star: _Star, fixed_lo, fixed_hi, level_lo=BOTTOM, level_hi=np.inf):
-    """The parameter box u_lo <= u <= u_hi at a level, or with none, and its upper envelope q.
-
-    u_lo = max(level_lo, fixed_lo) and u_hi = ((-q) (x) B*)~ with q =
-    min(level_hi, fixed_hi); the default, no level, is the identity of max
-    and of min.  u_lo - u_hi is u_lo + (-q) (x) B*: its max is the existence
-    condition Phi at the level, and with no level the bounds gap t~ B* s.
-    Once the closure is built this is the arithmetic of parameter_upper_bound.
-    """
-    q = np.minimum(level_hi, fixed_hi)
-    return np.maximum(level_lo, fixed_lo), np.negative(star.row(np.negative(q))), q
-
-
 def _certify(b: np.ndarray, fixed_lo, fixed_hi):
     """(B* on demand, the bounds gap); raises _PositiveCycle.
 
     One product decides both certificates: it converges only without a
-    positive cycle, and its box with no level gives the gap.
+    positive cycle, and it bounds the parameter box with no level, fixed_lo
+    <= u <= ((-fixed_hi) (x) B*)~, whose largest crossing is the gap
+    t~ B* s.  The gap is read with no overflow warning (linear._gap).
     """
     star = _Star(b)
-    u_lo, u_hi, _ = _box(star, fixed_lo, fixed_hi)
-    return star, float(np.maximum.reduce(u_lo - u_hi))
+    return star, _gap(fixed_lo, np.negative(star.row(np.negative(fixed_hi))))
 
 
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
@@ -734,7 +720,7 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     gauge, closure = trace_and_closure(inst.diff_bounds)
     if closure is None:
         return FeasibilityReport(False, gauge, False, None)
-    gap = float(np.maximum.reduce(fixed_lo - parameter_upper_bound(closure, fixed_hi)))
+    gap = _gap(fixed_lo, parameter_upper_bound(closure, fixed_hi))
     return FeasibilityReport(True, gauge, gap <= 0.0, gap)
 
 
@@ -750,8 +736,10 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
 
     cpt holds the client data c * p as (n, m) rows, as solve_core forms
     them (see the module docstring); any layout gives the same bits.  At
-    level t the parameter box u_lo <= u <= u_hi (_box, on the envelopes of
-    _level_terms) is nonempty exactly when
+    level t the parameter box u_lo <= u <= u_hi, with u_lo = max(level_lo,
+    fixed_lo), u_hi = ((-q) (x) B*)~ and q = min(level_hi, fixed_hi) on the
+    envelopes of _level_terms (once the closure is built, the arithmetic of
+    parameter_upper_bound), is nonempty exactly when
         Phi(t) = max_k ((g (x) B*)_k + C_k) = max_k (u_lo - u_hi)_k <= 0,   where
         g_i(t) = max(max_j (|c_i| (h_j - t) / w_j - cp_ij), -fixed_hi_i)   (-q_i, minus the upper envelope),
         C_k(t) = max(max_l (|c_k| (h_l - t) / w_l + cp_kl), fixed_lo_k)    (u_lo_k, the lower envelope).
@@ -776,7 +764,8 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
         lo, hi = _level_terms(absc, cpt, w, h, t)
         level_lo = np.maximum.reduce(lo, axis=1)
         level_hi = np.minimum.reduce(hi, axis=1)
-        u_lo, u_hi, q = _box(star, fixed_lo, fixed_hi, level_lo, level_hi)
+        q = np.minimum(level_hi, fixed_hi)
+        u_lo, u_hi = np.maximum(level_lo, fixed_lo), np.negative(star.row(np.negative(q)))
         crossing = u_lo - u_hi
         k = int(crossing.argmax())
         if not crossing[k] > 0.0:

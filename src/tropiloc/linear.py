@@ -106,6 +106,15 @@ def parameter_upper_bound(star, q) -> np.ndarray:
     return np.negative(_vec_mat(np.negative(np.asarray(q, dtype=np.float64)), np.asarray(star, dtype=np.float64)))
 
 
+def _gap(lo: np.ndarray, hi: np.ndarray) -> float:
+    """max(lo - hi), the largest crossing of a box, with no overflow warning.
+
+    Two finite ends more than the float range apart cross by -inf or +inf.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.maximum.reduce(lo - hi))
+
+
 def solve_double(a, p, q) -> ParametricFamily | Infeasible:
     """All solutions of the two-sided system ``A x max p <= x <= q``.
 
@@ -123,7 +132,7 @@ def solve_double(a, p, q) -> ParametricFamily | Infeasible:
     if star is None:
         return Infeasible("spectral", gauge)
     u_hi = parameter_upper_bound(star, q)
-    gap = float(np.max(p - u_hi))
+    gap = _gap(p, u_hi)
     if not gap <= 0.0:
         return Infeasible("bounds", gap)
     return ParametricFamily(star, u_lo=p, u_hi=u_hi)

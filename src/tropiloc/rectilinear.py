@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import SolutionBox, rotate45, unrotate45
-from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _as_float_array, _Instance, _require, _trusted, solve_core
+from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _Instance, _require, _trusted, solve_core
 from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
 from .errors import DimensionError, InstanceError
 from .linear import Infeasible
-from .semiring import BOTTOM
 
 
 def _finite_real(value, name: str) -> float:
@@ -57,10 +56,9 @@ class StripInstance(_Instance):
     strip_lo: float
     strip_hi: float
 
+    _COLUMNS = 2
+
     def __post_init__(self):
-        points = _as_float_array(self.points, "points")
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise InstanceError(f"points must be an (m, 2) array, got shape {points.shape}")
         super().__post_init__()
         lo = _finite_real(self.strip_lo, "a")
         hi = _finite_real(self.strip_hi, "b")
@@ -105,16 +103,15 @@ def rotate(point, direction: str = "forward") -> np.ndarray:
 
 
 def _rotated(inst: StripInstance, core: type, **scale) -> ChebyshevInstance:
-    bounds = np.array([[BOTTOM, 2.0 * inst.strip_lo], [-2.0 * inst.strip_hi, BOTTOM]])
     return _trusted(
         core,
         points=rotate45(inst.points),
+        ends=(2.0 * inst.strip_lo, -2.0 * inst.strip_hi),
         weights=inst.weights,
         addends=inst.addends,
         caps=inst.caps,
         box_lo=inst.box_lo,
         box_hi=inst.box_hi,
-        diff_bounds=bounds,
         **scale,
     )
 

@@ -69,29 +69,31 @@ def violation_batch(inst, xs: np.ndarray) -> np.ndarray:
     worst = np.full(n_pts, -np.inf)
     if inst.caps is not None:
         worst = np.maximum(worst, np.max(_distances(inst, xs) - inst.caps[None, :], axis=1))
-    if lookup(inst).rotate45:
-        y1, y2 = rotate45(xs).T
-        worst = np.maximum(worst, inst.box_lo[0] - y1)
-        worst = np.maximum(worst, y1 - inst.box_hi[0])
-        worst = np.maximum(worst, inst.box_lo[1] - y2)
-        worst = np.maximum(worst, y2 - inst.box_hi[1])
-        if isinstance(inst, TiltedStripInstance):
-            band = inst.slope * xs[:, 0]
-            worst = np.maximum(worst, inst.strip_lo + xs[:, 1] - band)
-            worst = np.maximum(worst, band - inst.strip_hi - xs[:, 1])
-        else:
-            worst = np.maximum(worst, inst.strip_lo - xs[:, 0])
-            worst = np.maximum(worst, xs[:, 0] - inst.strip_hi)
-        return worst
-    worst = np.maximum(worst, np.max(inst.box_lo[None, :] - xs, axis=1))
-    worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
-    # max over finite B[i, k] of B[i, k] + y_k - y_i, with y = c x, is
+    # A coordinate and a box end, or a band term, more than the float range
+    # apart differ by an inf of the right sign, quietly.  For the difference
+    # bounds: max over finite B[i, k] of B[i, k] + y_k - y_i, with y = c x, is
     # max_i (B (x) y)_i - y_i: subtracting y_i rounds monotonically, so the
     # max commutes with it bit for bit, and bottom entries stay bottom.  A
     # finite x whose y overflows to inf makes bottom + inf (or inf - inf) =
     # nan there, quietly; fmax keeps the box terms' inf for such a point, and
     # the other rows keep their bits.
     with np.errstate(over="ignore", invalid="ignore"):
+        if lookup(inst).rotate45:
+            y1, y2 = rotate45(xs).T
+            worst = np.maximum(worst, inst.box_lo[0] - y1)
+            worst = np.maximum(worst, y1 - inst.box_hi[0])
+            worst = np.maximum(worst, inst.box_lo[1] - y2)
+            worst = np.maximum(worst, y2 - inst.box_hi[1])
+            if isinstance(inst, TiltedStripInstance):
+                band = inst.slope * xs[:, 0]
+                worst = np.maximum(worst, inst.strip_lo + xs[:, 1] - band)
+                worst = np.maximum(worst, band - inst.strip_hi - xs[:, 1])
+            else:
+                worst = np.maximum(worst, inst.strip_lo - xs[:, 0])
+                worst = np.maximum(worst, xs[:, 0] - inst.strip_hi)
+            return worst
+        worst = np.maximum(worst, np.max(inst.box_lo[None, :] - xs, axis=1))
+        worst = np.maximum(worst, np.max(xs - inst.box_hi[None, :], axis=1))
         coords = xs * _scale_of(inst)[None, :]
         return np.fmax(worst, np.max(_mat_vec_rows(inst.diff_bounds, coords) - coords, axis=1))
 

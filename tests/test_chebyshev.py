@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -803,3 +804,26 @@ def test_instances_are_frozen():
         inst.weights = np.array([2.0, 2.0])
     with pytest.raises(ValueError):
         inst.points[0, 0] = 5.0
+
+
+def test_bounds_gap_beyond_the_float_range_is_quiet():
+    # A box spanning more than the float range has a bounds gap of -inf:
+    # u_lo - u_hi overflows.  The solve, the report and solve_double read it
+    # with no warning and keep its bits; so does a gap that overflows to +inf.
+    wide = ChebyshevInstance(points=[[0.0]], weights=[1.0], addends=[0.0], box_lo=[-1.7e308], box_hi=[1.7e308], diff_bounds=[[BOTTOM]])
+    tilted = TiltedStripInstance(points=[[1e308, 0.0]], weights=[1.0], addends=[0.0], box_lo=[-1.7e308] * 2, box_hi=[1.7e308] * 2,
+                                 strip_lo=-1.0, strip_hi=1.0, slope=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inst in (wide, tilted):
+            box = solve(inst)
+            assert box.theta == 0.0
+            report = check_feasibility(inst)
+            assert (report.feasible, report.bounds_gap) == (True, -np.inf)
+            core = lookup(inst).reduce(inst)
+            bounds = assemble_bounds(core)
+            assert chebyshev._certify(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)[1] == -np.inf
+            family = solve_double(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
+            assert not isinstance(family, Infeasible)
+        far = solve_double([[BOTTOM]], [1.7e308], [-1.7e308])
+        assert (far.cause, far.witness) == ("bounds", np.inf)

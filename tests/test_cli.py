@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,54 @@ def test_malformed_documents_exit_one(tmp_path, capsys, command, text, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert re.search(message, captured.err)
+
+
+_WIDE_BOX = '"lower": [-1.7e308, -1.7e308], "upper": [1.7e308, 1.7e308]'
+# A box spanning more than the float range, with one client: at its center,
+# and at x1 = 1e308 on the band -1 <= x2 <= 1, whose rotated coordinates
+# (1e308, -1e308) differ by more than the float range.
+_FAR_DOCUMENTS = {
+    "chebyshev": '{"variant": "chebyshev", "n": 1, "m": 1, "points": [[0.0]], "weights": [1.0], "addends": [0.0], '
+    '"lower": [-1.7e308], "upper": [1.7e308], "B": [[null]]}',
+    "tilted": '{"variant": "rectilinear_tilted", "n": 2, "m": 1, "points": [[1e308, 0.0]], "weights": [1.0], '
+    '"addends": [0.0], ' + _WIDE_BOX + ', "strip": {"a": -1.0, "b": 1.0}, "c": 0.0}',
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "verify"])
+@pytest.mark.parametrize("document", sorted(_FAR_DOCUMENTS))
+def test_boxes_wider_than_the_float_range_answer_quietly(tmp_path, capsys, command, document):
+    # The bounds gap of such a box is -inf, and a member's rotated
+    # coordinates can differ by more than the float range: no warning, and
+    # finite answers, under the warnings-as-errors policy of the demos.
+    path = tmp_path / "far.json"
+    path.write_text(_FAR_DOCUMENTS[document])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "solve":
+        payload = json.loads(captured.out)
+        assert payload["theta"] == 0.0
+        assert payload["members"][0] == ([0.0] if document == "chebyshev" else [1e308, 0.0])
+    elif command == "check":
+        assert "bounds certificate:   ok (gap -inf)" in captured.out
+    else:
+        assert captured.out.strip().endswith("PASS")
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "verify"])
+@pytest.mark.parametrize("variant", ["rectilinear_strip", "rectilinear_tilted"])
+@pytest.mark.parametrize("a, b, entry", [("0.0", "1e308", "B[1][0]"), ("-1e308", "0.0", "B[0][1]")])
+def test_strip_ends_that_double_beyond_the_float_range_exit_one(tmp_path, capsys, command, variant, a, b, entry):
+    tilt = ', "c": 0.0' if variant == "rectilinear_tilted" else ""
+    path = tmp_path / "strip.json"
+    path.write_text(f'{{"variant": "{variant}", "n": 2, "m": 1, "points": [[1.5e308, 0.0]], "weights": [1.0], '
+                    f'"addends": [0.0], {_WIDE_BOX}, "strip": {{"a": {a}, "b": {b}}}{tilt}}}')
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {entry} must be real or absent\n")
 
 
 def test_svg_for_high_dimension_fails_cleanly(tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_a_planted_cycle_spends_at_most_the_budget(stars, n):
         stars.clear()
         result = solve(inst)
         (star,) = stars
-        assert star.spent <= 2 * chebyshev._check_products(n) + 1 < star.budget / 4, (n, seed, star.spent)
+        assert star.spent <= 2 * chebyshev._CHECK_PRODUCTS + 1 < star.budget / 4, (n, seed, star.spent)
         assert _same_verdict(result, inst), (n, seed)
         assert result.witness == trace_and_closure(inst.diff_bounds)[0]
 
@@ -168,7 +168,7 @@ def early_buys(monkeypatch):
 def _unchecked(monkeypatch, inst):
     # The solve with no cycle check: its first check would come after step n.
     with monkeypatch.context() as patch:
-        patch.setattr(chebyshev, "_check_products", lambda n: n)
+        patch.setattr(chebyshev, "_CHECK_PRODUCTS", inst.dim)
         return _bits(solve(inst))
 
 

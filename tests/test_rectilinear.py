@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from support import (
@@ -20,6 +20,7 @@ from tropiloc import (
     is_member,
     random_instance,
     rotate,
+    sample,
     solve,
     solve_strip,
     solve_tilted,
@@ -27,9 +28,10 @@ from tropiloc import (
     tilted_to_scaled,
     verify,
 )
-from tropiloc.boxes import rotate45
+from tropiloc.boxes import rotate45, unrotate45
 from tropiloc.chebyshev import solve_core
 from tropiloc.errors import DimensionError, InstanceError
+from tropiloc.linear import Infeasible
 from tropiloc.semiring import BOTTOM, d1, dinf
 
 dyadic = st.integers(-(2**20), 2**20).map(lambda k: k / 8.0)
@@ -268,3 +270,105 @@ def test_infeasible_strip_reports_bounds_cause():
     assert not rep.feasible
     out = solve_strip(inst)
     assert out.cause in ("spectral", "bounds")
+
+
+def _far(cls, strip_lo, strip_hi, points=((1.5e308, 0.0),), **extra):
+    # One client near the float range in a box that spans almost all of it.
+    return cls(points=list(points), weights=[1.0] * len(points), addends=[0.0] * len(points),
+               box_lo=[-1.7e308, -1.7e308], box_hi=[1.7e308, 1.7e308], strip_lo=strip_lo, strip_hi=strip_hi, **extra)
+
+
+@pytest.mark.parametrize("ends, entry", [((0.0, 1e308), r"B\[1\]\[0\]"), ((-1e308, 0.0), r"B\[0\]\[1\]")])
+@pytest.mark.parametrize("cls, reduce, extra", [(StripInstance, strip_to_chebyshev, {}), (TiltedStripInstance, tilted_to_scaled, {"slope": 0.0})])
+def test_reductions_reject_strip_ends_that_double_beyond_the_float_range(ends, entry, cls, reduce, extra):
+    # 2a and -2b are the bounds of the rotated instance.  An end that doubles
+    # to -inf would read as no bound: the strip [0, 1e308] would lose its
+    # right side, and the client at x1 = 1.5e308 would be served where it
+    # stands, at theta = 0, outside the strip.
+    inst = _far(cls, *ends, **extra)
+    for call in (reduce, solve):
+        with pytest.raises(InstanceError, match=rf"^{entry} must be real or absent$"):
+            call(inst)
+
+
+@pytest.mark.parametrize("cls, extra, member", [(TiltedStripInstance, {"slope": 0.0}, (1e308, 0.0)), (StripInstance, {}, (0.0, 1.5e308))])
+def test_members_near_the_float_range_rotate_back_finite(cls, extra, member):
+    # The client is served where it stands, inside the band -1 <= x2 <= 1 or
+    # the strip -1 <= x1 <= 1.  Its rotated coordinates are each within the
+    # float range, but their difference (the band) or sum (the strip) is
+    # not: the rotation back halves them first, and returns the member itself.
+    inst = _far(cls, -1.0, 1.0, [member], **extra)
+    box = solve(inst)
+    assert box.theta == 0.0
+    members = sample(box, 4)
+    assert np.array_equal(members, np.tile(member, (4, 1)))
+    assert verify(box, inst, 4).passed
+
+
+def test_unrotate45_keeps_the_plain_formula_bits():
+    # Where (y1 - y2) / 2 and (y1 + y2) / 2 are finite, the rotation back
+    # gives their bits, also beside a row that must be halved first; a
+    # subnormal survives the round trip, which halving first would lose.
+    tiny = np.array([5e-324, 0.0])
+    assert np.array_equal(unrotate45(rotate45(tiny)), tiny)
+    rng = np.random.default_rng(7)
+    scales = 2.0 ** rng.integers(-1074, 1023, (400, 1))
+    ys = rng.uniform(-2.0, 2.0, (400, 2)) * scales
+    ys[:8] = [[5e-324, -5e-324], [1.7e308, -1.7e308], [1.7e308, 1.7e308], [-1e308, 1e308], [1e308, 5e-324], [3e-323, 0.0], [2.0**1022, -(2.0**1022)], [8e307, -9e307]]
+    with np.errstate(over="ignore"):
+        plain = np.array([(ys[:, 0] - ys[:, 1]) / 2.0, (ys[:, 0] + ys[:, 1]) / 2.0]).T
+    got = unrotate45(ys)
+    finite = np.isfinite(plain)
+    assert np.array_equal(got[finite], plain[finite])
+    assert np.isfinite(got).all() and not finite.all()
+    for y, want in zip(ys, got):
+        assert np.array_equal(unrotate45(y), want)
+
+
+_HALF = np.finfo(np.float64).max / 2
+# A coordinate or strip end beyond half the float range, of either sign, or a small one.
+_edge = st.one_of(st.floats(_HALF, 1.79e308), st.floats(-1.79e308, -_HALF), st.integers(-8, 8).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tilted=st.booleans(),
+    first=st.tuples(_edge, _edge),
+    spread=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=2),
+    ends=st.tuples(_edge, _edge),
+    slope=st.sampled_from([0.0, 2.0, -3.0, 0.5]),
+    reach=st.one_of(st.floats(0.0, _HALF), st.integers(0, 8).map(float)),
+)
+def test_plane_instances_at_the_edge_of_the_float_range(tilted, first, spread, ends, slope, reach):
+    # m = 1 to 3 clients close together, the others a few ulps from the
+    # first, in a box of the given reach around the first (in rotated
+    # coordinates): every member is within reach of it, so the optimum stays
+    # a float.  The reduction rejects the instance or keeps both strip
+    # bounds; the solve rejects it, proves it infeasible, or answers with
+    # finite members.  The property is about the answers: sums that overflow
+    # on the way (the rotation of a point that is then rejected, a
+    # bottom-like sum in a product) are quiet here, as in the overflow test
+    # above.
+    points = [first] + [tuple(np.array(first) + np.spacing(np.array(first)) * d) for d in spread]
+    a, b = sorted(ends)
+    cls, reduce, extra = (TiltedStripInstance, tilted_to_scaled, {"slope": slope}) if tilted else (StripInstance, strip_to_chebyshev, {})
+    with np.errstate(over="ignore"):
+        centre = rotate45(np.array(first))
+        try:
+            inst = cls(points=points, weights=[1.0] * len(points), addends=[0.0] * len(points),
+                       box_lo=centre - reach, box_hi=centre + reach, strip_lo=a, strip_hi=b, **extra)
+        except InstanceError:
+            return  # the box reaches beyond the float range
+        try:
+            core = reduce(inst)
+        except InstanceError:
+            pass
+        else:
+            assert np.isfinite(core.diff_bounds[0, 1]) and np.isfinite(core.diff_bounds[1, 0])
+        try:
+            result = solve(inst)
+        except InstanceError:
+            return
+        if not isinstance(result, Infeasible):
+            assert np.isfinite(result.theta)
+            assert np.isfinite(sample(result, 3)).all()
