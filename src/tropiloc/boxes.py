@@ -22,7 +22,9 @@ import numpy as np
 from .errors import DimensionError
 from .semiring import _mat_vec_rows
 
-# unrotate45 halves a row first from this entry size on (a quarter of the float range).
+# Below this entry size (a quarter of the float range) no sum or difference of
+# two entries overflows: unrotate45 halves a row first from it on, and the
+# plane reductions check rotated points only from it on.
 _HALVE_FROM = 2.0**1022
 
 

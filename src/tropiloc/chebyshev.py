@@ -74,7 +74,7 @@ np.full/np.ones per call.  The wrappers forward to those same C reductions,
 so the bits are the same, but each adds from 0.3 microseconds (a method such
 as .max()) to 2 (a function such as np.argmax), and a solve at n <= 4 makes
 dozens of such calls.  The plane reductions keep the layout of
-the rotation's fresh array, an F-ordered (m, 2) view, which _client_rows
+the rotation's fresh array, an F-ordered (m, 2) view, which _fixed_envelopes
 transposes to C order with no copy in between.
 
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
@@ -91,7 +91,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import SolutionBox, Transform
+from .boxes import _HALVE_FROM, SolutionBox, Transform, rotate45
 from .errors import ContractViolationError, InstanceError
 from .linear import Infeasible, _gap, parameter_upper_bound
 from .semiring import BOTTOM, ONE, _mat_vec_rows, _vec_mat, identity, trace_and_closure
@@ -159,24 +159,32 @@ def _check_scaled_products(inst) -> None:
             _check_entries(np.isfinite(inst.scale * value), f"c * {label}", "finite")
 
 
-def _trusted(cls, *, points: np.ndarray, ends: tuple[float, float], **checked):
+def _trusted(cls, *, plane: np.ndarray, ends: tuple[float, float], **checked):
     """A cls instance on the frozen arrays of a plane instance that was checked.
 
     For the plane reductions.  __post_init__ does not run: the fields in
     checked are the plane instance's own, and only what the reduction makes,
     which can overflow, is checked, in this order and with the constructor's
-    messages.  The rotated points must be finite.  The strip ends, doubled,
-    are the two floats ends = (2a, -2b), B[0][1] and B[1][0] of the 2x2 B
-    built here; each must be finite, since an end doubled to -inf would read
-    as no bound and drop its side.  For a tilted strip the scaled products
-    are checked last.  points must be a fresh array: it is frozen in the
-    layout it comes in, with no copy.  The rotation's points are the
-    F-ordered transpose of a (2, m) array, which _client_rows transposes
-    straight back to C order.
+    messages.  The points are the plane points, rotated here, and each
+    rotated entry must be finite.  x1 + x2 and x2 - x1 stay finite where
+    neither entry reaches 2**1022, so only a plane point that does is
+    rotated with overflow quiet and then checked: no warning comes before
+    the rejection, and every finite rotation keeps its bits.  The strip
+    ends, doubled, are the two floats ends = (2a, -2b), B[0][1] and B[1][0]
+    of the 2x2 B built here; each must be finite, since an end doubled to
+    -inf would read as no bound and drop its side.  For a tilted strip the
+    scaled products are checked last.  The rotation's points are the
+    F-ordered transpose of a fresh (2, m) array, frozen with no copy, which
+    _fixed_envelopes transposes straight back to C order.
     """
     inst = object.__new__(cls)
     vars(inst).update(checked)
-    _check_entries(np.isfinite(points), "points", "finite")
+    if np.maximum.reduce(np.abs(plane), axis=None) < _HALVE_FROM:
+        points = rotate45(plane)
+    else:
+        with np.errstate(over="ignore"):
+            points = rotate45(plane)
+        _check_entries(np.isfinite(points), "points", "finite")
     for index, end in zip(("[0][1]", "[1][0]"), ends):
         if not math.isfinite(end):
             raise InstanceError(f"B{index} must be real or absent")
@@ -347,16 +355,17 @@ def _scale_of(inst: ChebyshevInstance) -> np.ndarray:
     return c
 
 
-def _client_rows(inst: ChebyshevInstance, c: np.ndarray) -> np.ndarray:
-    """c (.) points with the clients along the contiguous axis: row k is c_k p_.k."""
-    return np.multiply(c[:, None], inst.points.T, order="C")
+def _fixed_envelopes(inst: ChebyshevInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c, cpt, fixed_lo, fixed_hi): the prelude that solve_core, check_feasibility and assemble_bounds share.
 
-
-def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (fixed_lo, fixed_hi) of assemble_bounds(inst), on the client rows
-    # cpt = _client_rows(inst, c).  A negative c_i swaps the ends of the box.
-    # Selecting by sign rather than by min/max keeps a signed zero where the
-    # two ends tie.
+    c is the scale (_scale_of), cpt the client rows c (.) points with the
+    clients along the contiguous axis (row k is c_k p_.k), and fixed_lo,
+    fixed_hi the envelopes from caps and box, as assemble_bounds(inst)
+    documents them.  A negative c_i swaps the ends of the box.  Selecting by
+    sign rather than by min/max keeps a signed zero where the two ends tie.
+    """
+    c = _scale_of(inst)
+    cpt = np.multiply(c[:, None], inst.points.T, order="C")
     flip = c < 0
     cf = c * inst.box_lo
     cg = c * inst.box_hi
@@ -366,7 +375,7 @@ def _fixed_envelopes(inst: ChebyshevInstance, c: np.ndarray, cpt: np.ndarray) ->
         radii = np.abs(c)[:, None] * inst.caps
         fixed_lo = np.maximum(np.maximum.reduce(cpt - radii, axis=1), fixed_lo)
         fixed_hi = np.minimum(np.minimum.reduce(cpt + radii, axis=1), fixed_hi)
-    return fixed_lo, fixed_hi
+    return c, cpt, fixed_lo, fixed_hi
 
 
 def _level_terms(absc, cpt, w, h, t):
@@ -392,9 +401,7 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     lower end and c_i f_i the upper one.
     """
     _require(inst, ChebyshevInstance, "assemble_bounds")
-    c = _scale_of(inst)
-    cpt = _client_rows(inst, c)
-    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
+    c, cpt, fixed_lo, fixed_hi = _fixed_envelopes(inst)
     if theta is None:
         return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
     lo, hi = _level_terms(np.abs(c), cpt, inst.weights, inst.addends, theta)
@@ -715,8 +722,7 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     parameter_upper_bound.
     """
     _require(inst, ChebyshevInstance, "check_feasibility")
-    c = _scale_of(inst)
-    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, _client_rows(inst, c))
+    _, _, fixed_lo, fixed_hi = _fixed_envelopes(inst)
     gauge, closure = trace_and_closure(inst.diff_bounds)
     if closure is None:
         return FeasibilityReport(False, gauge, False, None)
@@ -732,10 +738,10 @@ def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
 
 
 def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
-    """(theta, u_lo, u_hi, q): the root of the existence condition, by Newton's method, and its box.
+    """(theta, u_lo, u_hi): the root of the existence condition, by Newton's method, and its finished box.
 
-    cpt holds the client data c * p as (n, m) rows, as solve_core forms
-    them (see the module docstring); any layout gives the same bits.  At
+    cpt holds the client data c * p as (n, m) rows, as _fixed_envelopes
+    forms them (see the module docstring); any layout gives the same bits.  At
     level t the parameter box u_lo <= u <= u_hi, with u_lo = max(level_lo,
     fixed_lo), u_hi = ((-q) (x) B*)~ and q = min(level_hi, fixed_hi) on the
     envelopes of _level_terms (once the closure is built, the arithmetic of
@@ -752,11 +758,17 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     largest h_j, which is h_j since b*_ii = 0, evaluated like every pair
     term; so theta is always one float term of the closed form.  The last
     step evaluates Phi at theta, so its box is the optimal box, returned
-    with theta and its upper envelope q.  Each step costs two O(m n)
-    reductions, the product (-q) (x) B* and, unless it is the last, the
-    column B*[:, k], each a few products of the iteration on B of at most
-    O(n^2) each (see _Star); memory is O(m n).  Raises _PositiveCycle if
-    B's closure, built on the way, meets a positive cycle.
+    with theta.  Rounding can cross that box: where the last step's largest
+    crossing (u_lo - u_hi)_k is > 0, each axis crossed by at most
+    _box_slack(n) S (S from _magnitude, which runs only then) is closed up
+    to its lower end, u_hi = u_lo, so a feasible instance never gets an
+    empty box.  A nan crossing is its own argmax, and closes nothing.
+
+    Each step costs two O(m n) reductions, the product (-q) (x) B* and,
+    unless it is the last, the column B*[:, k], each a few products of the
+    iteration on B of at most O(n^2) each (see _Star); memory is O(m n).
+    Raises _PositiveCycle if B's closure, built on the way, meets a positive
+    cycle.
     """
     j = int(h.argmax())
     t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)
@@ -769,7 +781,7 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
         crossing = u_lo - u_hi
         k = int(crossing.argmax())
         if not crossing[k] > 0.0:
-            break
+            return float(t), u_lo, u_hi
         col = star.column(k)
         i = int((col - q).argmax())
         b = col[i]
@@ -789,7 +801,10 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
         if not step > t:
             break
         t = step
-    return float(t), u_lo, u_hi, q
+    theta = float(t)
+    size = _magnitude(absc, cpt, w, h, q, u_hi, fixed_lo, fixed_hi, theta)
+    u_hi = np.where((crossing > 0.0) & (crossing <= _box_slack(u_lo.size) * size), u_lo, u_hi)
+    return theta, u_lo, u_hi
 
 
 # How far rounding can cross the parameter box of a feasible instance at its
@@ -851,31 +866,23 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     """Optimal value and the complete optimal set of a plain or scaled instance.
 
     Returns a SolutionBox whose members all attain theta, or a typed
-    Infeasible result naming the failed certificate.  theta and the box come
-    from the same, last, Newton step.  Once the certificates pass, the box is
-    nonempty in exact arithmetic; an axis that rounding crossed, by at most
-    _box_slack(n) S, is closed up to its lower end, so a feasible instance
-    never gets an empty box.  B* comes on demand (_Star): the closure is
-    built only where it is cheaper than iterating on B.  The box lives in scaled coordinates and its
-    transform divides members by c; an all-ones scale gets no scale in the
-    transform.  rotate45 marks an instance that is the rotated image of a
-    plane one, so the transform also rotates members back.
+    Infeasible result naming the failed certificate.  One prelude
+    (_fixed_envelopes) feeds both certificates (_certify), then theta and
+    the box come finished from the same, last, Newton step (_theta_kernel).
+    B* comes on demand (_Star): the closure is built only where it is
+    cheaper than iterating on B.  The box lives in scaled coordinates and
+    its transform divides members by c; an all-ones scale gets no scale in
+    the transform.  rotate45 marks an instance that is the rotated image of
+    a plane one, so the transform also rotates members back.
     """
-    c = _scale_of(inst)
-    cpt = _client_rows(inst, c)
-    absc = np.abs(c)
-    fixed_lo, fixed_hi = _fixed_envelopes(inst, c, cpt)
+    c, cpt, fixed_lo, fixed_hi = _fixed_envelopes(inst)
     try:
         star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi)
         if not gap <= 0.0:
             return Infeasible("bounds", gap)
-        theta, u_lo, u_hi, q = _theta_kernel(cpt, absc, inst.weights, inst.addends, star, fixed_lo, fixed_hi)
+        theta, u_lo, u_hi = _theta_kernel(cpt, np.abs(c), inst.weights, inst.addends, star, fixed_lo, fixed_hi)
     except _PositiveCycle as cycle:
         return Infeasible("spectral", cycle.witness)
-    gap = u_lo - u_hi
-    if np.maximum.reduce(gap) > 0.0:
-        size = _magnitude(absc, cpt, inst.weights, inst.addends, q, u_hi, fixed_lo, fixed_hi, theta)
-        u_hi = np.where((gap > 0.0) & (gap <= _box_slack(inst.dim) * size), u_lo, u_hi)
     scale = None if np.logical_and.reduce(c == 1.0) else tuple(c.tolist())
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
 

@@ -1,15 +1,16 @@
 """Command line front end.
 
 Subcommands: solve, check, oracle, verify, gen.  Exit codes are part of the
-contract: 0 success, 1 parse/validation/resource error, 2 infeasible
-instance (or an oracle window with no feasible lattice point), 3 internal
-contract violation or failed verification.
+contract: 0 success, 1 parse/validation/resource error or an optimum beyond
+the float range (solve, verify), 2 infeasible instance (or an oracle window
+with no feasible lattice point), 3 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -18,14 +19,7 @@ from pathlib import Path
 import tropiloc
 
 from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
-from .errors import (
-    ContractViolationError,
-    DimensionError,
-    DomainError,
-    InstanceError,
-    ResourceError,
-    UnsupportedFormatError,
-)
+from .errors import DimensionError, DomainError, InstanceError, ResourceError, UnsupportedFormatError
 from .generate import VARIANTS, random_instance
 from .io import _emit_with_svg, _json_text, emit_instance, emit_solution, parse_instance
 from .linear import Infeasible
@@ -53,18 +47,29 @@ def _load(path: str):
     return parse_instance(text)
 
 
-def _report_infeasible(result: Infeasible) -> None:
-    if result.cause == "spectral":
-        print(f"infeasible: positive cycle among difference bounds (weight {result.witness:g})", file=sys.stderr)
-    else:
-        print(f"infeasible: bound envelopes cross (gap {result.witness:g})", file=sys.stderr)
+def _solved(path: str):
+    """The instance in the file at path and its solution box, or None for the box of an infeasible one.
+
+    An infeasible instance is reported on stderr here.  A box whose theta
+    is not finite (an optimum beyond the float range) raises DomainError:
+    no output could state it.
+    """
+    inst = _load(path)
+    result = tropiloc.solve(inst)
+    if isinstance(result, Infeasible):
+        if result.cause == "spectral":
+            print(f"infeasible: positive cycle among difference bounds (weight {result.witness:g})", file=sys.stderr)
+        else:
+            print(f"infeasible: bound envelopes cross (gap {result.witness:g})", file=sys.stderr)
+        return inst, None
+    if not math.isfinite(result.theta):
+        raise DomainError(f"the optimal value {result.theta:g} is beyond the float range")
+    return inst, result
 
 
 def _cmd_solve(args) -> int:
-    inst = _load(args.file)
-    result = tropiloc.solve(inst)
-    if isinstance(result, Infeasible):
-        _report_infeasible(result)
+    inst, result = _solved(args.file)
+    if result is None:
         return 2
     if args.svg is None:
         payload = emit_solution(result, inst, args.out, samples=args.samples, seed=args.seed)
@@ -107,10 +112,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = _load(args.file)
-    result = tropiloc.solve(inst)
-    if isinstance(result, Infeasible):
-        _report_infeasible(result)
+    inst, result = _solved(args.file)
+    if result is None:
         return 2
     report = verify_box(result, inst, args.samples, seed=args.seed)
     print(f"checked {report.checked_count} members")
@@ -181,9 +184,6 @@ def main(argv=None) -> int:
     except (InstanceError, DomainError, DimensionError, UnsupportedFormatError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ContractViolationError as exc:
-        print(f"internal contract violation: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def rotate(point, direction: str = "forward") -> np.ndarray:
 def _rotated(inst: StripInstance, core: type, **scale) -> ChebyshevInstance:
     return _trusted(
         core,
-        points=rotate45(inst.points),
+        plane=inst.points,
         ends=(2.0 * inst.strip_lo, -2.0 * inst.strip_hi),
         weights=inst.weights,
         addends=inst.addends,

@@ -268,6 +268,47 @@ def test_strip_ends_that_double_beyond_the_float_range_exit_one(tmp_path, capsys
     assert (code, captured.out, captured.err) == (1, "", f"error: {entry} must be real or absent\n")
 
 
+# Two clients at +-1e308 with weight 10: the optimum, at 0, has the value 1e309.
+_BEYOND_RANGE = ('{"variant": "chebyshev", "n": 1, "m": 2, "points": [[1e308], [-1e308]], "weights": [10.0, 10.0], '
+                 '"addends": [0.0, 0.0], "lower": [-1.7e308], "upper": [1.7e308], "B": [[null]]}')
+
+
+@pytest.mark.parametrize("command, options", [("solve", []), ("solve", ["--out", "csv"]), ("solve", ["--svg"]), ("verify", [])])
+def test_an_optimum_beyond_the_float_range_exits_one(tmp_path, capsys, command, options):
+    # No document could state theta = inf: one error line, nothing on
+    # stdout and no sketch.  The Newton steps' own sums overflow on the way
+    # and warn, which is not what this test checks.
+    path = tmp_path / "far.json"
+    path.write_text(_BEYOND_RANGE)
+    sketch = tmp_path / "far.svg"
+    if options == ["--svg"]:
+        options = ["--svg", str(sketch)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main([command, str(path), *options])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: the optimal value inf is beyond the float range\n")
+    assert not sketch.exists()
+    assert cli.main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("\nfeasible\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "verify"])
+@pytest.mark.parametrize("variant", ["rectilinear_strip", "rectilinear_tilted"])
+def test_a_point_that_rotates_beyond_the_float_range_exits_one_quietly(tmp_path, capsys, command, variant):
+    # x1 + x2 overflows in the reduction, which rejects the point with no
+    # warning first.
+    tilt = ', "c": 0.0' if variant == "rectilinear_tilted" else ""
+    path = tmp_path / "far.json"
+    path.write_text(f'{{"variant": "{variant}", "n": 2, "m": 1, "points": [[1.5e308, 1.5e308]], "weights": [1.0], '
+                    f'"addends": [0.0], "lower": [-1.0, -1.0], "upper": [1.0, 1.0], "strip": {{"a": 0.0, "b": 1.0}}{tilt}}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: points[0][0] must be finite\n")
+
+
 def test_svg_for_high_dimension_fails_cleanly(tmp_path, capsys):
     from tropiloc import random_instance
 

@@ -62,6 +62,12 @@ def test_parse_accepts_bytes():
     assert inst.box_hi[0] == 2.0
 
 
+def test_parse_rejects_bytes_that_are_not_utf8():
+    text = json.dumps(_minimal_doc()).encode().replace(b'"chebyshev"', b'"chebyshev\xff"')
+    with pytest.raises(InstanceError, match=r"^instance document is not UTF-8: 'utf-8' codec can't decode byte 0xff"):
+        parse_instance(text)
+
+
 def test_null_bound_entries_mean_bottom():
     doc = _minimal_doc()
     doc.update(n=2, points=[[0.0, 0.0]], lower=[-1.0, -1.0], upper=[1.0, 1.0])

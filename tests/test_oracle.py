@@ -86,6 +86,13 @@ def test_window_validation():
         grid_feasible(inst, [-1.0, -1.0], [1.0, 1.0], True)
 
 
+def test_window_bounds_of_unequal_length():
+    from tropiloc.oracle import _lattice_axes
+
+    with pytest.raises(DomainError, match=r"^window bounds must be equal-length vectors, got \(2,\) and \(1,\)$"):
+        _lattice_axes([0.0, 0.0], [1.0], 0.5)
+
+
 def test_dimension_cap():
     from tropiloc.oracle import _lattice_axes
 

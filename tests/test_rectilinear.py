@@ -1,6 +1,7 @@
 """Plane variants: rotation isometry, strip reductions, frozen examples."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,25 @@ def test_reductions_reject_overflow_with_the_constructor_messages():
         for call in (strip_to_chebyshev, solve):
             with pytest.raises(InstanceError, match=r"^B\[0\]\[1\] must be real or absent$"):
                 call(wide)
+
+
+@pytest.mark.parametrize("cls, reduce, extra", [(StripInstance, strip_to_chebyshev, {}), (TiltedStripInstance, tilted_to_scaled, {"slope": 0.0})])
+def test_points_that_rotate_beyond_the_float_range_are_rejected_quietly(cls, reduce, extra):
+    # x1 + x2 = 3e308 overflows.  The reduction rejects the point with the
+    # constructor's message and no overflow warning before it, through
+    # every entry point that reduces.  Points as large whose rotation stays
+    # finite keep the plain formula's bits.
+    base = dict(weights=[1.0], addends=[0.0], box_lo=[-1.0, -1.0], box_hi=[1.0, 1.0], strip_lo=0.0, strip_hi=1.0, **extra)
+    inst = cls(points=[[1.5e308, 1.5e308]], **base)
+    near = np.array([[1e308, -1e307], [0.5, 5e-324]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (reduce, solve, check_feasibility):
+            with pytest.raises(InstanceError, match=r"^points\[0\]\[0\] must be finite$"):
+                call(inst)
+        points = reduce(cls(points=near, **dict(base, weights=[1.0, 1.0], addends=[0.0, 0.0]))).points
+    plain = np.array([[x1 + x2, x2 - x1] for x1, x2 in near.tolist()])
+    assert np.array_equal(points.view(np.int64), plain.view(np.int64))
 
 
 def test_constructors_reject_ints_beyond_the_float_range():

@@ -335,6 +335,22 @@ def test_empty_operands_raise_dimension_error(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (mat_add, (np.zeros((2, 2)), np.zeros((2, 3))), r"shape mismatch \(2, 2\) vs \(2, 3\)"),
+        (mat_vec, (np.zeros((2, 3)), np.zeros(2)), r"incompatible shapes \(2, 3\) and \(2,\)"),
+        (vec_mat, (np.zeros(3), np.zeros((2, 2))), r"incompatible shapes \(3,\) and \(2, 2\)"),
+        (vec_dot, (np.zeros(2), np.zeros(3)), r"incompatible shapes \(2,\) and \(3,\)"),
+        (conjugate_transpose, (np.zeros((2, 2)),), r"vector expected, got shape \(2, 2\)"),
+    ],
+    ids=["mat_add", "mat_vec", "vec_mat", "vec_dot", "conjugate_transpose"],
+)
+def test_mismatched_operands_raise_dimension_error(fn, args, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        fn(*args)
+
+
 def _potential_matrix(rng, n, p_bottom):
     # Non-dyadic entries phi_i - phi_k - slack: every cycle weighs minus its
     # slacks, far below the rounding of the differences, so Tr <= 0.

@@ -149,6 +149,14 @@ def test_sample_vertices_first_and_deterministic():
         sample(box, 0)
 
 
+def test_sample_rejects_a_crossed_box():
+    # A box built by hand whose u_lo exceeds u_hi on one axis has no member.
+    box = solve_particular(two_point_instance())
+    crossed = dataclasses.replace(box, u_lo=box.u_hi + np.array([0.0, 1.0]), u_hi=box.u_lo)
+    with pytest.raises(DomainError, match="^cannot sample from an empty box$"):
+        sample(crossed, 3)
+
+
 def test_sample_rows_are_members_bit_for_bit():
     # sample forms its members in one max-plus product over the parameter
     # rows and maps them back through one transform; each row is member() of

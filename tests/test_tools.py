@@ -52,3 +52,57 @@ def test_prints_each_module_and_the_total(tmp_path):
     out = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "pkg")], capture_output=True, text=True, check=True).stdout
     lines = [line.split(maxsplit=1) for line in out.splitlines()]
     assert lines == [["9", str(tmp_path / "pkg" / "a.py")], ["1", str(tmp_path / "pkg" / "b.py")], ["10", "total"]]
+
+
+UNCOVERED = ROOT / "tools" / "uncovered.py"
+
+MODULE = '''"""A module with branches."""
+
+
+def sign(x):
+    """The sign of x."""
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
+def unused(x):
+    total = (x
+             + 1)
+    return total
+'''
+
+TEST = '''from fixture_pkg.branches import sign
+
+
+def test_positive_and_zero():
+    assert sign(2) == 1
+    assert sign(0) == 0
+'''
+
+
+def test_uncovered_lists_exactly_the_lines_the_test_leaves_unrun(tmp_path):
+    # No test calls sign with x < 0, so line 9 never runs, and unused is
+    # defined but never called: its body is lines 14 to 16, the
+    # continuation line 15 included, since it holds code of its own.
+    (tmp_path / "fixture_pkg").mkdir()
+    (tmp_path / "fixture_pkg" / "__init__.py").write_text("")
+    (tmp_path / "fixture_pkg" / "branches.py").write_text(MODULE)
+    (tmp_path / "test_fixture.py").write_text(TEST)
+    argv = [sys.executable, str(UNCOVERED), "--source", "fixture_pkg", "-q", "-p", "no:cacheprovider", "test_fixture.py"]
+    done = subprocess.run(argv, cwd=tmp_path, env={"PYTHONPATH": str(tmp_path)}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = done.stdout.splitlines()[-5:]
+    path = str(Path("fixture_pkg") / "branches.py")
+    assert report == [f"{path}:9: return -1", f"{path}:14: total = (x", f"{path}:15: + 1)", f"{path}:16: return total", "4 executable lines never ran"]
+
+
+def test_executable_lines_leave_out_blanks_comments_and_function_docstrings():
+    spec = importlib.util.spec_from_file_location("uncovered", UNCOVERED)
+    uncovered = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(uncovered)
+    lines = uncovered.executable_lines(MODULE, "branches.py")
+    # line 1 is the module docstring, which import stores as __doc__
+    assert lines == {1, 4, 6, 7, 8, 9, 10, 13, 14, 15, 16}
