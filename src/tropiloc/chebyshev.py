@@ -16,17 +16,20 @@ decided by two exact certificates:
 * bounds:   t~ (x) B* (x) s <= 0, where s and t are the theta-independent
             lower/upper envelopes from caps and box.  This is the
             nonemptiness of the parameter box s <= u <= (t~ B*)~ with no
-            objective level, and it is read off that box.
+            objective level; the solve reads it off the box at the
+            optimal level, whose upper end lies below that one.
 
 The solver needs the closure B* only through products with vectors, and
 _Star forms them by iterating on B (max-plus Bellman-Ford), a few products
 on B each.  A product's step folds in only the entries that moved in the
 step before, so it costs O(|moved| n), and O(n^2) only where half of them
-moved; the one product t~ (x) B*, once its fixed point is raised
-to an exact potential, proves that B has no positive cycle, so it decides
-both certificates.  The O(n^3) closure is built only where it is cheaper:
+moved.  The first product of a solve, Newton's row at its first level,
+proves that B has no positive cycle once its fixed point is raised to an
+exact potential.  The bounds certificate is read off Newton's last box,
+and costs a product of its own only where that box does not prove it
+(_theta_kernel).  The O(n^3) closure is built only where it is cheaper:
 up front at n <= 41, or once the iteration has cost as much as the closure
-would (rent or buy), or at once where that product finds a cycle of
+would (rent or buy), or at once where the first product finds a cycle of
 positive exact weight among the predecessors of its steps, since a
 positive cycle never lets it converge.  check_feasibility does not
 iterate: its report is the lemma on the closure, Tr(B) from
@@ -55,8 +58,8 @@ The products a solve spends before it builds the closure cost at most
 about as much as the closure.  Memory is O(m n).  theta is the term Newton
 stops on, within a derived rounding bound of the exact closed form, and the
 box of that last step is the optimal box; nothing is evaluated again at
-theta.  Rounding can cross that box by a bounded amount, and solve_core
-closes such axes.
+theta.  Rounding can cross that box by a bounded amount, and the kernel
+closes such axes once the bounds certificate holds.
 
 Inside the solver the client data c * p is held as an (n, m) array, one row
 per axis, formed once per solve; theta and the envelopes q, r, s, t reduce
@@ -317,8 +320,10 @@ class FeasibilityReport:
     check_feasibility is the two-sided lemma on the closure, at every n:
     Tr and B* from trace_and_closure, then bounds_gap = max(s - (t~ B*)~)
     with parameter_upper_bound, the arithmetic of linear.solve_double.
-    solve decides the same two certificates from one product t~ (x) B* by
-    iteration on B, and builds the closure only where that is cheaper (see
+    solve decides the spectral certificate with the first product of its
+    Newton iteration and reads the bounds certificate off its last box, or
+    from the product t~ (x) B* where that box does not prove it, by
+    iteration on B; it builds the closure only where that is cheaper (see
     _Star).  A failed spectral certificate always comes from the closure,
     with the report's witness: the iteration passes it only with an exact
     potential, so a positive cycle, however light, fails in both.  At
@@ -430,7 +435,7 @@ class _PositiveCycle(Exception):
 # them in place.  The closure costs _closure_products(n) products.  A step
 # over the entries that moved costs less and still counts as one product,
 # so the budget overstates what a sparse step costs.  A positive cycle never
-# lets the iteration converge, so the certificate's product looks for one in
+# lets the iteration converge, so a solve's first row product looks for one in
 # the predecessors of its steps, at doubling step counts from the cost of a
 # check, _CHECK_PRODUCTS, and buys the closure as soon as it finds one.
 _CALL_COST = 1000
@@ -457,24 +462,25 @@ class _Star:
 
     check_feasibility never makes one: its report is the lemma on the
     closure itself.  The solver needs B* only through products: x (x) B*
-    for the bounds certificate and each Newton step's u_hi, one column
-    B* (x) e_k per Newton step, and B* (x) u for the members.  x (x) B* is
-    the fixed point of z <- max(z, z (x) B) started at x (max-plus
-    Bellman-Ford); B* (x) x that of z <- max(z, B (x) z).  Without a
+    for each Newton step's u_hi and, where the last box does not prove it,
+    the bounds certificate, one column B* (x) e_k per Newton step, and
+    B* (x) u for the members.  x (x) B* is the fixed point of
+    z <- max(z, z (x) B) started at x (max-plus Bellman-Ford); B* (x) x
+    that of z <- max(z, B (x) z).  Without a
     positive cycle the iteration is done after at most n - 1 products that
     move z and one that confirms.  Each step is label-correcting: it folds
     in only the entries that moved in the step before, at a cost of
     O(|moved| n) rather than O(n^2), and gives the full product's bits
-    (_fixed_point).  The first row product, the bounds certificate's, is
-    the spectral certificate too, once its fixed point is raised to an
-    exact potential (_proves_acyclic).
+    (_fixed_point).  The first row product, Newton's at its first level, is
+    the spectral certificate, once its fixed point is raised to an exact
+    potential (_proves_acyclic).
 
     Rent or buy: each product of the solve is counted in spent.  The closure
     (trace_and_closure, unchanged) is built once, up front when it costs no
     more than _TYPICAL_PRODUCTS, else once spent reaches budget, its cost in
     products, or once an iteration has not converged within n products or
     not reached an exact potential.  A positive cycle does neither, but the
-    certificate's product catches it in the predecessors of its steps
+    first row product catches it in the predecessors of its steps
     (_positive_cycle, a few products in), and buys the closure at once; the
     closure then exits early with its witness (raised as _PositiveCycle).
     A solve thus costs at most about twice what the closure alone would.
@@ -515,7 +521,7 @@ class _Star:
             raise _PositiveCycle(gauge)
         self.closure = star
 
-    def _fixed_point(self, x: np.ndarray, rows: bool, budgeted: bool, cycles: bool = False):
+    def _fixed_point(self, x: np.ndarray, rows: bool, budgeted: bool, cycles: bool = False, live=None):
         """The fixed point of z <- max(z, z (x) B) (rows) or max(z, B (x) z) from x, or None if a budgeted one gives up.
 
         For rows x is one vector; otherwise it is a stack of vectors in rows,
@@ -524,16 +530,20 @@ class _Star:
         closure's products do.
 
         Each step is label-correcting: it folds in only the entries of z that
-        moved in the step before (of any vector of a stack), live, and all of
-        them in the first step.  An entry that did not move had its sums
-        z_i + b_ik compared against targets that have only grown since, so
-        they move nothing: every iterate, every moved set and every stop is
-        that of the full product, bit for bit, and each step counts as one
-        product.  A gathered step costs about 2 |live| n element operations
-        (the gather, then the add) against n^2 for the full product, which a
-        step takes where 2 |live| >= n.
+        moved in the step before (of any vector of a stack), live, and in the
+        first step the entries that live names, all of them where it is None.
+        An entry that did not move had its sums z_i + b_ik compared against
+        targets that have only grown since, so they move nothing; neither
+        does a bottom entry of x that live leaves out, whose sums are all
+        bottom.  So every iterate, every moved set and every stop is that of
+        the full product, bit for bit, and each step counts as one product.
+        A gathered step adds into its own gather of B's rows (or columns, for
+        one vector), about 2 |live| n element operations against n^2 for the
+        full product, which a step takes where 2 |live| >= n.  Addition
+        commutes bit for bit, so the gather's order of operands gives the
+        full product's sums.
 
-        With cycles (the certificate's row product), the steps c + 1,
+        With cycles (a solve's first row product), the steps c + 1,
         2c + 1, 4c + 1, ..., where c = _CHECK_PRODUCTS is what a check
         costs, check the predecessors of their own step and the one before
         for a positive cycle (_positive_cycle).  One found gives up at once,
@@ -547,7 +557,6 @@ class _Star:
         """
         b = self.b
         z = x + ONE
-        live = slice(None)
         check = _CHECK_PRODUCTS if cycles else self.n + 1
         for step in range(1, self.n + 1):
             if budgeted:
@@ -555,10 +564,22 @@ class _Star:
                     return None
                 self.spent += 1
             if rows:
-                y = np.maximum.reduce(z[live, None] + b[live], axis=0)
+                if live is None:
+                    s = z[:, None] + b
+                else:
+                    s = b[live]
+                    np.add(s, z[live, None], out=s)
+                y = np.maximum.reduce(s, axis=0)
                 moved = y > z
             else:
-                y = _mat_vec_rows(b[:, live], z[:, live])
+                if live is None:
+                    y = _mat_vec_rows(b, z)
+                elif len(z) > 1:
+                    y = _mat_vec_rows(b[:, live], z[:, live])
+                else:
+                    s = b[:, live]
+                    np.add(s, z[:, live], out=s)
+                    y = np.maximum.reduce(s, axis=1)
                 moved = np.logical_or.reduce(y > z, axis=0)
             new = moved.nonzero()[0]
             if not new.size:
@@ -569,7 +590,7 @@ class _Star:
                 check *= 2
                 if self._positive_cycle(before, z, moved) is not None:
                     return None
-            live = slice(None) if 2 * new.size >= self.n else new
+            live = None if 2 * new.size >= self.n else new
             z = np.maximum(z, y)
         return None if budgeted else z
 
@@ -667,13 +688,14 @@ class _Star:
 
         Each column the iteration forms is kept: Newton often asks for the
         same k on consecutive steps, and a column served again spends nothing.
+        The first step folds in entry k alone, the only one e_k holds.
         """
         if self.closure is None:
             if k not in self._columns:
                 e = np.empty((1, self.n))
                 e.fill(BOTTOM)
                 e[0, k] = ONE
-                self._columns[k] = self._fixed_point(e, False, True)
+                self._columns[k] = self._fixed_point(e, False, True, live=[k])
             z = self._columns[k]
             if z is not None:
                 return z[0]
@@ -702,16 +724,15 @@ class _Star:
         return self._read
 
 
-def _certify(b: np.ndarray, fixed_lo, fixed_hi):
-    """(B* on demand, the bounds gap); raises _PositiveCycle.
+def _bounds_gap(star: _Star, fixed_lo, fixed_hi) -> float:
+    """The bounds gap t~ B* s; raises _PositiveCycle.
 
-    One product decides both certificates: it converges only without a
-    positive cycle, and it bounds the parameter box with no level, fixed_lo
-    <= u <= ((-fixed_hi) (x) B*)~, whose largest crossing is the gap
-    t~ B* s.  The gap is read with no overflow warning (linear._gap).
+    It is the largest crossing of the parameter box with no level, fixed_lo
+    <= u <= ((-fixed_hi) (x) B*)~, read with no overflow warning
+    (linear._gap).  The solve reads it only where the last Newton box does
+    not prove it <= 0 (_theta_kernel).
     """
-    star = _Star(b)
-    return star, _gap(fixed_lo, np.negative(star.row(np.negative(fixed_hi))))
+    return _gap(fixed_lo, np.negative(star.row(np.negative(fixed_hi))))
 
 
 def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
@@ -738,7 +759,7 @@ def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
 
 
 def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
-    """(theta, u_lo, u_hi): the root of the existence condition, by Newton's method, and its finished box.
+    """(theta, u_lo, u_hi), the root of the existence condition by Newton's method and its finished box, or Infeasible("bounds", gap).
 
     cpt holds the client data c * p as (n, m) rows, as _fixed_envelopes
     forms them (see the module docstring); any layout gives the same bits.  At
@@ -758,11 +779,26 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     largest h_j, which is h_j since b*_ii = 0, evaluated like every pair
     term; so theta is always one float term of the closed form.  The last
     step evaluates Phi at theta, so its box is the optimal box, returned
-    with theta.  Rounding can cross that box: where the last step's largest
-    crossing (u_lo - u_hi)_k is > 0, each axis crossed by at most
-    _box_slack(n) S (S from _magnitude, which runs only then) is closed up
-    to its lower end, u_hi = u_lo, so a feasible instance never gets an
-    empty box.  A nan crossing is its own argmax, and closes nothing.
+    with theta.
+
+    The same box carries the bounds certificate, the gap t~ B* s <= 0
+    (_bounds_gap).  q <= fixed_hi, so -q >= -fixed_hi, and a product with
+    B* is monotone bit for bit: the closure's _vec_mat, and the iteration,
+    whose result is the least float fixed point at or above its start.  So
+    fixed_lo <= u_hi on the last box, before any clamp, proves the gap <= 0
+    as the same product method reads it.  An uncrossed box proves it at
+    once, since fixed_lo <= u_lo <= u_hi.  Only a box that does not prove
+    it, crossed or empty, or a stop on the bounds certificate's own term,
+    reads the gap, one product more, and an instance whose gap is > 0 gets
+    Infeasible("bounds", gap).  The first product, the row at the first
+    level, is the spectral certificate (_Star.row).
+
+    Rounding can cross the optimal box of a feasible instance: where the
+    last step's largest crossing (u_lo - u_hi)_k is > 0, each axis crossed
+    by at most _box_slack(n) S (S from _magnitude, which runs only then) is
+    closed up to its lower end, u_hi = u_lo, so a feasible instance never
+    gets an empty box.  A nan crossing is its own argmax, and closes
+    nothing.
 
     Each step costs two O(m n) reductions, the product (-q) (x) B* and,
     unless it is the last, the column B*[:, k], each a few products of the
@@ -781,7 +817,7 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
         crossing = u_lo - u_hi
         k = int(crossing.argmax())
         if not crossing[k] > 0.0:
-            return float(t), u_lo, u_hi
+            break
         col = star.column(k)
         i = int((col - q).argmax())
         b = col[i]
@@ -802,8 +838,15 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
             break
         t = step
     theta = float(t)
-    size = _magnitude(absc, cpt, w, h, q, u_hi, fixed_lo, fixed_hi, theta)
-    u_hi = np.where((crossing > 0.0) & (crossing <= _box_slack(u_lo.size) * size), u_lo, u_hi)
+    if crossing[k] <= 0.0:
+        return theta, u_lo, u_hi
+    if not np.logical_and.reduce(fixed_lo <= u_hi):
+        gap = _bounds_gap(star, fixed_lo, fixed_hi)
+        if not gap <= 0.0:
+            return Infeasible("bounds", gap)
+    if crossing[k] > 0.0:  # a nan crossing closes nothing
+        size = _magnitude(absc, cpt, w, h, q, u_hi, fixed_lo, fixed_hi, theta)
+        u_hi = np.where((crossing > 0.0) & (crossing <= _box_slack(u_lo.size) * size), u_lo, u_hi)
     return theta, u_lo, u_hi
 
 
@@ -818,8 +861,9 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
 # piece, within 49 u S of slope times error, is no larger than theta, so the
 # crossing is at most 49 + 16 (the level terms, 5 each, and the argmax of the
 # column) + 2E; or on the bounds certificate's own term, where the crossing
-# exceeds that certificate's gap (<= 0) by at most 6 + 4E.  CHANGES.md has the
-# derivation.
+# exceeds that certificate's gap by at most 6 + 4E.  Newton can stop there
+# before the gap is known, so the clamped box is returned only once the gap
+# is <= 0, proven by the box itself or read.  CHANGES.md has the derivation.
 _BOX_ROUNDINGS = 65
 _HOP_ROUNDINGS = 24
 _U = float(np.finfo(np.float64).eps) / 2
@@ -867,8 +911,12 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
 
     Returns a SolutionBox whose members all attain theta, or a typed
     Infeasible result naming the failed certificate.  One prelude
-    (_fixed_envelopes) feeds both certificates (_certify), then theta and
-    the box come finished from the same, last, Newton step (_theta_kernel).
+    (_fixed_envelopes) feeds the Newton kernel (_theta_kernel): its first
+    product decides the spectral certificate, and theta, the box and, as a
+    rule, the bounds certificate come from its last step.  The kernel runs
+    with overflow quiet: near the float maximum its sums can round to
+    -inf or +inf, which it compares as they are, and the CLI rejects a
+    theta that is not finite.
     B* comes on demand (_Star): the closure is built only where it is
     cheaper than iterating on B.  The box lives in scaled coordinates and
     its transform divides members by c; an all-ones scale gets no scale in
@@ -877,12 +925,14 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     """
     c, cpt, fixed_lo, fixed_hi = _fixed_envelopes(inst)
     try:
-        star, gap = _certify(inst.diff_bounds, fixed_lo, fixed_hi)
-        if not gap <= 0.0:
-            return Infeasible("bounds", gap)
-        theta, u_lo, u_hi = _theta_kernel(cpt, np.abs(c), inst.weights, inst.addends, star, fixed_lo, fixed_hi)
+        star = _Star(inst.diff_bounds)
+        with np.errstate(over="ignore"):
+            found = _theta_kernel(cpt, np.abs(c), inst.weights, inst.addends, star, fixed_lo, fixed_hi)
     except _PositiveCycle as cycle:
         return Infeasible("spectral", cycle.witness)
+    if isinstance(found, Infeasible):
+        return found
+    theta, u_lo, u_hi = found
     scale = None if np.logical_and.reduce(c == 1.0) else tuple(c.tolist())
     return SolutionBox(theta, star, u_lo, u_hi, Transform(scale, rotate45))
 

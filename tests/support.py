@@ -1,4 +1,4 @@
-"""Shared test data builders, and a recorder of the Python frames calls enter.
+"""Shared test data builders, and recorders of the Python frames and lines calls run.
 
 Random numeric data is dyadic (integer / 8, magnitudes well under 2**20) so
 every float addition in the code under test is exact and equality checks are
@@ -238,4 +238,35 @@ def python_frames(calls) -> set[tuple[str, str]]:
             call()
     finally:
         sys.setprofile(None)
+    return seen
+
+
+def python_lines(calls, function) -> set[int]:
+    # The line numbers of function's source that ran while calls run.  A
+    # tracer already installed (a coverage tool's) goes on tracing every frame.
+    seen = set()
+    code = function.__code__
+    previous = sys.gettrace()
+
+    def hook(frame, event, arg):
+        inner = previous(frame, event, arg) if previous is not None else None
+        if frame.f_code is not code:
+            return inner
+
+        def lines(frame, event, arg):
+            nonlocal inner
+            if event == "line":
+                seen.add(frame.f_lineno)
+            if inner is not None:
+                inner = inner(frame, event, arg)
+            return lines
+
+        return lines
+
+    sys.settrace(hook)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.settrace(previous)
     return seen

@@ -1,6 +1,7 @@
 """Chebyshev location solver: bounds, certificates, theta, solution boxes."""
 
 import dataclasses
+import inspect
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -13,6 +14,7 @@ from support import (
     B2,
     clipped_variant_instance,
     nonpos_cycle_matrix,
+    python_lines,
     theta_grid,
     theta_reference,
     tight_caps_instance,
@@ -42,7 +44,7 @@ from tropiloc import (
 from tropiloc import chebyshev
 from tropiloc.errors import ContractViolationError, InstanceError
 from tropiloc.generate import VARIANTS
-from tropiloc.linear import Infeasible, solve_double
+from tropiloc.linear import Infeasible, parameter_upper_bound, solve_double
 from tropiloc.semiring import BOTTOM, trace_and_closure
 from tropiloc.variants import lookup
 
@@ -407,7 +409,7 @@ def _certificates_of(inst):
     # report fails, the fixed envelopes).  At n <= 41 that B* holds its closure.
     report = check_feasibility(inst)
     bounds = assemble_bounds(inst)
-    star = chebyshev._certify(inst.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)[0] if report.feasible else None
+    star = chebyshev._Star(inst.diff_bounds) if report.feasible else None
     return report, star, bounds
 
 
@@ -686,7 +688,8 @@ def test_certificate_and_box_are_solve_double(variant):
             scaled = _rescaled(inst, f)
             core = lookup(scaled).reduce(scaled)
             bounds = assemble_bounds(core)
-            star, gap = chebyshev._certify(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
+            star = chebyshev._Star(core.diff_bounds)
+            gap = chebyshev._bounds_gap(star, bounds.fixed_lo, bounds.fixed_hi)
             family = solve_double(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
             verdicts.add(gap <= 0.0)
             if not gap <= 0.0:
@@ -822,8 +825,119 @@ def test_bounds_gap_beyond_the_float_range_is_quiet():
             assert (report.feasible, report.bounds_gap) == (True, -np.inf)
             core = lookup(inst).reduce(inst)
             bounds = assemble_bounds(core)
-            assert chebyshev._certify(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)[1] == -np.inf
+            assert chebyshev._bounds_gap(chebyshev._Star(core.diff_bounds), bounds.fixed_lo, bounds.fixed_hi) == -np.inf
             family = solve_double(core.diff_bounds, bounds.fixed_lo, bounds.fixed_hi)
             assert not isinstance(family, Infeasible)
         far = solve_double([[BOTTOM]], [1.7e308], [-1.7e308])
         assert (far.cause, far.witness) == ("bounds", np.inf)
+
+
+def _fresh_gap(inst) -> float:
+    # The bounds gap as the solve read it before Newton: the gap helper on a
+    # fresh B* on demand, its first product.
+    _, _, fixed_lo, fixed_hi = chebyshev._fixed_envelopes(inst)
+    return chebyshev._bounds_gap(chebyshev._Star(inst.diff_bounds), fixed_lo, fixed_hi)
+
+
+@pytest.mark.parametrize("n", [1, 5, 41, 42, 60])
+def test_a_caps_infeasible_solve_stops_on_the_bounds_term(n):
+    # Newton runs on a bounds-infeasible instance too.  It climbs until the
+    # argmax chain names the bounds certificate's own term, which no level
+    # moves, and stops there; the solve then reads the gap.  Its witness has
+    # the bits of the gap helper on a fresh B*, on both sides of the
+    # up-front closure (n <= 41), where they are also check_feasibility's.
+    source, start = inspect.getsourcelines(chebyshev._theta_kernel)
+    stop = {start + i for i, line in enumerate(source) if "break  # the bounds certificate's own term" in line}
+    assert len(stop) == 1
+    for seed in range(4):
+        inst = random_infeasible(n, 20, seed, mode="caps")
+        results = []
+        ran = python_lines([lambda: results.append(solve(inst))], chebyshev._theta_kernel)
+        assert stop <= ran, seed
+        assert (results[0].cause, _bits(results[0].witness)) == ("bounds", _bits(_fresh_gap(inst))), seed
+        if n <= 41:
+            assert _bits(results[0].witness) == _bits(check_feasibility(inst).bounds_gap), seed
+
+
+def test_only_a_box_that_does_not_prove_the_bounds_certificate_reads_it(monkeypatch):
+    # A feasible solve reads its bounds certificate off the last Newton box:
+    # no row product starts from -fixed_hi.  A caps-infeasible one, whose
+    # last box is crossed, reads the gap with exactly one such product.  At
+    # n >= 42 every product is the iteration's, so each one counts.
+    starts = []
+    row = chebyshev._Star.row
+
+    def spy(star, x):
+        starts.append(_bits(x))
+        return row(star, x)
+
+    monkeypatch.setattr(chebyshev._Star, "row", spy)
+    cases = [(random_instance(variant, n, 20, seed), 0) for variant in VARIANTS[:2] for n in (42, 60) for seed in range(3)]
+    cases += [(random_infeasible(n, 20, seed, mode="caps"), 1) for n in (42, 60) for seed in range(3)]
+    for inst, reads in cases:
+        starts.clear()
+        result = solve(inst)
+        assert isinstance(result, Infeasible) == bool(reads)
+        _, _, _, fixed_hi = chebyshev._fixed_envelopes(inst)
+        assert starts.count(_bits(np.negative(fixed_hi))) == reads
+        assert len(starts) >= 1 + reads
+
+
+def _bounds_ties():
+    # Plain instances at n = 42 to 81 with no caps, each with one box_lo[k]
+    # set to the closure's float u_hi[k], the upper end of the parameter box
+    # with no level: the gap is 0 in the closure's arithmetic.  Each comes
+    # plain and with box_lo[k] lifted by 1e-15 relative, a gap of a few ulps;
+    # a lift beyond box_hi[k] is left out.
+    for n in range(42, 82):
+        for seed in range(6):
+            base = dataclasses.replace(random_instance("chebyshev", n, 20, seed), caps=None)
+            upper = parameter_upper_bound(trace_and_closure(base.diff_bounds)[1], base.box_hi)
+            for k in {seed % n, (n - 1 - seed) % n}:
+                for lift in (0.0, 1e-15):
+                    lo = base.box_lo.copy()
+                    lo[k] = upper[k] + abs(upper[k]) * lift
+                    try:
+                        yield dataclasses.replace(base, box_lo=lo)
+                    except InstanceError:
+                        pass
+
+
+def test_a_box_that_rents_its_closure_has_a_bounds_gap_at_most_zero():
+    # Soundness of the bounds certificate read off the last Newton box, on
+    # ties of the gap: wherever solve returns a box without buying the
+    # closure, the gap helper on a fresh B* (the iteration from -fixed_hi)
+    # is <= 0.  The iteration and the closure add path weights in other
+    # orders, so on ties solve and check_feasibility can disagree; they
+    # disagree on no more instances than where the solve read the gap with
+    # a product of its own before Newton (31 of these 764).
+    total = rented = disagree = 0
+    for inst in _bounds_ties():
+        total += 1
+        result = solve(inst)
+        disagree += isinstance(result, Infeasible) == check_feasibility(inst).feasible
+        if not isinstance(result, Infeasible) and result._star.closure is None:
+            rented += 1
+            assert _fresh_gap(inst) <= 0.0
+    assert total == 764 and rented >= 400
+    assert disagree <= 31, disagree
+
+
+@pytest.mark.parametrize("n", [1, 45])
+def test_a_caps_infeasible_solve_near_the_float_maximum_is_quiet(n):
+    # Two clients 1.6e308 apart with weight 2 make a pair term of Newton's
+    # climb overflow; two at +-1.7e308 in a box that spans the float range
+    # make the crossing u_lo - u_hi overflow.  Both are caps-infeasible.  The
+    # solve reports them with the gap helper's witness and no warning.
+    top = np.finfo(np.float64).max
+    for p, w in ((8e307, 2.0), (1.7e308, 1.0)):
+        points = np.zeros((2, n))
+        points[:, 0] = (-p, p)
+        inst = ChebyshevInstance(points=points, weights=[w, w], addends=[0.0, 0.0], caps=[1.0, 1.0],
+                                 box_lo=[-top] * n, box_hi=[top] * n, diff_bounds=np.full((n, n), BOTTOM))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve(inst)
+            gap = _fresh_gap(inst)
+        assert (result.cause, _bits(result.witness)) == ("bounds", _bits(gap)), p
+        assert gap == (2 * p - 2.0 if p < 1e308 else np.inf)

@@ -16,6 +16,8 @@ from tropiloc import (
     solve,
     verify,
 )
+from tropiloc import generate
+from tropiloc.chebyshev import FeasibilityReport
 from tropiloc.generate import VARIANTS, _certified, _diameter
 
 
@@ -100,6 +102,23 @@ def test_instance_data_sits_on_oracle_lattice():
                 assert _on_lattice([inst.strip_lo, inst.strip_hi])
             else:
                 assert _on_lattice(inst.diff_bounds)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_generation_gives_up_after_ten_tries(monkeypatch, variant):
+    # With every try reported infeasible the generator widens caps and box
+    # ten times, then raises; each try is certified once.
+    tries = []
+
+    def refuse(inst):
+        tries.append(inst)
+        return FeasibilityReport(True, 0.0, False, 1.0)
+
+    monkeypatch.setattr(generate, "check_feasibility", refuse)
+    with pytest.raises(RuntimeError, match="^instance generation failed to reach feasibility$"):
+        random_instance(variant, 2, 3, 0)
+    assert len(tries) == 10
+    assert np.all(tries[-1].box_lo < tries[0].box_lo) and np.all(tries[-1].box_hi > tries[0].box_hi)
 
 
 def test_infeasible_caps_mode():

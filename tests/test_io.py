@@ -21,6 +21,7 @@ from tropiloc import (
     emit_solution,
     parse_instance,
     random_instance,
+    sample,
     solve,
     solve_strip,
 )
@@ -594,6 +595,33 @@ def test_zero_width_strip_keeps_its_segment():
     assert np.all(np.abs(ends[:, 0] - inst.strip_lo) <= 0.01 * pixel)
     assert ends[1, 1] - ends[0, 1] > pixel
     assert np.all(violation_batch(inst, ends) <= 0.01 * pixel)
+
+
+def test_a_region_of_one_point_is_clipped_to_nothing(monkeypatch):
+    # The strip x1 = -3 and a box pinched to the rotated image of (-3, 0.6):
+    # the feasible region is that one point, and the solve's box is it.  The
+    # box's lines meet the strip's line there only up to rounding, and the
+    # strip's second half-plane, the last one, clips the vertex left to
+    # nothing.  The sketch draws no region then: only the clients and the
+    # members, all one point within rounding of (-3, 0.6).
+    inst = StripInstance(points=[[0.0, 0.0], [1.0, 1.0]], weights=[1.0, 1.0], addends=[0.0, 0.0],
+                         box_lo=[-2.4, 3.6], box_hi=[-2.4, 3.6], strip_lo=-3.0, strip_hi=-3.0)
+    box = solve(inst)
+    assert box.theta == 4.4
+    members = sample(box, 3, 0)
+    assert np.all(members == members[0]) and np.allclose(members[0], [-3.0, 0.6], rtol=0.0, atol=1e-15)
+    regions = []
+    clip = tio._clip
+
+    def spy(*args):
+        regions.append(clip(*args))
+        return regions[-1]
+
+    monkeypatch.setattr(tio, "_clip", spy)
+    svg = emit_solution(box, inst, "svg", samples=3, seed=0).decode()
+    assert regions[-1] == [] and all(regions[:-1])
+    assert '<polygon class="region"' not in svg
+    assert svg.count('class="pt"') == 2 and svg.count('class="sol"') == 3
 
 
 def test_clip_sign_test_is_exact():

@@ -97,7 +97,7 @@ def test_solve_enters_no_numpy_python_wrappers():
     entered = {function for file, function in frames}
     # the clamp, the certificates, theta and the sampling all ran, and so did
     # the iteration's products, its potential, its columns and its members
-    assert {"_magnitude", "_certify", "_theta_kernel", "trace_and_closure", "_distances"} <= entered
+    assert {"_magnitude", "_bounds_gap", "_theta_kernel", "trace_and_closure", "_distances"} <= entered
     assert {"_fixed_point", "_proves_acyclic", "column", "_buy", "members"} <= entered
     assert sorted(f"{file}:{function}" for file, function in frames if file in wrappers) == []
     # the planted cycle is caught by a check, before any exact potential is tried
