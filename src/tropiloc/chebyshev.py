@@ -50,8 +50,9 @@ is one term of the closed form, so Newton's method finds theta from below in
 a few steps.  Each step evaluates Phi once, as the parameter box at its level:
 the level envelopes (one formula, shared with assemble_bounds), then u_lo and
 u_hi, whose largest crossing u_lo - u_hi is Phi.  That costs two O(m n)
-reductions, the product for u_hi and one column of B* (none where Newton
-asks for a column again), each a few products on B of at most O(n^2):
+reductions and the product for u_hi, a few products on B of at most O(n^2);
+the entry of B* that the next step goes through is read off that product's
+own predecessors, a walk of at most n sums of O(n) (_Star.chain):
 O((m n + d n^2) steps) in all, where d, the products per product with B*,
 is at most the hop depth of B's longest paths plus one.
 The products a solve spends before it builds the closure cost at most
@@ -63,11 +64,15 @@ closes such axes once the bounds certificate holds.
 
 Inside the solver the client data c * p is held as an (n, m) array, one row
 per axis, formed once per solve; theta and the envelopes q, r, s, t reduce
-it along the contiguous axis.  Each numpy op on it costs a fixed overhead
-per row, O(n), which each Newton step's O(n^2) product already exceeds;
-held as (m, n), each op would cost one per client, O(m), as much as the
-O(m n) Newton work.  Max, min and argmax are exact and every sum sees the
-same operands, so the layout does not change a single bit.
+it over the clients, along its rows.  The memory order is chosen once per
+solve, from the shape: C order (the clients along the contiguous axis)
+where m >= n, else F order, a free view of the points' own (m, n) layout,
+and the level terms and the caps' radii follow it.  A reduction along the
+contiguous axis pays a fixed overhead per row, O(n) per op, and one across
+it pays one per client, O(m) per op, so each reduction runs along the
+longer axis: at m = 20, n = 250 a level envelope takes 2.3 us in F order
+against 14.6 in C order.  Max, min and argmax are exact and every sum sees
+the same operands, so the layout does not change a single bit.
 
 For the same reason the solve path calls no Python-level numpy wrapper: it
 reduces with np.maximum.reduce, np.minimum.reduce and np.logical_or/and.reduce
@@ -77,8 +82,8 @@ np.full/np.ones per call.  The wrappers forward to those same C reductions,
 so the bits are the same, but each adds from 0.3 microseconds (a method such
 as .max()) to 2 (a function such as np.argmax), and a solve at n <= 4 makes
 dozens of such calls.  The plane reductions keep the layout of
-the rotation's fresh array, an F-ordered (m, 2) view, which _fixed_envelopes
-transposes to C order with no copy in between.
+the rotation's fresh array, an F-ordered (m, 2) view, whose transpose is
+already the C-ordered (2, m) client rows.
 
 The scaled variant replaces x_i by c_i * x_i (c_i != 0) inside caps, box and
 difference bounds while keeping the same objective; it is solved by the same
@@ -360,37 +365,42 @@ def _scale_of(inst: ChebyshevInstance) -> np.ndarray:
     return c
 
 
-def _fixed_envelopes(inst: ChebyshevInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(c, cpt, fixed_lo, fixed_hi): the prelude that solve_core, check_feasibility and assemble_bounds share.
+def _fixed_envelopes(inst: ChebyshevInstance) -> tuple[np.ndarray, np.ndarray, str, np.ndarray, np.ndarray]:
+    """(c, cpt, order, fixed_lo, fixed_hi): the prelude that solve_core, check_feasibility and assemble_bounds share.
 
-    c is the scale (_scale_of), cpt the client rows c (.) points with the
-    clients along the contiguous axis (row k is c_k p_.k), and fixed_lo,
-    fixed_hi the envelopes from caps and box, as assemble_bounds(inst)
-    documents them.  A negative c_i swaps the ends of the box.  Selecting by
-    sign rather than by min/max keeps a signed zero where the two ends tie.
+    c is the scale (_scale_of), cpt the client rows c (.) points (row k is
+    c_k p_.k), held in the memory order order (see the module docstring),
+    and fixed_lo, fixed_hi the envelopes from caps and box, as
+    assemble_bounds(inst) documents them.  A negative c_i swaps the ends of
+    the box.  Selecting by sign rather than by min/max keeps a signed zero
+    where the two ends tie.  Near the float maximum a cap can reach past the
+    float range: its envelope term rounds to -inf or +inf, so the box end
+    takes over, and each caller runs this with overflow quiet.
     """
     c = _scale_of(inst)
-    cpt = np.multiply(c[:, None], inst.points.T, order="C")
+    m, n = inst.points.shape
+    order = "C" if m >= n else "F"
+    cpt = np.multiply(c[:, None], inst.points.T, order=order)
     flip = c < 0
     cf = c * inst.box_lo
     cg = c * inst.box_hi
     fixed_lo = np.where(flip, cg, cf)
     fixed_hi = np.where(flip, cf, cg)
     if inst.caps is not None:
-        radii = np.abs(c)[:, None] * inst.caps
+        radii = np.multiply(np.abs(c)[:, None], inst.caps, order=order)
         fixed_lo = np.maximum(np.maximum.reduce(cpt - radii, axis=1), fixed_lo)
         fixed_hi = np.minimum(np.minimum.reduce(cpt + radii, axis=1), fixed_hi)
-    return c, cpt, fixed_lo, fixed_hi
+    return c, cpt, order, fixed_lo, fixed_hi
 
 
-def _level_terms(absc, cpt, w, h, t):
-    """The lines of the level envelopes at level t, as two (n, m) arrays.
+def _level_terms(absc, cpt, order, w, h, t):
+    """The lines of the level envelopes at level t, as two (n, m) arrays in cpt's memory order.
 
     Row i holds |c_i| ((h_j - t) / w_j) + c_i p_ji for every client j, whose
     max is level_lo_i, and c_i p_ji - |c_i| ((h_j - t) / w_j), whose min is
     level_hi_i.  assemble_bounds and every Newton step evaluate them here.
     """
-    rad = absc[:, None] * ((h - t) / w)
+    rad = np.multiply(absc[:, None], (h - t) / w, order=order)
     return rad + cpt, cpt - rad
 
 
@@ -406,11 +416,12 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
     lower end and c_i f_i the upper one.
     """
     _require(inst, ChebyshevInstance, "assemble_bounds")
-    c, cpt, fixed_lo, fixed_hi = _fixed_envelopes(inst)
-    if theta is None:
-        return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
-    lo, hi = _level_terms(np.abs(c), cpt, inst.weights, inst.addends, theta)
-    return BoundVectors(np.maximum.reduce(lo, axis=1), np.minimum.reduce(hi, axis=1), fixed_lo, fixed_hi)
+    with np.errstate(over="ignore"):
+        c, cpt, order, fixed_lo, fixed_hi = _fixed_envelopes(inst)
+        if theta is None:
+            return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
+        lo, hi = _level_terms(np.abs(c), cpt, order, inst.weights, inst.addends, theta)
+        return BoundVectors(np.maximum.reduce(lo, axis=1), np.minimum.reduce(hi, axis=1), fixed_lo, fixed_hi)
 
 
 class _PositiveCycle(Exception):
@@ -463,10 +474,12 @@ class _Star:
     check_feasibility never makes one: its report is the lemma on the
     closure itself.  The solver needs B* only through products: x (x) B*
     for each Newton step's u_hi and, where the last box does not prove it,
-    the bounds certificate, one column B* (x) e_k per Newton step, and
-    B* (x) u for the members.  x (x) B* is the fixed point of
-    z <- max(z, z (x) B) started at x (max-plus Bellman-Ford); B* (x) x
-    that of z <- max(z, B (x) z).  Without a
+    the bounds certificate, and B* (x) u for the members.  x (x) B* is the
+    fixed point of z <- max(z, z (x) B) started at x (max-plus Bellman-Ford);
+    B* (x) x that of z <- max(z, B (x) z).  The entry b*_ik that a Newton
+    step goes through is read off the row product's own fixed point, by a
+    walk back along its predecessors (chain); a column B* (x) e_k is formed
+    only where the walk goes round a tight cycle of weight about 0.  Without a
     positive cycle the iteration is done after at most n - 1 products that
     move z and one that confirms.  Each step is label-correcting: it folds
     in only the entries that moved in the step before, at a cost of
@@ -484,13 +497,12 @@ class _Star:
     (_positive_cycle, a few products in), and buys the closure at once; the
     closure then exits early with its witness (raised as _PositiveCycle).
     A solve thus costs at most about twice what the closure alone would.
-    Each column the iteration forms is kept, and one served again spends
-    nothing.
     The budget is at most 0.61 n products (the maximum is at n = 42), so
     from n = 42 on it binds before an iteration's cap of n products; the
     cap binds first only at n <= 2, where the iteration runs only if
     _TYPICAL_PRODUCTS is lowered.  After the closure is built, every
-    product is one _vec_mat or column of it, as without this object.
+    product is one _vec_mat or column of it, as without this object, and
+    chain reads b*_ik off the closure's column k.
 
     The box sees only members and matrix, as it sees those of a matrix
     (boxes._Closure).  members replays a solved box: it never builds the
@@ -501,7 +513,7 @@ class _Star:
     the same bits before and after its generator is read.
     """
 
-    __slots__ = ("b", "n", "budget", "spent", "closure", "acyclic", "_read", "_columns")
+    __slots__ = ("b", "n", "budget", "spent", "closure", "acyclic", "_read")
 
     def __init__(self, b: np.ndarray):
         self.b = b
@@ -510,7 +522,6 @@ class _Star:
         self.closure = None
         self.acyclic = False
         self._read = None
-        self._columns = {}
         self.budget = _closure_products(self.n)
         if self.budget <= _TYPICAL_PRODUCTS:
             self._buy()
@@ -683,20 +694,54 @@ class _Star:
             self._buy()
         return _vec_mat(x, self.closure)
 
+    def chain(self, k: int, x: np.ndarray, z: np.ndarray) -> tuple[int, float]:
+        """(i, b*_ik) for the argmax chain of z_k, where z = row(x); raises _PositiveCycle.
+
+        i attains z_k = max_i (x_i + b*_ik), and b*_ik is the weight of its
+        path.  While the iteration serves the products, the walk reads them
+        off z, a float fixed point started at x + 0: every entry that moved
+        has a tight predecessor, the winner of its last raise, with
+        fl(z_j + b_jk) == z_k, and the j with the largest z_j + b_jk is
+        such a predecessor.  So the
+        walk goes from k to pred(k) = argmax_j (b_jk + z_j), and on, and
+        stops at the first entry with z_j == x_j, the origin i.  b*_ik is
+        the path's weight, added backward from k as column(k) adds it.  A
+        walk that meets an entry twice has gone round a tight cycle of
+        weight about 0 and names no origin, and so takes the column, as
+        does a closure.  A walk of v hops costs v sums of a column of B
+        with z, at most n, and spends nothing.
+        """
+        if self.closure is not None:
+            col = self.closure[:, k]
+        else:
+            b = self.b
+            path = [k]
+            j = k
+            while z[j] != x[j]:
+                j = int((b[:, j] + z).argmax())
+                if j in path:
+                    break
+                path.append(j)
+            else:
+                weight = ONE
+                for i, c in zip(path[1:], path):
+                    weight = b[i, c] + weight
+                return j, weight
+            col = self.column(k)
+        i = int((col + x).argmax())
+        return i, col[i]
+
     def column(self, k: int) -> np.ndarray:
         """B*[:, k], as B* (x) e_k; raises _PositiveCycle.
 
-        Each column the iteration forms is kept: Newton often asks for the
-        same k on consecutive steps, and a column served again spends nothing.
-        The first step folds in entry k alone, the only one e_k holds.
+        Only chain asks for one, where its walk finds no origin.  The first step folds
+        in entry k alone, the only one e_k holds.
         """
         if self.closure is None:
-            if k not in self._columns:
-                e = np.empty((1, self.n))
-                e.fill(BOTTOM)
-                e[0, k] = ONE
-                self._columns[k] = self._fixed_point(e, False, True, live=[k])
-            z = self._columns[k]
+            e = np.empty((1, self.n))
+            e.fill(BOTTOM)
+            e[0, k] = ONE
+            z = self._fixed_point(e, False, True, live=[k])
             if z is not None:
                 return z[0]
             self._buy()
@@ -743,26 +788,49 @@ def check_feasibility(inst: ChebyshevInstance) -> FeasibilityReport:
     parameter_upper_bound.
     """
     _require(inst, ChebyshevInstance, "check_feasibility")
-    _, _, fixed_lo, fixed_hi = _fixed_envelopes(inst)
-    gauge, closure = trace_and_closure(inst.diff_bounds)
-    if closure is None:
-        return FeasibilityReport(False, gauge, False, None)
-    gap = _gap(fixed_lo, parameter_upper_bound(closure, fixed_hi))
+    with np.errstate(over="ignore"):
+        _, _, _, fixed_lo, fixed_hi = _fixed_envelopes(inst)
+        gauge, closure = trace_and_closure(inst.diff_bounds)
+        if closure is None:
+            return FeasibilityReport(False, gauge, False, None)
+        gap = _gap(fixed_lo, parameter_upper_bound(closure, fixed_hi))
     return FeasibilityReport(True, gauge, gap <= 0.0, gap)
 
 
-def _pair_terms(alpha, beta, wj, wl, hj, hl, x):
-    # The pair term at x = b*_ik - cp_ij + cp_kl, in one fixed float evaluation order.
-    awl = alpha * wl
-    bwj = beta * wj
-    return (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
+def _piece_root(ai, wj, hj, ak, wl, hl, b, high, low, halve=True):
+    """The root of the piece of Phi that an argmax chain k, i, j, l names through b = b*_ik, in one fixed float evaluation order.
+
+    g_i takes client j's line (|c_i| = ai, w_j, h_j) and high is cp_ij, or
+    its envelope entry, where wj is None and high is fixed_hi_i; C_k takes
+    client l's line (|c_k| = ak, w_l, h_l) and low is cp_kl, or its
+    envelope entry, where wl is None and low is fixed_lo_k.  With
+    x = b - high + low the root is the pair term of (j, l), or the side term
+    of the client that is left.  It is homogeneous of degree one in the
+    lengths h, b, high and low.  Near the float maximum x or a product
+    overflows where the root itself is a float, so a root that comes out
+    non-finite is evaluated again on halved lengths (exact but where they
+    are subnormal) and doubled; every finite root keeps its bits.
+    """
+    x = (b - high) + low
+    if wl is None:
+        root = hj + (wj / ai) * x
+    elif wj is None:
+        root = hl + (wl / ak) * x
+    else:
+        awl = ai * wl
+        bwj = ak * wj
+        root = (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
+    if math.isfinite(root) or not halve:
+        return root
+    return 2.0 * _piece_root(ai, wj, 0.5 * hj, ak, wl, 0.5 * hl, 0.5 * b, 0.5 * high, 0.5 * low, False)
 
 
-def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
+def _theta_kernel(cpt, order, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     """(theta, u_lo, u_hi), the root of the existence condition by Newton's method and its finished box, or Infeasible("bounds", gap).
 
-    cpt holds the client data c * p as (n, m) rows, as _fixed_envelopes
-    forms them (see the module docstring); any layout gives the same bits.  At
+    cpt holds the client data c * p as (n, m) rows in the memory order
+    order, as _fixed_envelopes forms them (see the module docstring); any
+    layout gives the same bits.  At
     level t the parameter box u_lo <= u <= u_hi, with u_lo = max(level_lo,
     fixed_lo), u_hi = ((-q) (x) B*)~ and q = min(level_hi, fixed_hi) on the
     envelopes of _level_terms (once the closure is built, the arithmetic of
@@ -772,10 +840,13 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
         C_k(t) = max(max_l (|c_k| (h_l - t) / w_l + cp_kl), fixed_lo_k)    (u_lo_k, the lower envelope).
     Phi is convex, decreasing and piecewise linear, and the root of each piece
     is one term of theta's closed form: the pair term of (j, l) through
-    b*_ik, or a side term when g_i or C_k takes its envelope entry.  So
+    b*_ik, or a side term when g_i or C_k takes its envelope entry
+    (_piece_root).  So
     Newton's method on Phi (Dinkelbach's method) climbs to theta from below:
     at t, the argmax chain k, i, j, l names the piece that attains Phi(t),
-    and t becomes its root.  It starts at the j = l, i = k term of the
+    and t becomes its root.  The pair (i, b*_ik) that attains the product's
+    entry k comes from the product itself (_Star.chain).  It starts at the
+    j = l, i = k term of the
     largest h_j, which is h_j since b*_ii = 0, evaluated like every pair
     term; so theta is always one float term of the closed form.  The last
     step evaluates Phi at theta, so its box is the optimal box, returned
@@ -800,40 +871,40 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     gets an empty box.  A nan crossing is its own argmax, and closes
     nothing.
 
-    Each step costs two O(m n) reductions, the product (-q) (x) B* and,
-    unless it is the last, the column B*[:, k], each a few products of the
-    iteration on B of at most O(n^2) each (see _Star); memory is O(m n).
+    Each step costs two O(m n) reductions and the product (-q) (x) B*, a
+    few products of the iteration on B of at most O(n^2) each (see _Star),
+    and the walk of its argmax chain; memory is O(m n).
     Raises _PositiveCycle if B's closure, built on the way, meets a positive
     cycle.
     """
     j = int(h.argmax())
-    t = _pair_terms(absc[0], absc[0], w[j], w[j], h[j], h[j], 0.0)
+    t = _piece_root(absc[0], w[j], h[j], absc[0], w[j], h[j], 0.0, 0.0, 0.0)
     while True:
-        lo, hi = _level_terms(absc, cpt, w, h, t)
+        lo, hi = _level_terms(absc, cpt, order, w, h, t)
         level_lo = np.maximum.reduce(lo, axis=1)
         level_hi = np.minimum.reduce(hi, axis=1)
         q = np.minimum(level_hi, fixed_hi)
-        u_lo, u_hi = np.maximum(level_lo, fixed_lo), np.negative(star.row(np.negative(q)))
+        x = np.negative(q)
+        z = star.row(x)
+        u_lo, u_hi = np.maximum(level_lo, fixed_lo), np.negative(z)
         crossing = u_lo - u_hi
         k = int(crossing.argmax())
         if not crossing[k] > 0.0:
             break
-        col = star.column(k)
-        i = int((col - q).argmax())
-        b = col[i]
+        i, b = star.chain(k, x, z)
         if level_hi[i] <= fixed_hi[i]:
             j = int(hi[i].argmin())
-            y = b - cpt[i, j]
-            if level_lo[k] >= fixed_lo[k]:
-                l = int(lo[k].argmax())
-                step = _pair_terms(absc[i], absc[k], w[j], w[l], h[j], h[l], y + cpt[k, l])
-            else:
-                step = h[j] + (w[j] / absc[i]) * (fixed_lo[k] + y)
-        elif level_lo[k] >= fixed_lo[k]:
-            l = int(lo[k].argmax())
-            step = h[l] + (w[l] / absc[k]) * ((b - fixed_hi[i]) + cpt[k, l])
+            wj, hj, high = w[j], h[j], cpt[i, j]
         else:
+            wj, hj, high = None, 0.0, fixed_hi[i]
+        if level_lo[k] >= fixed_lo[k]:
+            l = int(lo[k].argmax())
+            wl, hl, low = w[l], h[l], cpt[k, l]
+        elif wj is None:
             break  # the bounds certificate's own term, which no level moves
+        else:
+            wl, hl, low = None, 0.0, fixed_lo[k]
+        step = _piece_root(absc[i], wj, hj, absc[k], wl, hl, b, high, low)
         if not step > t:
             break
         t = step
@@ -858,12 +929,17 @@ def _theta_kernel(cpt, absc, w, h, star: _Star, fixed_lo, fixed_hi):
 # rounds, by the iteration or by the closure, has at most n - 1 hops, each
 # rounded within 6 u S: so a product is within E = 6 (n - 1) of exact, either
 # way.  Newton stops where Phi looks <= 0 (no crossing); where the root of its
-# piece, within 49 u S of slope times error, is no larger than theta, so the
-# crossing is at most 49 + 16 (the level terms, 5 each, and the argmax of the
-# column) + 2E; or on the bounds certificate's own term, where the crossing
-# exceeds that certificate's gap by at most 6 + 4E.  Newton can stop there
-# before the gap is known, so the clamped box is returned only once the gap
-# is <= 0, proven by the box itself or read.  CHANGES.md has the derivation.
+# piece, within 49 u S of slope times error, is no larger than theta; or on
+# the bounds certificate's own term.  The step's pair (i, b) comes from a
+# walk or from a column (_Star.chain).  A walk's chain is tight, so z_k is
+# the forward float sum of x_i and the path's edges and b the backward sum of
+# the edges, each within E of exact: x_i + b >= z_k - 2E.  So the crossing
+# is at most 49 + 10 (the level terms, 5 each) + 2E, or, on the certificate's
+# own term, its gap plus 2E.  From a column, i maximizes fl(col - q), 6 more,
+# and col_i is within E of b*_ik: at most 49 + 16 + 2E, or the gap plus
+# 6 + 4E.  Newton can stop on the certificate's term before the gap is
+# known, so the clamped box is returned only once the gap is <= 0, proven by
+# the box itself or read.  CHANGES.md has the derivation.
 _BOX_ROUNDINGS = 65
 _HOP_ROUNDINGS = 24
 _U = float(np.finfo(np.float64).eps) / 2
@@ -913,23 +989,23 @@ def solve_core(inst: ChebyshevInstance, rotate45: bool = False) -> SolutionBox |
     Infeasible result naming the failed certificate.  One prelude
     (_fixed_envelopes) feeds the Newton kernel (_theta_kernel): its first
     product decides the spectral certificate, and theta, the box and, as a
-    rule, the bounds certificate come from its last step.  The kernel runs
-    with overflow quiet: near the float maximum its sums can round to
-    -inf or +inf, which it compares as they are, and the CLI rejects a
-    theta that is not finite.
+    rule, the bounds certificate come from its last step.  The prelude and
+    the kernel run with overflow quiet: near the float maximum their sums
+    can round to -inf or +inf, which they compare as they are, and the CLI
+    rejects a theta that is not finite.
     B* comes on demand (_Star): the closure is built only where it is
     cheaper than iterating on B.  The box lives in scaled coordinates and
     its transform divides members by c; an all-ones scale gets no scale in
     the transform.  rotate45 marks an instance that is the rotated image of
     a plane one, so the transform also rotates members back.
     """
-    c, cpt, fixed_lo, fixed_hi = _fixed_envelopes(inst)
-    try:
-        star = _Star(inst.diff_bounds)
-        with np.errstate(over="ignore"):
-            found = _theta_kernel(cpt, np.abs(c), inst.weights, inst.addends, star, fixed_lo, fixed_hi)
-    except _PositiveCycle as cycle:
-        return Infeasible("spectral", cycle.witness)
+    with np.errstate(over="ignore"):
+        c, cpt, order, fixed_lo, fixed_hi = _fixed_envelopes(inst)
+        try:
+            star = _Star(inst.diff_bounds)
+            found = _theta_kernel(cpt, order, np.abs(c), inst.weights, inst.addends, star, fixed_lo, fixed_hi)
+        except _PositiveCycle as cycle:
+            return Infeasible("spectral", cycle.witness)
     if isinstance(found, Infeasible):
         return found
     theta, u_lo, u_hi = found

@@ -330,7 +330,7 @@ def _time_theta_parts(n: int, seed: int) -> float:
     hi = pts.max(axis=0) + 50.0
     unit = np.ones(n)
     rows = np.ascontiguousarray(pts.T)  # the solve's (n, m) client rows
-    return _best_of(lambda: _theta_kernel(rows, unit, w, h, star, lo, hi))
+    return _best_of(lambda: _theta_kernel(rows, "C", unit, w, h, star, lo, hi))
 
 
 def test_c9_theta_scaling():

@@ -488,7 +488,7 @@ def test_unit_magnitude_scale_theta_matches_scaled_loop(dyadic_data):
 def _kernel_theta(args, star) -> float:
     # The kernel's theta on the oracles' arguments, with cp as the solve's
     # (n, m) client rows and B* on demand in place of the matrix.
-    return chebyshev._theta_kernel(np.ascontiguousarray(args[0].T), *args[1:4], star, *args[5:])[0]
+    return chebyshev._theta_kernel(np.ascontiguousarray(args[0].T), "C", *args[1:4], star, *args[5:])[0]
 
 
 def _within_exact_bound(theta, args, b) -> bool:
@@ -595,8 +595,9 @@ def _bits(x) -> bytes:
 
 def test_theta_kernel_ignores_the_layout_of_cp():
     # The kernel takes the client rows c * p as (n, m); C-ordered, F-ordered
-    # and strided views of the same values give the same bits, within the
-    # rounding bound of the exact theta.
+    # and strided views of the same values, with the level terms formed in
+    # either memory order, give the same bits, within the rounding bound of
+    # the exact theta.
     checked = 0
     for seed in range(60):
         variant = VARIANTS[seed % 2]
@@ -611,8 +612,8 @@ def test_theta_kernel_ignores_the_layout_of_cp():
         wide[::3, ::2] = rows
         rest = (np.abs(c), inst.weights, inst.addends)
         ends = (bounds.fixed_lo, bounds.fixed_hi)
-        views = (rows, np.asfortranarray(rows), wide[::3, ::2])
-        thetas = [chebyshev._theta_kernel(view, *rest, star, *ends)[0] for view in views]
+        views = ((rows, "C"), (np.asfortranarray(rows), "F"), (wide[::3, ::2], "C"), (wide[::3, ::2], "F"))
+        thetas = [chebyshev._theta_kernel(view, order, *rest, star, *ends)[0] for view, order in views]
         assert len({_bits(theta) for theta in thetas}) == 1, seed
         assert _within_exact_bound(thetas[0], (cp, *rest, star.closure, *ends), inst.diff_bounds), seed
         checked += 1
@@ -628,7 +629,7 @@ def test_repeated_clients_cost_linear_terms(monkeypatch):
     m = 20_000
     copies = {key: np.repeat(value, m, axis=0) for key, value in one.items()}
     counted = []
-    terms = chebyshev._pair_terms
+    terms = chebyshev._piece_root
 
     def counting(*args):
         out = terms(*args)
@@ -636,7 +637,7 @@ def test_repeated_clients_cost_linear_terms(monkeypatch):
         return out
 
     single = solve_particular(ChebyshevInstance(**one, **box)).theta
-    monkeypatch.setattr(chebyshev, "_pair_terms", counting)
+    monkeypatch.setattr(chebyshev, "_piece_root", counting)
     theta = solve_particular(ChebyshevInstance(**copies, **box)).theta
     assert _bits(theta) == _bits(single)
     assert 0 < sum(counted) <= m, sum(counted)
@@ -835,7 +836,7 @@ def test_bounds_gap_beyond_the_float_range_is_quiet():
 def _fresh_gap(inst) -> float:
     # The bounds gap as the solve read it before Newton: the gap helper on a
     # fresh B* on demand, its first product.
-    _, _, fixed_lo, fixed_hi = chebyshev._fixed_envelopes(inst)
+    _, _, _, fixed_lo, fixed_hi = chebyshev._fixed_envelopes(inst)
     return chebyshev._bounds_gap(chebyshev._Star(inst.diff_bounds), fixed_lo, fixed_hi)
 
 
@@ -878,7 +879,7 @@ def test_only_a_box_that_does_not_prove_the_bounds_certificate_reads_it(monkeypa
         starts.clear()
         result = solve(inst)
         assert isinstance(result, Infeasible) == bool(reads)
-        _, _, _, fixed_hi = chebyshev._fixed_envelopes(inst)
+        *_, fixed_hi = chebyshev._fixed_envelopes(inst)
         assert starts.count(_bits(np.negative(fixed_hi))) == reads
         assert len(starts) >= 1 + reads
 
@@ -921,6 +922,27 @@ def test_a_box_that_rents_its_closure_has_a_bounds_gap_at_most_zero():
             assert _fresh_gap(inst) <= 0.0
     assert total == 764 and rented >= 400
     assert disagree <= 31, disagree
+
+
+@pytest.mark.parametrize("n", [1, 45])
+@pytest.mark.parametrize("p", [1.7e308, -1.7e308])
+def test_a_cap_that_reaches_past_the_float_range_is_quiet(n, p):
+    # A client at +-1.7e308 with a cap of 1e307, in a box that spans the
+    # float range: the cap's side beyond the client, p +- 1e307, rounds to
+    # +-inf, and the box end takes over.  solve, check_feasibility and
+    # assemble_bounds all read the envelopes with no overflow warning.
+    top = np.finfo(np.float64).max
+    points = np.zeros((1, n))
+    points[0, 0] = p
+    inst = ChebyshevInstance(points=points, weights=[1.0], addends=[0.0], caps=[1e307],
+                             box_lo=[-top] * n, box_hi=[top] * n, diff_bounds=np.full((n, n), BOTTOM))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = solve(inst)
+        report = check_feasibility(inst)
+        bounds = assemble_bounds(inst, box.theta)
+    assert box.theta == 0.0 and report.feasible
+    assert (bounds.fixed_lo[0], bounds.fixed_hi[0]) == ((p - 1e307, top) if p > 0 else (-top, p + 1e307))
 
 
 @pytest.mark.parametrize("n", [1, 45])

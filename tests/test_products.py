@@ -1,6 +1,8 @@
 """B* on demand: the solver's products by iteration on B, and the closure only when it is cheaper.
 
-chebyshev._Star forms x (x) B*, B*[:, k] and B* (x) u by iterating on B and
+chebyshev._Star forms x (x) B* and B* (x) u by iterating on B, reads the
+entry of B* that a Newton step goes through off the row product's own
+predecessors (a column B*[:, k] only where that walk finds no origin), and
 builds the closure trace_and_closure(B) up front at n <= 41, or once the
 iteration has cost as much as the closure.  These tests pin what that must
 keep: theta within the derived rounding bound of the exact closed form,
@@ -397,22 +399,107 @@ def test_frontier_products_are_the_full_products():
     assert gave_up >= 40 and converged >= 40, (gave_up, converged)
 
 
-def test_a_repeated_column_is_served_from_the_memo():
-    # Newton often asks for the same column on consecutive steps: the first
-    # request spends what the full-product iteration spends, and a repeat
-    # returns the same bits and spends nothing.
+def test_a_column_spends_what_the_full_product_spends_each_time():
+    # Only a walk that names no origin asks for a column (_Star.chain), and
+    # no column is kept: each request returns the full-product iteration's
+    # bits and spends what it spends, a repeat as much as the first.
     for b in list(_frontier_matrices())[::2][:6]:
         n = b.shape[0]
-        star = chebyshev._Star(b)
-        for k in (1, 1, n - 2, 1, n - 2):
+        for k in (1, n - 2):
             e = np.full(n, BOTTOM)
             e[k] = 0.0
             want, spent = fixed_point_reference(b, e, False)
-            fresh = k not in star._columns
-            before = star.spent
-            assert star.column(k).tobytes() == want.tobytes()
-            assert star.spent - before == (spent if fresh else 0)
-        assert star.closure is None and len(star._columns) == 2
+            star = chebyshev._Star(b)
+            for _ in range(2):
+                before = star.spent
+                assert star.column(k).tobytes() == want.tobytes()
+                assert star.spent - before == spent
+            assert star.closure is None
+
+
+def _on_the_integer_grid(inst):
+    # random_instance draws its lengths on a grid of tenths: ten times them,
+    # rounded, is the same instance in units ten times smaller, whose path
+    # sums are all exact.
+    fields = {name: np.round(getattr(inst, name) * 10.0) for name in ("points", "addends", "box_lo", "box_hi", "diff_bounds")}
+    if inst.caps is not None:
+        fields["caps"] = np.round(inst.caps * 10.0)
+    return dataclasses.replace(inst, **fields)
+
+
+def test_iterated_solves_read_each_chain_off_the_row_product(monkeypatch):
+    # From n = 42 on a solve iterates on B, and each Newton step that moves
+    # reads its pair (i, b*_ik) off the row product's own fixed point: no
+    # column is formed while the iteration serves the products.  On the
+    # integer grid every sum is exact, so the walk's pair attains the entry,
+    # x_i + b == z_k, and b is the column's entry b*_ik, bit for bit.
+    columns, walks = [], []
+    column, chain = chebyshev._Star.column, chebyshev._Star.chain
+
+    def column_spy(star, k):
+        columns.append(star.closure is None)
+        return column(star, k)
+
+    def chain_spy(star, k, x, z):
+        i, b = chain(star, k, x, z)
+        if star.closure is None:
+            e = np.full(star.n, BOTTOM)
+            e[k] = 0.0
+            want = fixed_point_reference(star.b, e, False)[0]
+            walks.append((x[i] + b == z[k], want[i].tobytes() == np.float64(b).tobytes()))
+        return i, b
+
+    monkeypatch.setattr(chebyshev._Star, "column", column_spy)
+    monkeypatch.setattr(chebyshev._Star, "chain", chain_spy)
+    solved = 0
+    for n in (42, 60, 100, 150, 200, 250, 300):
+        for seed in range(4):
+            inst = random_instance(("chebyshev", "chebyshev_scaled")[seed % 2], n, 20, seed)
+            grid = _on_the_integer_grid(inst)
+            for case in (inst, grid):
+                result = solve(case)
+                if isinstance(result, Infeasible):
+                    continue
+                assert result._star.closure is None, (n, seed)
+                solved += 1
+            walked = len(walks)
+            assert not any(columns), (n, seed)
+            assert walks[walked:] == [(True, True)] * (len(walks) - walked)
+    assert solved >= 40 and len(walks) >= 40, (solved, len(walks))
+
+
+def test_a_walk_round_a_tight_zero_cycle_takes_the_column(monkeypatch):
+    # x_0 >= 3 + x_5 and the cycle 0 -> 1 -> 2 -> 0 of weight 1 + 1 - 2 = 0.
+    # At the first level z_0 = 3 has two tight predecessors, 5 and 2, and
+    # the argmax takes 2, so the walk from k = 2 goes round the cycle and
+    # meets 2 again.  It names no origin and forms the column instead, by
+    # the iteration: theta and the box are those of the column path at
+    # every step, and theta is exact, 2.5.
+    n = 48
+    b = np.full((n, n), BOTTOM)
+    b[5, 0], b[0, 1], b[1, 2], b[2, 0] = 3.0, 1.0, 1.0, -2.0
+    inst = ChebyshevInstance(
+        points=[[0.0] * n], weights=[1.0], addends=[0.0], box_lo=[-10.0] * n, box_hi=[10.0] * n, diff_bounds=b,
+    )
+    columns = []
+    column = chebyshev._Star.column
+
+    def column_spy(star, k):
+        columns.append((k, star.closure is None))
+        return column(star, k)
+
+    def column_path(star, k, x, z):
+        col = star.column(k)
+        i = int((col + x).argmax())
+        return i, col[i]
+
+    monkeypatch.setattr(chebyshev._Star, "column", column_spy)
+    walked = solve(inst)
+    assert columns == [(2, True)] and walked._star.closure is None
+    monkeypatch.setattr(chebyshev._Star, "chain", column_path)
+    by_column = solve(inst)
+    assert walked.theta == by_column.theta == 2.5
+    assert (walked.u_lo.tobytes(), walked.u_hi.tobytes()) == (by_column.u_lo.tobytes(), by_column.u_hi.tobytes())
 
 
 def _lighter_cycles(n: int):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
@@ -311,6 +311,23 @@ def test_reductions_reject_strip_ends_that_double_beyond_the_float_range(ends, e
             call(inst)
 
 
+def test_a_pair_term_that_overflows_keeps_a_float_optimum():
+    # One client an ulp above max/2 on the x1 axis, the strip x1 = 0 and a
+    # box of reach max/2 around the origin: the optimum is (0, 0) at the
+    # client's distance.  Its rotated coordinates are (h, -h), so the pair
+    # term's x = b - cp_ij + cp_kl is 2h, beyond the float range; the term is
+    # evaluated again on halved lengths, and theta is that float, not inf.
+    half = np.finfo(np.float64).max / 2
+    p = np.nextafter(half, np.inf)
+    inst = StripInstance(points=[[p, 0.0]], weights=[1.0], addends=[0.0], box_lo=[-half, -half], box_hi=[half, half],
+                         strip_lo=0.0, strip_hi=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = solve(inst)
+    assert box.theta == p
+    assert np.array_equal(box.vertex_lo, [0.0, 0.0]) and np.array_equal(box.vertex_hi, [0.0, 0.0])
+
+
 @pytest.mark.parametrize("cls, extra, member", [(TiltedStripInstance, {"slope": 0.0}, (1e308, 0.0)), (StripInstance, {}, (0.0, 1.5e308))])
 def test_members_near_the_float_range_rotate_back_finite(cls, extra, member):
     # The client is served where it stands, inside the band -1 <= x2 <= 1 or
@@ -359,6 +376,9 @@ _edge = st.one_of(st.floats(_HALF, 1.79e308), st.floats(-1.79e308, -_HALF), st.i
     slope=st.sampled_from([0.0, 2.0, -3.0, 0.5]),
     reach=st.one_of(st.floats(0.0, _HALF), st.integers(0, 8).map(float)),
 )
+# A pair term whose x = b - cp_ij + cp_kl overflows though theta is a float,
+# 8.988465674311578e307; it once came out inf.
+@example(tilted=True, first=(_HALF, 0.0), spread=[], ends=(_HALF, _HALF), slope=0.0, reach=_HALF)
 def test_plane_instances_at_the_edge_of_the_float_range(tilted, first, spread, ends, slope, reach):
     # m = 1 to 3 clients close together, the others a few ulps from the
     # first, in a box of the given reach around the first (in rotated

@@ -1,6 +1,7 @@
-"""tools/code_lines.py: the code-line count that size reports quote."""
+"""The tools under tools/: code_lines.py, uncovered.py and side_by_side.py."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,3 +107,18 @@ def test_executable_lines_leave_out_blanks_comments_and_function_docstrings():
     lines = uncovered.executable_lines(MODULE, "branches.py")
     # line 1 is the module docstring, which import stores as __doc__
     assert lines == {1, 4, 6, 7, 8, 9, 10, 13, 14, 15, 16}
+
+
+SIDE_BY_SIDE = ROOT / "tools" / "side_by_side.py"
+
+
+def test_side_by_side_times_a_tree_against_itself():
+    # Both sides are this tree, so every answer has the same bits; the report
+    # gives each side's median per solve, the change's wins and the answers.
+    argv = [sys.executable, str(SIDE_BY_SIDE), str(ROOT), str(ROOT), "--workload", "small_files", "--rounds", "2"]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=300, check=True).stdout.splitlines()
+    assert out[0] == "workload small_files, seed 1: 240 instances, 2 rounds"
+    assert [line.split()[0] for line in out[1:3]] == ["base", "change"]
+    assert all(re.fullmatch(r"\w+ +\d+\.\d us per solve \[\d+\.\d, \d+\.\d\]", line) for line in out[1:3]), out
+    assert re.fullmatch(r"change faster in [0-2] of 2 rounds, median [+-]\d+\.\d%", out[3]), out
+    assert out[4:] == ["answers with the same bits: 240 of 240"]

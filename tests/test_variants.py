@@ -8,6 +8,7 @@ import pytest
 
 from support import python_frames
 from tropiloc import (
+    ChebyshevInstance,
     cli,
     emit_instance,
     parse_instance,
@@ -68,9 +69,10 @@ def test_solve_enters_no_numpy_python_wrappers():
     # runs.  From n = 42 on a solve iterates on B, and a wrapper there runs
     # once per step: so also a feasible solve that never builds the closure,
     # a planted positive cycle, which the certificate's product finds among
-    # the predecessors of its steps, and a chain x_i >= 0.001 + x_{i+1},
-    # whose product needs more steps than the closure costs, so the solve
-    # buys it.
+    # the predecessors of its steps, a chain x_i >= 0.001 + x_{i+1}, whose
+    # product needs more steps than the closure costs, so the solve buys it,
+    # and a tight cycle of weight 0, round which a Newton step's walk finds
+    # no origin, so it forms a column.
     modules = ("core._methods", "core.fromnumeric", "core.numeric", "core.shape_base")
     wrappers = {m.__file__ for name, m in list(sys.modules.items()) if name.startswith("numpy.") and name.endswith(modules)}
     assert len(wrappers) >= len(modules)  # numpy 2 may also hold the numpy.core shims
@@ -78,6 +80,9 @@ def test_solve_enters_no_numpy_python_wrappers():
     cases += [random_infeasible(3, 6, 1, mode) for mode in ("caps", "cycle")]
     chain = np.full((60, 60), BOTTOM)
     chain[np.arange(59), np.arange(1, 60)] = 0.001
+    zero = np.full((48, 48), BOTTOM)
+    zero[5, 0], zero[0, 1], zero[1, 2], zero[2, 0] = 3.0, 1.0, 1.0, -2.0
+    cases.append(ChebyshevInstance(points=[[0.0] * 48], weights=[1.0], addends=[0.0], box_lo=[-10.0] * 48, box_hi=[10.0] * 48, diff_bounds=zero))
     cases += [
         random_instance("chebyshev", 48, 6, 1),
         random_infeasible(60, 6, 1, mode="cycle"),
@@ -96,9 +101,9 @@ def test_solve_enters_no_numpy_python_wrappers():
     frames = python_frames(calls)
     entered = {function for file, function in frames}
     # the clamp, the certificates, theta and the sampling all ran, and so did
-    # the iteration's products, its potential, its columns and its members
+    # the iteration's products, its potential, its walks, its columns and its members
     assert {"_magnitude", "_bounds_gap", "_theta_kernel", "trace_and_closure", "_distances"} <= entered
-    assert {"_fixed_point", "_proves_acyclic", "column", "_buy", "members"} <= entered
+    assert {"_fixed_point", "_proves_acyclic", "chain", "column", "_buy", "members"} <= entered
     assert sorted(f"{file}:{function}" for file, function in frames if file in wrappers) == []
     # the planted cycle is caught by a check, before any exact potential is tried
     cycle = {function for file, function in python_frames([lambda: solve(cases[-2])])}
