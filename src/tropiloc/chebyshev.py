@@ -393,15 +393,24 @@ def _fixed_envelopes(inst: ChebyshevInstance) -> tuple[np.ndarray, np.ndarray, s
     return c, cpt, order, fixed_lo, fixed_hi
 
 
-def _level_terms(absc, cpt, order, w, h, t):
+def _spread(absc):
+    """|c| for _level_terms, or None where every |c_i| is 1."""
+    return None if np.logical_and.reduce(absc == 1.0) else absc
+
+
+def _level_terms(spread, cpt, order, w, h, t):
     """The lines of the level envelopes at level t, as two (n, m) arrays in cpt's memory order.
 
     Row i holds |c_i| ((h_j - t) / w_j) + c_i p_ji for every client j, whose
     max is level_lo_i, and c_i p_ji - |c_i| ((h_j - t) / w_j), whose min is
     level_hi_i.  assemble_bounds and every Newton step evaluate them here.
+    spread is _spread(|c|): where it is None, the row (h - t) / w goes onto
+    every row of cpt as it is, with the bits of 1 ((h_j - t) / w_j).
     """
-    rad = np.multiply(absc[:, None], (h - t) / w, order=order)
-    return rad + cpt, cpt - rad
+    rad = (h - t) / w
+    if spread is not None:
+        rad = np.multiply(spread[:, None], rad, order=order)
+    return np.add(rad, cpt, order=order), np.subtract(cpt, rad, order=order)
 
 
 def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> BoundVectors:
@@ -420,7 +429,7 @@ def assemble_bounds(inst: ChebyshevInstance, theta: float | None = None) -> Boun
         c, cpt, order, fixed_lo, fixed_hi = _fixed_envelopes(inst)
         if theta is None:
             return BoundVectors(np.full(inst.dim, BOTTOM), np.full(inst.dim, np.inf), fixed_lo, fixed_hi)
-        lo, hi = _level_terms(np.abs(c), cpt, order, inst.weights, inst.addends, theta)
+        lo, hi = _level_terms(_spread(np.abs(c)), cpt, order, inst.weights, inst.addends, theta)
         return BoundVectors(np.maximum.reduce(lo, axis=1), np.minimum.reduce(hi, axis=1), fixed_lo, fixed_hi)
 
 
@@ -877,10 +886,11 @@ def _theta_kernel(cpt, order, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     Raises _PositiveCycle if B's closure, built on the way, meets a positive
     cycle.
     """
+    spread = _spread(absc)
     j = int(h.argmax())
     t = _piece_root(absc[0], w[j], h[j], absc[0], w[j], h[j], 0.0, 0.0, 0.0)
     while True:
-        lo, hi = _level_terms(absc, cpt, order, w, h, t)
+        lo, hi = _level_terms(spread, cpt, order, w, h, t)
         level_lo = np.maximum.reduce(lo, axis=1)
         level_hi = np.minimum.reduce(hi, axis=1)
         q = np.minimum(level_hi, fixed_hi)

@@ -16,6 +16,20 @@ because large enough caps and box always admit a point for
 potential-generated difference bounds; a strip or band is drawn to hold
 every point, or as a line that growing caps and box reach.
 
+Difference bounds keep each off-diagonal entry with a fixed probability and
+give it a random slack, as a loop over the n (n - 1) entries of one
+rng.random() and, for a kept entry, one rng.integers(1, 5) would.  The
+loop itself took about 0.1 s at n = 300, so the draws are replayed in bulk
+instead: the generator's raw 64-bit outputs are drawn at once, and the
+rules by which numpy turns them into floats and bounded integers (with the
+32-bit half that PCG64 keeps pending between integer draws) pick out
+which outputs the loop would have read, and how.  The generator is then
+moved to where the loop would leave it, so every later draw, and every
+generated instance, keeps its bytes (D. Lemire, "Fast random integer
+generation in an interval", ACM TOMACS 2019; M. E. O'Neill, "PCG: a
+family of simple fast space-efficient statistically good algorithms for
+random number generation", 2014).
+
 Engineered infeasible instances come in two flavors: caps too tight across
 the widest point pair (bounds certificate fails with a margin of at least
 one grid unit) and a positive cycle planted in the difference bounds
@@ -24,6 +38,8 @@ certificate, so lattice scans agree.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,24 +68,83 @@ def _potential_bounds(rng, n: int, density: float) -> np.ndarray:
     """Difference bounds with no positive cycle, in grid units.
 
     Off-diagonal entries keep at least one unit of slack under the
-    potential, so every cycle weight is <= -2 units exactly and stays
-    negative under float rounding of unit * grid products (the spectral
-    certificate is a strict sign test with no tolerance).
+    potential phi, so every cycle through two or more nodes weighs <= -2
+    units exactly and stays negative under float rounding of unit * grid
+    products (the spectral certificate is a strict sign test with no
+    tolerance).  The optional planted loop on one node weighs 0, -1 or -2
+    units: never positive.  Entry (i, k) is kept with probability density,
+    at phi_i - phi_k minus a slack of 1 to 4 units, in row-major order, as
+    _replayed_slack draws them.
     """
     units = np.full((n, n), BOTTOM)
     if rng.random() < 0.35 or n == 1:
         return units
     phi = rng.integers(-3, 4, n)
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue
-            if rng.random() < density:
-                units[i, k] = float(phi[i] - phi[k] - rng.integers(1, 5))
+    kept, slack = _replayed_slack(rng.bit_generator, n * (n - 1), density)
+    i, r = np.divmod(kept.nonzero()[0], n - 1)
+    k = r + (r >= i)  # the entries skip the diagonal
+    units[i, k] = phi[i] - phi[k] - slack
     if rng.random() < 0.2:
         d = rng.integers(0, n)
         units[d, d] = float(-rng.integers(0, 3))
     return units
+
+
+def _replayed_slack(bits, entries: int, density: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, slack): what a loop over the entries draws, read off bits' raw stream at once.
+
+    The loop keeps an entry if rng.random() < density and then draws its
+    slack, rng.integers(1, 5); bits is the loop's PCG64.  random() is
+    (r >> 11) 2**-53 for the next 64-bit output r, so it is < density
+    exactly when r < ceil(density 2**53) 2**11.  integers(1, 5) is
+    1 + (h >> 30) for the next 32-bit half h: Lemire's method never rejects
+    for a range of 4.  PCG64 serves halves from a one-slot buffer.  With
+    the slot empty it draws an output, returns its low half and keeps the
+    high half pending; 64-bit reads neither use nor clear the slot.
+
+    So each output is in one of three states as the loop reaches it: 0, the
+    slot is empty; 1, the kept entry before it splits it into halves; 2, a
+    half is pending.  An output below density moves the state from s to
+    s + 1 mod 3 (it is a kept entry, or it is split); any other output moves
+    1 to 2 and keeps 0 and 2.  So a run of outputs below density starts in
+    state 0 or 2, the state climbs through it, and the output that ends the
+    run (span outputs in all) leaves the state as the run found it when
+    span = 1 mod 3, swaps 0 and 2 when span = 2 mod 3, and leaves 2 when
+    span = 0 mod 3.  That gives the state at the start of every run in a few
+    vector operations, and with it the outputs that the run splits.  At most
+    entries + ceil(entries / 2) outputs cover the loop.  bits is then set to
+    where the loop leaves it: past the outputs it used, with its slot.
+    """
+    start = bits.state
+    pending = start["has_uint32"]
+    total = entries + (entries + 1) // 2
+    raw = bits.random_raw(total)
+    keep = raw < (math.ceil(density * 2.0**53) << 11)  # (r >> 11) 2**-53 < density, as integers
+    padded = np.concatenate(([False], keep, [False]))
+    starts, stops = (padded[1:] != padded[:-1]).nonzero()[0].reshape(-1, 2).T  # the runs below density
+    span = stops - starts + 1  # the run and the output that ends it
+    move = span[:-1] % 3  # 1 keeps the state, 2 swaps 0 and 2, 0 leaves 2
+    swaps = np.logical_xor.accumulate(move == 2)
+    reset = np.maximum.accumulate(np.where(move == 0, np.arange(move.size), -1))
+    held = np.concatenate(([pending], np.where(reset >= 0, ~swaps[reset], pending) ^ swaps))  # 1 where the run starts in state 2
+    first = starts + 1 + held  # the run splits first, first + 3, ... up to its end
+    splits = (span + 1 - held) // 3
+    drawn = np.ones(total + 1, dtype=bool)  # the outputs that random() returns, and one to spare
+    for k in range(np.maximum.reduce(splits, initial=0)):
+        drawn[first[splits > k] + 3 * k] = False
+    at = drawn.nonzero()[0]
+    kept = keep[at[:entries]]
+    used = int(at[entries])  # past the last entry, and past the output it split if it split one
+    split = raw[np.logical_not(drawn[:used]).nonzero()[0]]
+    halves = np.concatenate((np.array([start["uinteger"]] * pending, np.uint32), split.astype("<u8", copy=False).view("<u4")))
+    slack = (halves[: np.count_nonzero(kept)] >> 30) + 1
+    bits.state = start
+    bits.advance(used)
+    end = bits.state
+    end["has_uint32"] = halves.size - slack.size
+    end["uinteger"] = int(halves[-1]) if halves.size else start["uinteger"]
+    bits.state = end
+    return kept, slack
 
 
 def _diameter(pts_units: np.ndarray, metric: str) -> int:

@@ -41,6 +41,26 @@ def nonpos_cycle_matrix(rng, n, density=0.5, limit=64):
     return a
 
 
+def potential_bounds_reference(rng, n, density):
+    """generate._potential_bounds as the literal loop: per off-diagonal entry
+    in row-major order one rng.random(), and one rng.integers(1, 5) for an
+    entry it keeps."""
+    units = np.full((n, n), BOTTOM)
+    if rng.random() < 0.35 or n == 1:
+        return units
+    phi = rng.integers(-3, 4, n)
+    for i in range(n):
+        for k in range(n):
+            if i == k:
+                continue
+            if rng.random() < density:
+                units[i, k] = float(phi[i] - phi[k] - rng.integers(1, 5))
+    if rng.random() < 0.2:
+        d = rng.integers(0, n)
+        units[d, d] = float(-rng.integers(0, 3))
+    return units
+
+
 def closure_reference(a):
     """trace_and_closure as the literal one-line relaxation, under numpy's
     default ufunc buffer of 8192 elements: the same pivots, the same early exit

@@ -161,6 +161,28 @@ def test_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unreadable_paths_are_named_as_path_spells_them(two_point_file, tmp_path, capsys, monkeypatch):
+    # The message names the path as pathlib spells it (no "." parts, no
+    # extra or trailing slashes; the empty path is "."), and a file named
+    # with a trailing slash is still read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    cases = {
+        "/nonexistent/nowhere.json": "[Errno 2] No such file or directory: '/nonexistent/nowhere.json'",
+        "./missing.json": "[Errno 2] No such file or directory: 'missing.json'",
+        "sub//missing.json": "[Errno 2] No such file or directory: 'sub/missing.json'",
+        "sub": "[Errno 21] Is a directory: 'sub'",
+        "sub/": "[Errno 21] Is a directory: 'sub'",
+        "": "[Errno 21] Is a directory: '.'",
+    }
+    for path, reason in cases.items():
+        assert cli.main(["check", path]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+    for path in (f"{two_point_file}/", f"{two_point_file}/."):
+        assert cli.main(["check", path]) == 0
+        assert capsys.readouterr().out.endswith("feasible\n")
+
+
 def test_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{this is not json")

@@ -1,5 +1,7 @@
 """Random instance generators: determinism, feasibility, engineered failure."""
 
+import copy
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,9 +18,12 @@ from tropiloc import (
     solve,
     verify,
 )
+from support import potential_bounds_reference
 from tropiloc import generate
 from tropiloc.chebyshev import FeasibilityReport
-from tropiloc.generate import VARIANTS, _certified, _diameter
+from tropiloc.generate import VARIANTS, _certified, _diameter, _potential_bounds
+from tropiloc.semiring import BOTTOM
+from tropiloc.variants import BY_NAME
 
 
 def test_same_seed_same_instance():
@@ -29,6 +34,68 @@ def test_same_seed_same_instance():
     a = random_instance("chebyshev", 2, 3, 42)
     c = random_instance("chebyshev", 2, 3, 43)
     assert emit_instance(a) != emit_instance(c)
+
+
+def _corpus():
+    for variant in VARIANTS:
+        for seed in range(20):
+            n = 2 if BY_NAME[variant].rotate45 else 1 + seed % 6
+            yield random_instance(variant, n, 3 + seed % 5, seed)
+    for n in (42, 100, 300):
+        for seed in range(2):
+            yield random_instance("chebyshev", n, 20, seed)
+    for mode in (None, "caps", "cycle"):
+        for seed in range(20):
+            yield random_infeasible(1 + seed % 5, 1 + seed % 4, seed, mode)
+
+
+def test_generated_bytes_are_pinned():
+    # Every generated instance keeps its bytes: a change to how the draws are
+    # made that moves the random stream fails here.  The digest was taken
+    # from the per-entry loop that _potential_bounds used to run.
+    digest = hashlib.sha256()
+    for inst in _corpus():
+        digest.update(emit_instance(inst).encode())
+    assert digest.hexdigest() == "18ace7d1626c63e6afde20c443770e348c34597aff32e439b700bc7a35df8a03"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 42, 100])
+def test_potential_bounds_replay_the_loop(n):
+    # The bulk replay gives the loop's matrix and leaves the generator as the
+    # loop does: the same outputs used, the same pending half (or none) and
+    # the same stale half.  A prior integers(0, 7, 3) takes three halves, so
+    # it leaves one pending; so may the potential's draw before the replay.
+    seen = set()
+    for density in (0.3, 0.45, 0.9):
+        for seed in range(60):
+            for prior in (False, True):
+                loop, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+                if prior:
+                    loop.integers(0, 7, 3)
+                    bulk.integers(0, 7, 3)
+                probe = copy.deepcopy(bulk)  # makes the draws that come before the replay
+                drawn = not (probe.random() < 0.35 or n == 1)
+                probe.integers(-3, 4, n)
+                pending = probe.bit_generator.state["has_uint32"]
+                expected = potential_bounds_reference(loop, n, density)
+                got = _potential_bounds(bulk, n, density)
+                assert np.array_equal(got, expected), (n, density, seed, prior)
+                assert bulk.bit_generator.state == loop.bit_generator.state, (n, density, seed, prior)
+                if drawn:
+                    off = got[~np.eye(n, dtype=bool)]
+                    kept = np.count_nonzero(off != BOTTOM)
+                    seen.add(("pending", pending))
+                    seen.add(("kept", "none" if kept == 0 else "all" if kept == off.size else "some"))
+                    seen.add(("no half", pending == 0 and kept == 0))
+                    seen.add(("last kept", bool(off[-1] != BOTTOM)))
+    if n == 1:
+        assert seen == set()
+    else:
+        # A half pending at the start or not, and a run of kept entries that
+        # ends the draw; at n <= 3 also no kept entry with no half to keep,
+        # and every entry kept, which takes the most outputs a draw can use.
+        assert {("pending", 0), ("pending", 1), ("last kept", True)} <= seen
+        assert n > 3 or {("kept", "none"), ("kept", "all"), ("no half", True)} <= seen
 
 
 def test_argument_validation():
