@@ -29,9 +29,16 @@ _HALVE_FROM = 2.0**1022
 
 
 def rotate45(x: np.ndarray) -> np.ndarray:
-    """(x1, x2) -> (x1 + x2, x2 - x1), for one point of shape (2,) or rows of shape (N, 2)."""
+    """(x1, x2) -> (x1 + x2, x2 - x1), for one point of shape (2,) or rows of shape (N, 2).
+
+    Rows come back as the F-ordered transpose of one fresh (2, N) array,
+    whose rows are the two rotated coordinates.
+    """
     x1, x2 = x.T
-    return np.array([x1 + x2, x2 - x1]).T
+    out = np.empty((2,) + x1.shape)
+    np.add(x1, x2, out=out[0, ...])
+    np.subtract(x2, x1, out=out[1, ...])
+    return out.T
 
 
 def unrotate45(y: np.ndarray) -> np.ndarray:
@@ -106,7 +113,8 @@ class _Closure:
         return self.closure
 
     def members(self, us: np.ndarray) -> np.ndarray:
-        return _mat_vec_rows(self.closure, us)
+        with np.errstate(over="ignore"):  # as chebyshev._Star.members
+            return _mat_vec_rows(self.closure, us)
 
 
 @dataclass(frozen=True, eq=False)

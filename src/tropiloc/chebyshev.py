@@ -160,11 +160,25 @@ def _check_entries(ok: np.ndarray, label: str, must: str) -> None:
         raise InstanceError(f"{label}{index} must be {must}")
 
 
-def _check_scaled_products(inst) -> None:
-    # The solver works on c * p and c * box, so they must not overflow.
-    with np.errstate(over="ignore"):
-        for label, value in (("points", inst.points), ("lower", inst.box_lo), ("upper", inst.box_hi)):
-            _check_entries(np.isfinite(inst.scale * value), f"c * {label}", "finite")
+def _check_scaled_products(inst, points_bound: float | None = None) -> None:
+    """Check that c * points and c * box, which the solver works on, do not overflow.
+
+    Rounding is monotone, so every |c_i v_i| is at most the float
+    max|c| max|v|: where that is finite, so is every product.  A field is
+    checked entry by entry only where its bound overflows, with overflow
+    quiet.  Both box ends share one bound, max(max box_hi, -min box_lo),
+    which is max|box| since box_lo <= box_hi.  points_bound, where the
+    caller knows one, stands in for max|points|.
+    """
+    amax = np.maximum.reduce
+    scale = amax(np.abs(inst.scale)).item()
+    if points_bound is None:
+        points_bound = amax(np.abs(inst.points), axis=None).item()
+    box_bound = max(amax(inst.box_hi).item(), -np.minimum.reduce(inst.box_lo).item())
+    for label, value, bound in (("points", inst.points, points_bound), ("lower", inst.box_lo, box_bound), ("upper", inst.box_hi, box_bound)):
+        if not math.isfinite(scale * bound):
+            with np.errstate(over="ignore"):
+                _check_entries(np.isfinite(inst.scale * value), f"c * {label}", "finite")
 
 
 def _trusted(cls, *, plane: np.ndarray, ends: tuple[float, float], **checked):
@@ -187,7 +201,8 @@ def _trusted(cls, *, plane: np.ndarray, ends: tuple[float, float], **checked):
     """
     inst = object.__new__(cls)
     vars(inst).update(checked)
-    if np.maximum.reduce(np.abs(plane), axis=None) < _HALVE_FROM:
+    largest = np.maximum.reduce(np.abs(plane), axis=None).item()
+    if largest < _HALVE_FROM:
         points = rotate45(plane)
     else:
         with np.errstate(over="ignore"):
@@ -199,7 +214,7 @@ def _trusted(cls, *, plane: np.ndarray, ends: tuple[float, float], **checked):
     _freeze(inst, "points", points)
     _freeze(inst, "diff_bounds", np.array([[BOTTOM, ends[0]], [ends[1], BOTTOM]]))
     if "scale" in checked:
-        _check_scaled_products(inst)
+        _check_scaled_products(inst, 2.0 * largest)  # |x1 +/- x2| <= 2 max|plane|
     return inst
 
 
@@ -373,23 +388,33 @@ def _fixed_envelopes(inst: ChebyshevInstance) -> tuple[np.ndarray, np.ndarray, s
     and fixed_lo, fixed_hi the envelopes from caps and box, as
     assemble_bounds(inst) documents them.  A negative c_i swaps the ends of
     the box.  Selecting by sign rather than by min/max keeps a signed zero
-    where the two ends tie.  Near the float maximum a cap can reach past the
-    float range: its envelope term rounds to -inf or +inf, so the box end
-    takes over, and each caller runs this with overflow quiet.
+    where the two ends tie.  A plain or strip core has c = 1, and 1 x == x
+    bit for bit, so it multiplies nothing: cpt is points.T in the memory
+    order (a free view in F order, and for the plane rotation's rows), the
+    caps are their own radii and the box ends are copied.  Near the float
+    maximum a cap can reach past the float range: its envelope term rounds
+    to -inf or +inf, so the box end takes over, and each caller runs this
+    with overflow quiet.
     """
     c = _scale_of(inst)
     m, n = inst.points.shape
     order = "C" if m >= n else "F"
-    cpt = np.multiply(c[:, None], inst.points.T, order=order)
-    flip = c < 0
-    cf = c * inst.box_lo
-    cg = c * inst.box_hi
-    fixed_lo = np.where(flip, cg, cf)
-    fixed_hi = np.where(flip, cf, cg)
-    if inst.caps is not None:
-        radii = np.multiply(np.abs(c)[:, None], inst.caps, order=order)
-        fixed_lo = np.maximum(np.maximum.reduce(cpt - radii, axis=1), fixed_lo)
-        fixed_hi = np.minimum(np.minimum.reduce(cpt + radii, axis=1), fixed_hi)
+    if isinstance(inst, ScaledChebyshevInstance):
+        cpt = np.multiply(c[:, None], inst.points.T, order=order)
+        radii = None if inst.caps is None else np.multiply(np.abs(c)[:, None], inst.caps, order=order)
+        flip = c < 0
+        cf = c * inst.box_lo
+        cg = c * inst.box_hi
+        fixed_lo = np.where(flip, cg, cf)
+        fixed_hi = np.where(flip, cf, cg)
+    else:
+        cpt = np.asarray(inst.points.T, order=order)
+        radii = inst.caps
+        fixed_lo = inst.box_lo.copy()
+        fixed_hi = inst.box_hi.copy()
+    if radii is not None:
+        fixed_lo = np.maximum(np.maximum.reduce(np.subtract(cpt, radii, order=order), axis=1), fixed_lo)
+        fixed_hi = np.minimum(np.minimum.reduce(np.add(cpt, radii, order=order), axis=1), fixed_hi)
     return c, cpt, order, fixed_lo, fixed_hi
 
 
@@ -447,9 +472,10 @@ class _PositiveCycle(Exception):
 # max; per stage a diagonal reduction and its float; the buffer-size lookup,
 # which n <= 4 skips, is counted at every n) and 2n^3 + 3n^2 element
 # operations (per pivot an add and a max over n^2 entries; the copy and the
-# diagonal reductions).  One product of the iteration makes 9 calls (two
-# helpers, the broadcast, the add and its reduction, the comparison and its
-# reduction, the max, the loop's bookkeeping) and 2n^2 + 3n element
+# diagonal reductions); its float replay at n <= 2 costs less still, and is
+# bought up front either way.  One product of the iteration makes 9 calls
+# (two helpers, the broadcast, the add and its reduction, the comparison and
+# its reduction, the max, the loop's bookkeeping) and 2n^2 + 3n element
 # operations, each worth _PRODUCT_ELEMENT of the closure's: its reduction
 # runs across the rows of a fresh temporary, where a pivot's max runs along
 # them in place.  The closure costs _closure_products(n) products.  A step
@@ -734,11 +760,11 @@ class _Star:
             else:
                 weight = ONE
                 for i, c in zip(path[1:], path):
-                    weight = b[i, c] + weight
+                    weight = b.item(i, c) + weight
                 return j, weight
             col = self.column(k)
         i = int((col + x).argmax())
-        return i, col[i]
+        return i, col.item(i)
 
     def column(self, k: int) -> np.ndarray:
         """B*[:, k], as B* (x) e_k; raises _PositiveCycle.
@@ -757,10 +783,15 @@ class _Star:
         return self.closure[:, k]
 
     def members(self, us: np.ndarray) -> np.ndarray:
-        """B* (x) u for each row u of us, each row reduced as a one-vector product is."""
-        if self.closure is not None:
-            return _mat_vec_rows(self.closure, us)
-        return self._fixed_point(us, False, False)
+        """B* (x) u for each row u of us, each row reduced as a one-vector product is.
+
+        As in the solve, overflow is quiet: near the float maximum a sum
+        rounds to -inf, which the max passes over.
+        """
+        with np.errstate(over="ignore"):
+            if self.closure is not None:
+                return _mat_vec_rows(self.closure, us)
+            return self._fixed_point(us, False, False)
 
     def matrix(self) -> np.ndarray:
         """B* itself: the solve's closure, or one built now and kept.
@@ -819,6 +850,11 @@ def _piece_root(ai, wj, hj, ak, wl, hl, b, high, low, halve=True):
     overflows where the root itself is a float, so a root that comes out
     non-finite is evaluated again on halved lengths (exact but where they
     are subnormal) and doubled; every finite root keeps its bits.
+
+    The kernel passes Python floats, whose arithmetic has numpy's bits.
+    Where awl + bwj is 0 (weights times |c| that underflow), Python would
+    raise ZeroDivisionError: numpy divides instead, to its inf or nan and
+    its warning.
     """
     x = (b - high) + low
     if wl is None:
@@ -828,7 +864,9 @@ def _piece_root(ai, wj, hj, ak, wl, hl, b, high, low, halve=True):
     else:
         awl = ai * wl
         bwj = ak * wj
-        root = (awl * hj + bwj * hl + (wj * wl) * x) / (awl + bwj)
+        num = awl * hj + bwj * hl + (wj * wl) * x
+        den = awl + bwj
+        root = num / den if den else float(np.float64(num) / den)
     if math.isfinite(root) or not halve:
         return root
     return 2.0 * _piece_root(ai, wj, 0.5 * hj, ak, wl, 0.5 * hl, 0.5 * b, 0.5 * high, 0.5 * low, False)
@@ -888,7 +926,7 @@ def _theta_kernel(cpt, order, absc, w, h, star: _Star, fixed_lo, fixed_hi):
     """
     spread = _spread(absc)
     j = int(h.argmax())
-    t = _piece_root(absc[0], w[j], h[j], absc[0], w[j], h[j], 0.0, 0.0, 0.0)
+    t = _piece_root(absc.item(0), w.item(j), h.item(j), absc.item(0), w.item(j), h.item(j), 0.0, 0.0, 0.0)
     while True:
         lo, hi = _level_terms(spread, cpt, order, w, h, t)
         level_lo = np.maximum.reduce(lo, axis=1)
@@ -896,36 +934,38 @@ def _theta_kernel(cpt, order, absc, w, h, star: _Star, fixed_lo, fixed_hi):
         q = np.minimum(level_hi, fixed_hi)
         x = np.negative(q)
         z = star.row(x)
-        u_lo, u_hi = np.maximum(level_lo, fixed_lo), np.negative(z)
-        crossing = u_lo - u_hi
+        u_lo = np.maximum(level_lo, fixed_lo)
+        crossing = u_lo + z  # u_lo - u_hi bit for bit, with u_hi = -z
         k = int(crossing.argmax())
-        if not crossing[k] > 0.0:
+        top = crossing.item(k)
+        if not top > 0.0:
             break
         i, b = star.chain(k, x, z)
-        if level_hi[i] <= fixed_hi[i]:
+        if level_hi.item(i) <= fixed_hi.item(i):
             j = int(hi[i].argmin())
-            wj, hj, high = w[j], h[j], cpt[i, j]
+            wj, hj, high = w.item(j), h.item(j), cpt.item(i, j)
         else:
-            wj, hj, high = None, 0.0, fixed_hi[i]
-        if level_lo[k] >= fixed_lo[k]:
+            wj, hj, high = None, 0.0, fixed_hi.item(i)
+        if level_lo.item(k) >= fixed_lo.item(k):
             l = int(lo[k].argmax())
-            wl, hl, low = w[l], h[l], cpt[k, l]
+            wl, hl, low = w.item(l), h.item(l), cpt.item(k, l)
         elif wj is None:
             break  # the bounds certificate's own term, which no level moves
         else:
-            wl, hl, low = None, 0.0, fixed_lo[k]
-        step = _piece_root(absc[i], wj, hj, absc[k], wl, hl, b, high, low)
+            wl, hl, low = None, 0.0, fixed_lo.item(k)
+        step = _piece_root(absc.item(i), wj, hj, absc.item(k), wl, hl, b, high, low)
         if not step > t:
             break
         t = step
     theta = float(t)
-    if crossing[k] <= 0.0:
+    u_hi = np.negative(z)
+    if top <= 0.0:
         return theta, u_lo, u_hi
     if not np.logical_and.reduce(fixed_lo <= u_hi):
         gap = _bounds_gap(star, fixed_lo, fixed_hi)
         if not gap <= 0.0:
             return Infeasible("bounds", gap)
-    if crossing[k] > 0.0:  # a nan crossing closes nothing
+    if top > 0.0:  # a nan crossing closes nothing
         size = _magnitude(absc, cpt, w, h, q, u_hi, fixed_lo, fixed_hi, theta)
         u_hi = np.where((crossing > 0.0) & (crossing <= _box_slack(u_lo.size) * size), u_lo, u_hi)
     return theta, u_lo, u_hi

@@ -42,6 +42,7 @@ from tropiloc import (
     verify,
 )
 from tropiloc import chebyshev
+from tropiloc.rectilinear import tilted_to_scaled
 from tropiloc.errors import ContractViolationError, InstanceError
 from tropiloc.generate import VARIANTS
 from tropiloc.linear import Infeasible, parameter_upper_bound, solve_double
@@ -93,6 +94,37 @@ def test_scaled_products_that_overflow_are_rejected():
         )
         with pytest.raises(InstanceError, match=r"^c \* lower\[0\] must be finite$"):
             solve(tilted)
+
+
+def test_scaled_products_are_checked_entrywise_only_where_their_bound_overflows():
+    # max|c| max|v| bounds every |c_i v_ji|.  Here it overflows (1e300 * 1e10)
+    # while no product does: c = (1e300, 1) meets 1e10 only on the second
+    # axis.  The entrywise check then runs, quietly, and passes.  A tilted
+    # strip's rotated points are bounded by twice its plane points: with
+    # slope 1e300 and the point (1e8, -5e7) that bound overflows, though the
+    # rotated point (5e7, -1.5e8) scales to about -1.5e308.
+    fields = dict(weights=[1.0], addends=[0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = ScaledChebyshevInstance(**fields, diff_bounds=B2, points=[[1.0, 1e10]], box_lo=[-1.0, -1e10], box_hi=[1.0, 1e10], scale=[1e300, 1.0])
+        assert inst.points[0, 1] == 1e10
+        tilted = TiltedStripInstance(**fields, points=[[1e8, -5e7]], box_lo=[-1.0, -1.0], box_hi=[1.0, 1.0], strip_lo=-1.0, strip_hi=1.0, slope=1e300)
+        assert np.array_equal(tilted_to_scaled(tilted).points, [[5e7, -1.5e8]])
+        with pytest.raises(InstanceError, match=r"^c \* points\[0\]\[0\] must be finite$"):
+            ScaledChebyshevInstance(**fields, diff_bounds=B2, points=[[1e10, 1.0]], box_lo=[-1.0, -1.0], box_hi=[1.0, 1.0], scale=[1e300, 1.0])
+
+
+def test_piece_root_divides_as_numpy_where_its_denominator_underflows():
+    # Weights times |c| that underflow make awl + bwj = 0.  Python floats
+    # would raise ZeroDivisionError there, so numpy divides, to its inf or
+    # nan and its warning; a solve through such a term gets theta nan.
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert chebyshev._piece_root(1e-300, 1e-30, 0.0, 1e-300, 1e-30, 0.0, 1.0, 0.0, 0.0) == np.inf
+    inst = ScaledChebyshevInstance(
+        points=[[0.0], [1.0]], weights=[1e-30, 1e-30], addends=[0.0, 0.0], box_lo=[-1.0], box_hi=[2.0], diff_bounds=[[BOTTOM]], scale=[1e-300]
+    )
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert np.isnan(solve_scaled(inst).theta)
 
 
 def test_infinite_cap_entries_are_allowed():

@@ -1,16 +1,18 @@
 """Max-plus kernel tests: axioms, conjugation, trace, closure."""
 
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import closure_reference, dyadic_with_bottom, nonpos_cycle_matrix
+from support import closure_reference, dyadic_with_bottom, nonpos_cycle_matrix, python_frames
 import tropiloc
-from tropiloc import ChebyshevInstance, cli, emit_instance, semiring
+from tropiloc import ChebyshevInstance, cli, emit_instance, random_instance, semiring
 from tropiloc.errors import DimensionError, DomainError
 from tropiloc.linear import Infeasible, solve_double, solve_fixed_point
 from tropiloc.semiring import (
@@ -456,3 +458,69 @@ def test_distances():
     assert dinf([1.0, 5.0], [3.0, 4.0]) == 2.0
     assert d1([1.0, 5.0], [3.0, 4.0]) == 3.0
     assert dinf([2.0], [2.0]) == 0.0
+
+
+# Signed zeros, subnormals, entries whose sums leave the float range, and
+# loops and 2-cycles of either sign.
+_SMALL_GRID = [BOTTOM, -1e308, -3.0, -0.1, -5e-324, -0.0, 0.0, 5e-324, 0.2, 2.5, 1e308]
+
+
+def _run(closure, a):
+    # closure(a) and the messages of the warnings it raised
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        found = closure(a)
+    return found, [str(w.message) for w in raised]
+
+
+def test_small_closure_is_the_relaxation_on_every_grid_matrix():
+    # Every 1x1 and 2x2 matrix over the grid: the n <= 2 replay gives the
+    # relaxation's gauge bits, closure bytes (signed zeros included), verdict,
+    # witness and warnings.  Textbook I max A would differ on signed zeros:
+    # [[-inf, -inf], [-0.0, 0.0]] has B*[1][0] = +0.0.
+    cases = [np.array([[x]]) for x in _SMALL_GRID]
+    cases += [np.array(entries).reshape(2, 2) for entries in itertools.product(_SMALL_GRID, repeat=4)]
+    assert len(cases) == 14652
+    replayed = failing = negative_zeros = warned = 0
+    for a in cases:
+        got, got_warnings = _run(trace_and_closure, a)
+        want, want_warnings = _run(closure_reference, a)
+        _same_bits(got, want)
+        assert got_warnings == want_warnings
+        replayed += semiring._replayed_closure(a.ravel().tolist()) is not None
+        failing += want[1] is None
+        negative_zeros += want[1] is not None and bool(np.logical_and(want[1] == 0.0, np.signbit(want[1])).any())
+        warned += bool(want_warnings)
+    assert replayed > 1000 and failing > 1000 and negative_zeros > 100 and warned > 100, (replayed, failing, negative_zeros, warned)
+    star = trace_and_closure(np.array([[BOTTOM, BOTTOM], [-0.0, 0.0]]))[1]
+    assert star[1, 0] == 0.0 and not math.copysign(1.0, star[1, 0]) < 0.0
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[0.2]], [[BOTTOM, 2.5], [-0.1, BOTTOM]], [[-1.0, float("nan")], [-1.0, -1.0]], [[-1e308, BOTTOM], [BOTTOM, -1e308]]],
+    ids=["loop at stage 0", "positive 2-cycle", "nan entry", "overflowing sum"],
+)
+def test_small_closure_hands_over_to_the_relaxation(a):
+    # Where a stage is not <= 0, or an entry is nan or large enough that a
+    # sum overflows, the replay returns None and the numpy relaxation runs,
+    # with its witness and its warning.
+    a = np.array(a)
+    assert semiring._replayed_closure(a.ravel().tolist()) is None
+    (gauge, star), raised = _run(trace_and_closure, a)
+    want, want_raised = _run(closure_reference, a)
+    _same_bits((gauge, star), want)
+    assert raised == want_raised
+    assert set(raised) == ({"overflow encountered in add"} if a[0, 0] == -1e308 else set())
+
+
+def test_small_solves_run_no_pivot():
+    # A feasible solve or feasibility report at n <= 2, which every plane
+    # instance is, takes its closure from the replay: no numpy pivot runs.
+    cases = [random_instance(v, 2, 6, seed) for v in ("chebyshev", "chebyshev_scaled", "rectilinear_strip", "rectilinear_tilted") for seed in range(3)]
+    cases += [random_instance("chebyshev", 1, 4, seed) for seed in range(3)]
+    calls = [lambda inst=inst: tropiloc.solve(inst) for inst in cases]
+    calls += [lambda inst=inst: tropiloc.check_feasibility(inst) for inst in cases]
+    assert not any(isinstance(call(), Infeasible) for call in calls[: len(cases)])
+    entered = {function for file, function in python_frames(calls)}
+    assert "_replayed_closure" in entered and "_relaxation" not in entered

@@ -1,6 +1,7 @@
 """Objective replay, constraint violations, membership, sampling, verify."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from support import (
 )
 from tropiloc import (
     ScaledChebyshevInstance,
+    SolutionBox,
     StripInstance,
     Transform,
     constraint_violation,
@@ -376,3 +378,29 @@ def test_a_point_is_one_row():
     assert is_member(box, inst, member[None, :])
     with pytest.raises(DimensionError, match=r"point of dimension 2 expected, got shape \(2, 2\)"):
         is_member(box, inst, [member, far])
+
+
+def test_sampling_a_box_near_the_float_maximum_warns_nothing():
+    # B*[1][0] = -2b = -1.6e308 beside u_0 near -8e307: their sum leaves the
+    # float range.  The members product, as the solve's own, passes over the
+    # -inf it rounds to with overflow quiet, on the solve's box and on a box
+    # built by hand from its generator.
+    big = 4e307
+    inst = StripInstance(
+        points=[[-big, -big], [-big, -big + 1e293]],
+        weights=[1.0, 1.0],
+        addends=[0.0, 0.0],
+        box_lo=[-2 * big, -2 * big],
+        box_hi=[2 * big, 2 * big],
+        strip_lo=-2 * big,
+        strip_hi=2 * big,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        box = solve_strip(inst)
+        assert float(box.u_lo[0]) + float(box.generator[1, 0]) == -np.inf
+        members = sample(box, 6, seed=1)
+        assert is_member(box, inst, members[0])
+        by_hand = SolutionBox(box.theta, box.generator, box.u_lo, box.u_hi, box.transform)
+        assert np.array_equal(sample(by_hand, 6, seed=1), members)
+    assert np.all(np.isfinite(members))

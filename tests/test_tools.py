@@ -122,3 +122,31 @@ def test_side_by_side_times_a_tree_against_itself():
     assert all(re.fullmatch(r"\w+ +\d+\.\d us per solve \[\d+\.\d, \d+\.\d\]", line) for line in out[1:3]), out
     assert re.fullmatch(r"change faster in [0-2] of 2 rounds, median [+-]\d+\.\d%", out[3]), out
     assert out[4:] == ["answers with the same bits: 240 of 240"]
+
+
+def test_side_by_side_runs_the_cli_of_each_tree():
+    # --call cli runs `tropiloc solve FILE` in process on each side, and
+    # compares the exit codes and stdout bytes; a tree against itself gives
+    # the same bytes on every file.
+    argv = [sys.executable, str(SIDE_BY_SIDE), str(ROOT), str(ROOT), "--workload", "small_files", "--rounds", "2", "--call", "cli"]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=300, check=True).stdout.splitlines()
+    assert out[0] == "workload small_files, seed 1: 240 instances, 2 rounds"
+    assert all(re.fullmatch(r"\w+ +\d+\.\d us per call \[\d+\.\d, \d+\.\d\]", line) for line in out[1:3]), out
+    assert re.fullmatch(r"change faster in [0-2] of 2 rounds, median [+-]\d+\.\d%", out[3]), out
+    assert out[4:] == ["stdout with the same bytes: 240 of 240"]
+
+
+def test_side_by_side_binds_each_cli_to_its_own_tree():
+    spec = importlib.util.spec_from_file_location("side_by_side", SIDE_BY_SIDE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    before = sys.modules.get("tropiloc")
+    package = tool.load_package(ROOT, "tropiloc_side")
+    try:
+        cli = tool.load_cli(package)
+        assert cli.tropiloc is package and sys.modules.get("tropiloc") is before
+        code, payload = tool.run_cli(cli.main, str(ROOT / "demos" / "missing.json"))
+        assert (code, payload) == (1, b"")
+    finally:
+        for name in [name for name in sys.modules if name == "tropiloc_side" or name.startswith("tropiloc_side.")]:
+            del sys.modules[name]
