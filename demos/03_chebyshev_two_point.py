@@ -15,7 +15,7 @@ from tropiloc import (
     check_feasibility,
     grid_minimize,
     sample,
-    solve_particular,
+    solve,
     verify,
 )
 from tropiloc.semiring import BOTTOM
@@ -34,7 +34,7 @@ inst = ChebyshevInstance(
 report = check_feasibility(inst)
 print("spectral ok:", report.spectral_ok, "| bounds ok:", report.bounds_ok)
 
-box = solve_particular(inst)
+box = solve(inst)
 print("optimal value theta =", box.theta)
 print("parameter interval u_lo..u_hi:", box.u_lo, box.u_hi)
 print("extreme optimal points:", box.vertex_lo, box.vertex_hi)

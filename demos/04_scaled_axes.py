@@ -11,7 +11,7 @@ handles that through |c_i| and min/max swaps, with no case analysis.
 
 import numpy as np
 
-from tropiloc import ChebyshevInstance, ScaledChebyshevInstance, solve_particular, solve_scaled
+from tropiloc import ChebyshevInstance, ScaledChebyshevInstance, solve
 from tropiloc.semiring import BOTTOM
 
 # one dimension, c = -3: the answer matches the unscaled midpoint problem
@@ -25,7 +25,7 @@ inst = ScaledChebyshevInstance(
     diff_bounds=np.full((1, 1), BOTTOM),
     scale=[-3.0],
 )
-box = solve_scaled(inst)
+box = solve(inst)
 print("theta =", box.theta)
 print("optimal x:", box.vertex_lo, "(transform:", box.transform.kind + ")")
 
@@ -39,13 +39,13 @@ inst = ScaledChebyshevInstance(
     diff_bounds=[[BOTTOM, 1.0], [BOTTOM, BOTTOM]],
     scale=[2.0, 1.0],
 )
-box = solve_scaled(inst)
+box = solve(inst)
 x = box.member(box.u_lo)
 print()
 print("constrained instance: theta =", box.theta, "member", x)
 print("scaled constraint 2*x1 >= 1 + x2 holds:", 2 * x[0] >= 1 + x[1])
 
-# with c = all ones the scaled solver IS the particular solver, bit for bit
+# with c = all ones the scaled instance solves as the plain one, bit for bit
 plain = ScaledChebyshevInstance(
     points=[[1.0, 2.0], [3.0, -1.0]],
     weights=[2.0, 1.0],
@@ -55,7 +55,7 @@ plain = ScaledChebyshevInstance(
     diff_bounds=np.full((2, 2), BOTTOM),
     scale=[1.0, 1.0],
 )
-unscaled = solve_particular(
+unscaled = solve(
     ChebyshevInstance(
         points=plain.points,
         weights=plain.weights,
@@ -65,7 +65,7 @@ unscaled = solve_particular(
         diff_bounds=plain.diff_bounds,
     )
 )
-scaled = solve_scaled(plain)
+scaled = solve(plain)
 print()
 print("all-ones reduction, theta equal exactly:", scaled.theta == unscaled.theta)
 print("boxes equal exactly:", np.array_equal(scaled.u_lo, unscaled.u_lo)

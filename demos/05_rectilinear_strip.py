@@ -8,13 +8,16 @@ vertical strip a <= x1 <= b becomes a pair of difference bounds in the
 rotated coordinates, so the plane problem rides on the Chebyshev solver.
 """
 
-from tropiloc import StripInstance, rotate, sample, solve_strip
+import numpy as np
+
+from tropiloc import StripInstance, sample, solve
+from tropiloc.boxes import rotate45
 from tropiloc.semiring import d1, dinf
 
-p = [3.0, 1.0]
-q = [-2.0, 2.0]
-print("d1(p, q)                      =", d1(p, q))
-print("dinf(rotate(p), rotate(q))    =", dinf(rotate(p), rotate(q)))
+p = np.array([3.0, 1.0])
+q = np.array([-2.0, 2.0])
+print("d1(p, q)                       =", d1(p, q))
+print("dinf(rotate45(p), rotate45(q)) =", dinf(rotate45(p), rotate45(q)))
 
 # two clients, a wide strip: classic midline solution
 inst = StripInstance(
@@ -26,7 +29,7 @@ inst = StripInstance(
     strip_lo=-100.0,
     strip_hi=100.0,
 )
-box = solve_strip(inst)
+box = solve(inst)
 print()
 print("wide strip: theta =", box.theta)
 print("optimal points, sampled in plane coordinates:")
@@ -43,6 +46,6 @@ pinched = StripInstance(
     strip_lo=0.0,
     strip_hi=0.0,
 )
-box = solve_strip(pinched)
+box = solve(pinched)
 print()
 print("pinched strip: theta =", box.theta, "unique optimum", box.vertex_lo)

@@ -9,7 +9,7 @@ transform composes the rotation and the scaling, so members come back in
 plane coordinates.
 """
 
-from tropiloc import TiltedStripInstance, check_feasibility, solve_tilted, verify
+from tropiloc import TiltedStripInstance, check_feasibility, solve, verify
 
 # a = b = 0 with slope 2 pins the facility to the line x2 = 2*x1
 inst = TiltedStripInstance(
@@ -23,7 +23,7 @@ inst = TiltedStripInstance(
     slope=2.0,
 )
 print("feasible:", check_feasibility(inst).feasible)
-box = solve_tilted(inst)
+box = solve(inst)
 print("theta =", box.theta)
 print("optimum:", box.vertex_lo, "(on the line x2 = 2*x1)")
 print("transform:", box.transform.kind, box.transform.coeffs)
@@ -43,4 +43,4 @@ wide = TiltedStripInstance(
     slope=2.0,
 )
 print()
-print("widened band: theta =", solve_tilted(wide).theta, "(was", box.theta, "when pinned)")
+print("widened band: theta =", solve(wide).theta, "(was", box.theta, "when pinned)")

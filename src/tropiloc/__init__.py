@@ -7,18 +7,43 @@ pairwise difference constraints.  The optimum comes out in closed form
 together with the complete optimal set as a parametric box; feasibility is
 decided by exact certificates, and an independent lattice oracle is included
 for cross-checking.
+
+Public API: the names in __all__, and only those.
+
+* Instances: ChebyshevInstance, ScaledChebyshevInstance, StripInstance and
+  TiltedStripInstance.
+* Solving: solve (any variant, through variants.TABLE) and
+  check_feasibility, with their results SolutionBox (and its Transform),
+  Infeasible and FeasibilityReport.
+* Solutions: sample, verify (VerificationReport), is_member,
+  objective_value and constraint_violation.
+* Files: parse_instance, emit_instance, emit_solution and variant_of.
+* Instance generators: random_instance and random_infeasible.
+* The paper's lemmas on max-plus inequalities: solve_upper, solve_double,
+  solve_fixed_point and ParametricFamily; the semiring module, whose
+  max-plus helpers the acceptance suite checks against the axioms.
+* The grid oracle: grid_minimize, grid_feasible and OracleResult.
+* Errors: InstanceError, DimensionError, DomainError,
+  UnsupportedFormatError, ResourceError and ContractViolationError.
+* __version__.
+* solve_particular and solve_scaled, the typed entry points of the two
+  Chebyshev variants, stay here only because the benchmark's spans wrap
+  them at this module; they leave once the benchmark reads the solver's
+  own stage trace.
+
+Everything else is importable from its own module and is not part of the
+contract: solve_strip, solve_tilted, strip_to_chebyshev and
+tilted_to_scaled from rectilinear; compute_theta, compute_theta_scaled,
+assemble_bounds and BoundVectors from chebyshev; the 45-degree rotation and
+its inverse, rotate45 and unrotate45, from boxes.
 """
 
 from . import semiring
 from .boxes import SolutionBox, Transform
 from .chebyshev import (
-    BoundVectors,
     ChebyshevInstance,
     FeasibilityReport,
     ScaledChebyshevInstance,
-    assemble_bounds,
-    compute_theta,
-    compute_theta_scaled,
     solve_particular,
     solve_scaled,
 )
@@ -34,15 +59,7 @@ from .generate import random_infeasible, random_instance
 from .io import emit_instance, emit_solution, parse_instance, variant_of
 from .linear import Infeasible, ParametricFamily, solve_double, solve_fixed_point, solve_upper
 from .oracle import OracleResult, grid_feasible, grid_minimize
-from .rectilinear import (
-    StripInstance,
-    TiltedStripInstance,
-    rotate,
-    solve_strip,
-    solve_tilted,
-    strip_to_chebyshev,
-    tilted_to_scaled,
-)
+from .rectilinear import StripInstance, TiltedStripInstance
 from .solutions import (
     VerificationReport,
     constraint_violation,
@@ -51,7 +68,7 @@ from .solutions import (
     sample,
     verify,
 )
-from .variants import AnyInstance, check_feasibility, solve
+from .variants import check_feasibility, solve
 
 __version__ = "0.1.0"
 
@@ -60,7 +77,6 @@ __all__ = [
     "semiring",
     "SolutionBox",
     "Transform",
-    "BoundVectors",
     "ChebyshevInstance",
     "ScaledChebyshevInstance",
     "StripInstance",
@@ -70,10 +86,7 @@ __all__ = [
     "ParametricFamily",
     "OracleResult",
     "VerificationReport",
-    "assemble_bounds",
     "check_feasibility",
-    "compute_theta",
-    "compute_theta_scaled",
     "constraint_violation",
     "emit_instance",
     "emit_solution",
@@ -84,18 +97,13 @@ __all__ = [
     "parse_instance",
     "random_infeasible",
     "random_instance",
-    "rotate",
     "sample",
     "solve",
     "solve_double",
     "solve_fixed_point",
     "solve_particular",
     "solve_scaled",
-    "solve_strip",
-    "solve_tilted",
     "solve_upper",
-    "strip_to_chebyshev",
-    "tilted_to_scaled",
     "variant_of",
     "verify",
     "DimensionError",

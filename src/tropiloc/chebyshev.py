@@ -490,10 +490,12 @@ _PRODUCT_ELEMENT = 2
 _CHECK_PRODUCTS = 2
 # What a solve typically spends iterating: over random_instance data at n = 5
 # to 60 a feasible solve took 19 products at the median and 27 at the upper
-# quartile, passes of _proves_acyclic included, and timed against the
-# closure path the iteration first wins between n = 40 and 45 (measured with
-# a full product at every step and no column kept).  A closure that costs
-# no more is built up front: n <= 41.
+# quartile, passes of _proves_acyclic included.  A closure that costs no
+# more is built up front: n <= 41.  Timed when it was set, with a full
+# product at every step and no column kept, the iteration first won between
+# n = 40 and 45.  With frontier steps and the walk it wins from about n = 12
+# and is 1.8x faster at n = 41 (random_instance, m = 20).  The cut stays
+# until it is derived from counted work: moving it moves boxes' last bits.
 _TYPICAL_PRODUCTS = 25
 
 

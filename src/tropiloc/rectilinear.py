@@ -1,8 +1,9 @@
 """Exact minimax location in the plane under the rectilinear metric.
 
-The rotation y = (x1 + x2, x2 - x1) turns rectilinear distance into
-Chebyshev distance: d1(x, p) = dinf(rotate(x), rotate(p)).  Both plane
-variants therefore reduce to Chebyshev instances in rotated coordinates:
+The rotation y = (x1 + x2, x2 - x1), boxes.rotate45, turns rectilinear
+distance into Chebyshev distance: d1(x, p) = dinf(rotate45(x), rotate45(p)).
+Both plane variants therefore reduce to Chebyshev instances in rotated
+coordinates:
 
 * StripInstance: points with weights/addends/caps, a tilted rectangle
   f1 <= x1 + x2 <= g1, f2 <= x2 - x1 <= g2 (an axis box after rotation), and
@@ -26,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import SolutionBox, rotate45, unrotate45
+from .boxes import SolutionBox
 from .chebyshev import ChebyshevInstance, ScaledChebyshevInstance, _Instance, _require, _trusted, solve_core
 from .chebyshev import solve_particular, solve_scaled  # noqa: F401  (bound here only for benchmarks/spans.py)
-from .errors import DimensionError, InstanceError
+from .errors import InstanceError
 from .linear import Infeasible
 
 
@@ -86,22 +87,6 @@ class TiltedStripInstance(StripInstance):
         object.__setattr__(self, "slope", c)
 
 
-def rotate(point, direction: str = "forward") -> np.ndarray:
-    """Rotate a plane point into Chebyshev coordinates or back.
-
-    forward: (x1, x2) -> (x1 + x2, x2 - x1); inverse undoes it exactly on
-    the rational grid: (y1, y2) -> ((y1 - y2)/2, (y1 + y2)/2).
-    """
-    p = np.asarray(point, dtype=np.float64)
-    if p.shape != (2,):
-        raise DimensionError(f"plane point expected, got shape {p.shape}")
-    if direction == "forward":
-        return rotate45(p)
-    if direction == "inverse":
-        return unrotate45(p)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 def _rotated(inst: StripInstance, core: type, **scale) -> ChebyshevInstance:
     return _trusted(
         core,
@@ -145,7 +130,6 @@ def solve_tilted(inst: TiltedStripInstance) -> SolutionBox | Infeasible:
 __all__ = [
     "StripInstance",
     "TiltedStripInstance",
-    "rotate",
     "strip_to_chebyshev",
     "tilted_to_scaled",
     "solve_strip",

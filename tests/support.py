@@ -6,6 +6,7 @@ meaningful.  The frozen example instances were each confirmed against the
 grid oracle before their values were pinned in the tests.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -59,6 +60,19 @@ def potential_bounds_reference(rng, n, density):
         d = rng.integers(0, n)
         units[d, d] = float(-rng.integers(0, 3))
     return units
+
+
+def rescaled(inst, f: float):
+    """inst with every length-valued field (points, caps, box, difference
+    bounds or strip ends) and every addend multiplied by f > 0."""
+    fields = {name: getattr(inst, name) * f for name in ("points", "addends", "box_lo", "box_hi")}
+    if inst.caps is not None:
+        fields["caps"] = inst.caps * f
+    if hasattr(inst, "strip_lo"):
+        fields.update(strip_lo=inst.strip_lo * f, strip_hi=inst.strip_hi * f)
+    else:
+        fields["diff_bounds"] = inst.diff_bounds * f
+    return dataclasses.replace(inst, **fields)
 
 
 def closure_reference(a):

@@ -24,20 +24,18 @@ from support import (
 from tropiloc import (
     ScaledChebyshevInstance,
     check_feasibility,
-    compute_theta,
     grid_feasible,
     grid_minimize,
     random_infeasible,
     random_instance,
-    rotate,
     solve_particular,
     solve_scaled,
-    solve_strip,
-    solve_tilted,
     verify,
 )
-from tropiloc.chebyshev import _Star, _theta_kernel
+from tropiloc.boxes import rotate45
+from tropiloc.chebyshev import _Star, _theta_kernel, compute_theta
 from tropiloc.linear import solve_upper
+from tropiloc.rectilinear import solve_strip, solve_tilted
 from tropiloc.semiring import (
     BOTTOM,
     ONE,
@@ -266,7 +264,7 @@ def test_c7_reduction_consistency():
     ps = dyadic(rng, (10_000, 2))
     isometric = 0
     for x, p in zip(xs, ps):
-        if d1(x, p) == dinf(rotate(x), rotate(p)):
+        if d1(x, p) == dinf(rotate45(x), rotate45(p)):
             isometric += 1
 
     _criterion(

@@ -15,6 +15,7 @@ from support import (
     clipped_variant_instance,
     nonpos_cycle_matrix,
     python_lines,
+    rescaled,
     theta_grid,
     theta_reference,
     tight_caps_instance,
@@ -26,10 +27,7 @@ from tropiloc import (
     ChebyshevInstance,
     ScaledChebyshevInstance,
     TiltedStripInstance,
-    assemble_bounds,
     check_feasibility,
-    compute_theta,
-    compute_theta_scaled,
     is_member,
     objective_value,
     random_infeasible,
@@ -37,15 +35,14 @@ from tropiloc import (
     solve,
     solve_particular,
     solve_scaled,
-    solve_strip,
-    solve_tilted,
     verify,
 )
 from tropiloc import chebyshev
-from tropiloc.rectilinear import tilted_to_scaled
+from tropiloc.chebyshev import assemble_bounds, compute_theta, compute_theta_scaled
 from tropiloc.errors import ContractViolationError, InstanceError
 from tropiloc.generate import VARIANTS
 from tropiloc.linear import Infeasible, parameter_upper_bound, solve_double
+from tropiloc.rectilinear import solve_strip, solve_tilted, tilted_to_scaled
 from tropiloc.semiring import BOTTOM, trace_and_closure
 from tropiloc.variants import lookup
 
@@ -718,7 +715,7 @@ def test_certificate_and_box_are_solve_double(variant):
         if seed % 2:
             inst = dataclasses.replace(inst, caps=np.full(inst.m, 0.05 * (seed % 5 + 1)))
         for f in (1.0, 1e6 + 0.3, 1e9 + 0.3):
-            scaled = _rescaled(inst, f)
+            scaled = rescaled(inst, f)
             core = lookup(scaled).reduce(scaled)
             bounds = assemble_bounds(core)
             star = chebyshev._Star(core.diff_bounds)
@@ -793,18 +790,6 @@ def test_check_feasibility_is_the_lemma_on_the_closure(monkeypatch):
         assert ("chebyshev_scaled", n, "bounds") in seen and ("chebyshev_scaled", n, "feasible") in seen, n
     for variant in ("rectilinear_strip", "rectilinear_tilted"):
         assert (variant, 2, "bounds") in seen and (variant, 2, "feasible") in seen, variant
-
-
-def _rescaled(inst, f: float):
-    # inst with every length-valued field multiplied by f.
-    fields = {name: getattr(inst, name) * f for name in ("points", "addends", "box_lo", "box_hi")}
-    if inst.caps is not None:
-        fields["caps"] = inst.caps * f
-    if hasattr(inst, "strip_lo"):
-        fields.update(strip_lo=inst.strip_lo * f, strip_hi=inst.strip_hi * f)
-    else:
-        fields["diff_bounds"] = inst.diff_bounds * f
-    return dataclasses.replace(inst, **fields)
 
 
 def test_large_m_solves_in_linear_memory():

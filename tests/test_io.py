@@ -23,13 +23,13 @@ from tropiloc import (
     random_instance,
     sample,
     solve,
-    solve_strip,
 )
 from tropiloc import cli
 from tropiloc import io as tio
 from tropiloc.errors import InstanceError, UnsupportedFormatError
 from tropiloc.generate import VARIANTS
 from tropiloc.io import _clip, _json_text, instance_from_document, variant_of
+from tropiloc.rectilinear import solve_strip
 from tropiloc.semiring import BOTTOM
 from tropiloc.solutions import sample, violation_batch
 from tropiloc.variants import TABLE

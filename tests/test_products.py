@@ -21,10 +21,9 @@ import numpy as np
 import pytest
 
 from exact import closure_exact, cycle_weight, theta_error, theta_error_bound, theta_exact
-from support import fixed_point_reference
+from support import fixed_point_reference, rescaled
 from tropiloc import (
     ChebyshevInstance,
-    assemble_bounds,
     check_feasibility,
     is_member,
     random_infeasible,
@@ -35,6 +34,7 @@ from tropiloc import (
 )
 from tropiloc import chebyshev, cli, emit_instance
 from tropiloc.boxes import SolutionBox, Transform
+from tropiloc.chebyshev import assemble_bounds
 from tropiloc.errors import DimensionError
 from tropiloc.linear import Infeasible
 from tropiloc.semiring import BOTTOM, trace_and_closure
@@ -62,13 +62,6 @@ def iterate(monkeypatch):
     monkeypatch.setattr(chebyshev, "_TYPICAL_PRODUCTS", 0)
 
 
-def _rescaled(inst, f: float):
-    fields = {name: getattr(inst, name) * f for name in ("points", "addends", "box_lo", "box_hi", "diff_bounds")}
-    if inst.caps is not None:
-        fields["caps"] = inst.caps * f
-    return dataclasses.replace(inst, **fields)
-
-
 def test_budget_builds_the_closure_up_front_only_at_n_up_to_41():
     budgets = [chebyshev._closure_products(n) for n in range(1, 400)]
     assert all(b <= chebyshev._TYPICAL_PRODUCTS for b in budgets[:41])
@@ -87,7 +80,7 @@ def test_iterated_solves_keep_theta_within_the_exact_bound(stars, iterate):
         variant = ("chebyshev", "chebyshev_scaled")[seed % 2]
         inst = random_instance(variant, 5 + seed % 16, 2 + seed % 5, seed)
         if seed % 3 == 2:
-            inst = _rescaled(inst, 1e6 + 0.3)
+            inst = rescaled(inst, 1e6 + 0.3)
         stars.clear()
         box = solve(inst)
         if isinstance(box, Infeasible):
@@ -496,10 +489,48 @@ def test_a_walk_round_a_tight_zero_cycle_takes_the_column(monkeypatch):
     monkeypatch.setattr(chebyshev._Star, "column", column_spy)
     walked = solve(inst)
     assert columns == [(2, True)] and walked._star.closure is None
+    # So does a seeded family whose bounds pin 2-10% of the pairs at
+    # b_ik = phi_i - phi_k in both directions, each pinned pair a tight cycle
+    # of weight 0: the only input class on which a solve forms a column.
+    family = _zero_cycle_family()
+    walks = [solve(case) for case in family]
+    formed = sum(by_iteration for _, by_iteration in columns[1:])
     monkeypatch.setattr(chebyshev._Star, "chain", column_path)
     by_column = solve(inst)
     assert walked.theta == by_column.theta == 2.5
     assert (walked.u_lo.tobytes(), walked.u_hi.tobytes()) == (by_column.u_lo.tobytes(), by_column.u_hi.tobytes())
+    assert formed >= 1
+    for case, walked in zip(family, walks):
+        by_column = solve(case)
+        assert isinstance(walked, SolutionBox) and isinstance(by_column, SolutionBox)
+        assert walked.theta == by_column.theta
+        assert (walked.u_lo.tobytes(), walked.u_hi.tobytes()) == (by_column.u_lo.tobytes(), by_column.u_hi.tobytes())
+
+
+def _zero_cycle_family():
+    # Integer data at n = 48 to 100, so every path sum is exact and the box
+    # of +-20 holds phi + t for some t: feasible by construction.
+    family = []
+    for n in (48, 60, 80, 100):
+        for m in (5, 20):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                phi = rng.integers(-3, 4, n).astype(np.float64)
+                i, k = np.nonzero(np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.10), 1))
+                b = np.full((n, n), BOTTOM)
+                b[i, k] = phi[i] - phi[k]
+                b[k, i] = phi[k] - phi[i]
+                family.append(
+                    ChebyshevInstance(
+                        points=rng.integers(-10, 11, (m, n)).astype(np.float64),
+                        weights=rng.choice([1.0, 2.0], m),
+                        addends=rng.integers(-4, 5, m).astype(np.float64),
+                        box_lo=np.full(n, -20.0),
+                        box_hi=np.full(n, 20.0),
+                        diff_bounds=b,
+                    )
+                )
+    return family
 
 
 def _lighter_cycles(n: int):

@@ -20,37 +20,29 @@ from tropiloc import (
     check_feasibility,
     is_member,
     random_instance,
-    rotate,
     sample,
     solve,
-    solve_strip,
-    solve_tilted,
-    strip_to_chebyshev,
-    tilted_to_scaled,
     verify,
 )
 from tropiloc.boxes import rotate45, unrotate45
 from tropiloc.chebyshev import solve_core
-from tropiloc.errors import DimensionError, InstanceError
+from tropiloc.errors import InstanceError
 from tropiloc.linear import Infeasible
+from tropiloc.rectilinear import solve_strip, solve_tilted, strip_to_chebyshev, tilted_to_scaled
 from tropiloc.semiring import BOTTOM, d1, dinf
 
 dyadic = st.integers(-(2**20), 2**20).map(lambda k: k / 8.0)
 
 
 def test_rotate_example():
-    assert np.array_equal(rotate([4.0, 0.0]), np.array([4.0, -4.0]))
-    assert np.array_equal(rotate([4.0, -4.0], "inverse"), np.array([4.0, 0.0]))
-    with pytest.raises(DimensionError):
-        rotate([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        rotate([1.0, 2.0], "sideways")
+    assert np.array_equal(rotate45(np.array([4.0, 0.0])), np.array([4.0, -4.0]))
+    assert np.array_equal(unrotate45(np.array([4.0, -4.0])), np.array([4.0, 0.0]))
 
 
 @given(dyadic, dyadic)
 def test_rotation_roundtrips_exactly(x1, x2):
     x = np.array([x1, x2])
-    assert np.array_equal(rotate(rotate(x), "inverse"), x)
+    assert np.array_equal(unrotate45(rotate45(x)), x)
 
 
 @given(dyadic, dyadic, dyadic, dyadic)
@@ -59,7 +51,7 @@ def test_rotation_is_an_isometry(x1, x2, p1, p2):
     # rotation; exact on dyadics because every sum is representable
     x = np.array([x1, x2])
     p = np.array([p1, p2])
-    assert d1(x, p) == dinf(rotate(x), rotate(p))
+    assert d1(x, p) == dinf(rotate45(x), rotate45(p))
 
 
 def test_strip_reduction_shape():
@@ -69,8 +61,8 @@ def test_strip_reduction_shape():
     assert cheb.diff_bounds[0, 1] == 2.0 * a
     assert cheb.diff_bounds[1, 0] == -2.0 * b
     assert cheb.diff_bounds[0, 0] == BOTTOM and cheb.diff_bounds[1, 1] == BOTTOM
-    assert np.array_equal(cheb.points[0], rotate(inst.points[0]))
-    assert np.array_equal(cheb.points[1], rotate(inst.points[1]))
+    assert np.array_equal(cheb.points[0], rotate45(inst.points[0]))
+    assert np.array_equal(cheb.points[1], rotate45(inst.points[1]))
 
 
 def test_strip_validation():

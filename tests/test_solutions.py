@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from support import (
+    rescaled,
     tilted_line_instance,
     two_point_instance,
     wide_strip_instance,
@@ -24,12 +25,11 @@ from tropiloc import (
     solve,
     solve_particular,
     solve_scaled,
-    solve_strip,
-    solve_tilted,
     verify,
 )
 from tropiloc.errors import DimensionError, DomainError
 from tropiloc.linear import Infeasible, parameter_upper_bound
+from tropiloc.rectilinear import solve_strip, solve_tilted
 from tropiloc.semiring import BOTTOM, mat_vec, trace_and_closure
 from tropiloc.solutions import MEMBERSHIP_ATOL, objective_batch, violation_batch
 from tropiloc.variants import lookup
@@ -280,8 +280,7 @@ def _rescaled(inst, magnitude: float):
     lengths = ["points", "addends", "box_lo", "box_hi"] + (["caps"] if inst.caps is not None else [])
     lengths += ["strip_lo", "strip_hi"] if isinstance(inst, StripInstance) else ["diff_bounds"]
     data = np.concatenate([np.ravel(getattr(inst, name)) for name in lengths])
-    f = magnitude / np.max(np.abs(data[np.isfinite(data)]))
-    return dataclasses.replace(inst, **{name: getattr(inst, name) * f for name in lengths})
+    return rescaled(inst, magnitude / np.max(np.abs(data[np.isfinite(data)])))
 
 
 def _upper_bound_rule(box, inst, x) -> bool:

@@ -55,6 +55,19 @@ def test_prints_each_module_and_the_total(tmp_path):
     assert lines == [["9", str(tmp_path / "pkg" / "a.py")], ["1", str(tmp_path / "pkg" / "b.py")], ["10", "total"]]
 
 
+def test_help_prints_the_usage_and_exits_0():
+    for flag in ("-h", "--help"):
+        proc = subprocess.run([sys.executable, str(SCRIPT), flag], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, code_lines.__doc__, "")
+
+
+def test_a_missing_path_is_one_line_and_status_2(tmp_path):
+    missing = tmp_path / "absent.py"
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(missing)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"code_lines.py: no such file or directory: {missing}\n"
+
+
 UNCOVERED = ROOT / "tools" / "uncovered.py"
 
 MODULE = '''"""A module with branches."""

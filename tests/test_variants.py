@@ -18,14 +18,13 @@ from tropiloc import (
     solve,
     solve_particular,
     solve_scaled,
-    solve_strip,
-    solve_tilted,
     variant_of,
 )
 from tropiloc import check_feasibility as check_any
 from tropiloc.chebyshev import _Instance
 from tropiloc.errors import InstanceError
 from tropiloc.linear import Infeasible
+from tropiloc.rectilinear import solve_strip, solve_tilted
 from tropiloc.semiring import BOTTOM
 from tropiloc.solutions import objective_batch, sample
 from tropiloc.variants import TABLE, lookup

@@ -9,6 +9,8 @@ code and a trailing comment counts.
 
 Each PATH is a .py file or a directory, searched for *.py files (default:
 src/tropiloc).  Prints one "count path" line per module, then the total.
+-h or --help prints this text; a PATH that does not exist ends the run with
+status 2 before anything is counted.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ def _modules(paths: list[str]) -> list[Path]:
 
 def main(argv: list[str] | None = None) -> int:
     paths = sys.argv[1:] if argv is None else argv
+    if "-h" in paths or "--help" in paths:
+        sys.stdout.write(__doc__)
+        return 0
+    for path in paths:
+        if not Path(path).exists():
+            print(f"code_lines.py: no such file or directory: {path}", file=sys.stderr)
+            return 2
     total = 0
     for path in _modules(paths or ["src/tropiloc"]):
         count = code_lines(path.read_text(encoding="utf-8"))
